@@ -424,7 +424,8 @@ def _add_scenario_flags(sp) -> None:
     sp.add_argument("--grid", type=int,
                     help="belief grid resolution for discretized scenarios")
     sp.add_argument("--tol", type=float, default=1e-9,
-                    help="value-iteration span tolerance")
+                    help="solver tolerance on the span of T h - h; "
+                         "decoder tables this close to the best tie")
 
 
 def build_parser() -> argparse.ArgumentParser:

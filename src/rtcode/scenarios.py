@@ -14,6 +14,7 @@ delta from re-solving at twice the resolution instead.
 """
 from __future__ import annotations
 
+import statistics
 from dataclasses import dataclass
 from typing import Optional
 
@@ -22,7 +23,7 @@ import numpy as np
 from .bayes import check_action_map
 from .errors import CapacityError, SpecValidationError
 from .lookahead import build_markov_kernel
-from .mdp import FiniteMdp, relative_value_iteration, rvi_batch
+from .mdp import BatchSolve, FiniteMdp, relative_value_iteration, rvi_batch
 from .models import ProblemSpec, state_limit
 from .simplex import SimplexGrid, simplex_grid
 
@@ -171,6 +172,26 @@ def _clamp_distortion(value: float, max_loss: float) -> float:
     return float(min(max(value, 0.0), max_loss) + 0.0)
 
 
+def _first_within(gains: np.ndarray, tol: float) -> int:
+    """Lowest candidate index whose gain is within tol of the best: the
+    lexicographic tie rule, blind to solver noise below the tolerance."""
+    return int(np.flatnonzero(gains >= gains.max() - tol)[0])
+
+
+def _batch_diagnostics(sol: BatchSolve, best: int) -> dict:
+    """Deterministic solver counters of a batched solve, with the
+    certificate of the chosen candidate."""
+    return {
+        "iterations": int(sol.steps),
+        "rounds_min": int(sol.rounds.min()),
+        "rounds_median": int(statistics.median_low(sol.rounds.tolist())),
+        "rounds_max": int(sol.rounds.max()),
+        "fallbacks": int(sol.fallback.sum()),
+        "final_span": float(sol.spans[best]),
+        "optimality_residual": float(sol.residuals[best]),
+    }
+
+
 def _guard_states(count: int, max_states: Optional[int]) -> None:
     limit = state_limit() if max_states is None else int(max_states)
     if count > limit:
@@ -265,24 +286,24 @@ def solve_feedback_finite(spec: ProblemSpec, d: int, memory: MemorySpec,
     """Minimum distortion over all decoder tables for the feedback chain.
 
     Every decoder table is enumerated; the encoder is optimized exactly
-    for each by value iteration, batched over the shared transition
-    structure.  Ties keep the lexicographically smallest decoder table.
+    for each by policy iteration, batched over the shared transition
+    structure.  Decoder tables whose values lie within tol of the best
+    count as tied, and ties keep the lexicographically smallest table.
     """
     core = _feedback_core(spec, d, memory, max_states)
     n_y, n_z = spec.num_channel_outputs, memory.num_states
     cells = decoder_tables(n_y * n_z, spec.num_reconstructions, max_tables)
     dec_all = cells.reshape(-1, n_y, n_z)
     rewards = _feedback_rewards(core, dec_all)
-    gains, policies, iters, spans = rvi_batch(
-        core["next_states"], core["next_probs"], rewards,
-        tol=tol, max_iter=max_iter,
-    )
-    best = int(np.argmin(-gains))
-    distortion = _clamp_distortion(-float(gains[best]), spec.distortion.max_loss)
+    sol = rvi_batch(core["next_states"], core["next_probs"], rewards,
+                    tol=tol, max_iter=max_iter)
+    best = _first_within(sol.gains, tol)
+    distortion = _clamp_distortion(-float(sol.gains[best]),
+                                   spec.distortion.max_loss)
     return ScenarioSolveReport(
         scenario="feedback-finite",
         distortion=distortion,
-        encoder_policy=tuple(int(a) for a in policies[best]),
+        encoder_policy=tuple(int(a) for a in sol.policies[best]),
         decoder=_nested_tuple(dec_all[best]),
         vending_action_map=None,
         params={
@@ -292,8 +313,7 @@ def solve_feedback_finite(spec: ProblemSpec, d: int, memory: MemorySpec,
             **spec_params(spec),
         },
         diagnostics={
-            "iterations": int(iters),
-            "final_span": float(spans[best]),
+            **_batch_diagnostics(sol, best),
             "decoder_candidates": int(dec_all.shape[0]),
         },
         flags=(),
@@ -510,7 +530,7 @@ def solve_nofeedback(spec: ProblemSpec, d: int, memory: MemorySpec,
                      max_tables: int = DEFAULT_DECODER_CAP,
                      max_states: Optional[int] = None) -> ScenarioSolveReport:
     """Approximate minimum distortion for open-loop coding, minimizing
-    over all decoder tables."""
+    over all decoder tables with the tie rule of solve_feedback_finite."""
     grid = simplex_grid(memory.num_states, resolution, max_points=max_states)
     core = _nofeedback_core(spec, d, memory, grid, max_states)
     n_y, n_z = spec.num_channel_outputs, memory.num_states
@@ -518,16 +538,15 @@ def solve_nofeedback(spec: ProblemSpec, d: int, memory: MemorySpec,
     dec_all = cells.reshape(-1, n_y, n_z)
     rewards = _nofeedback_rewards(core, dec_all,
                                   np.asarray(spec.distortion.loss))
-    gains, policies, iters, spans = rvi_batch(
-        core["next_states"], core["next_probs"], rewards,
-        tol=tol, max_iter=max_iter,
-    )
-    best = int(np.argmin(-gains))
-    distortion = _clamp_distortion(-float(gains[best]), spec.distortion.max_loss)
+    sol = rvi_batch(core["next_states"], core["next_probs"], rewards,
+                    tol=tol, max_iter=max_iter)
+    best = _first_within(sol.gains, tol)
+    distortion = _clamp_distortion(-float(sol.gains[best]),
+                                   spec.distortion.max_loss)
     return ScenarioSolveReport(
         scenario="nofeedback-finite",
         distortion=distortion,
-        encoder_policy=tuple(int(a) for a in policies[best]),
+        encoder_policy=tuple(int(a) for a in sol.policies[best]),
         decoder=_nested_tuple(dec_all[best]),
         vending_action_map=None,
         params={
@@ -538,8 +557,7 @@ def solve_nofeedback(spec: ProblemSpec, d: int, memory: MemorySpec,
             **spec_params(spec),
         },
         diagnostics={
-            "iterations": int(iters),
-            "final_span": float(spans[best]),
+            **_batch_diagnostics(sol, best),
             "decoder_candidates": int(dec_all.shape[0]),
             "grid_points": grid.size,
         },

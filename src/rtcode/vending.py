@@ -180,6 +180,25 @@ def _dual_distortion(res: DualResult) -> float:
     return -res.dual_value
 
 
+def _pair_value(res: DualResult, budget: float) -> float:
+    """Dual distortion of one pair, or +inf for a pair that cannot meet
+    the budget: its dual search ends at the bracket edge with an average
+    action cost still above the budget."""
+    if res.bracket_edge and res.avg_constraint_cost > budget + 1e-9:
+        return np.inf
+    return _dual_distortion(res)
+
+
+def _best_pair(values: np.ndarray, budget: float) -> tuple[int, int]:
+    """First (decoder, actuator) pair with the least value; raise if no
+    pair meets the budget."""
+    if not np.isfinite(values).any():
+        raise SpecValidationError(
+            [f"no (decoder, actuator) pair meets the budget {budget:g}"])
+    best_i, best_j = np.unravel_index(int(np.argmin(values)), values.shape)
+    return int(best_i), int(best_j)
+
+
 def solve_vending_feedback(spec: ProblemSpec, d: int, mem_x: MemorySpec,
                            mem_y: MemorySpec, budget: Optional[float] = None,
                            dual_tol: float = 1e-8, rvi_tol: float = 1e-10,
@@ -192,9 +211,10 @@ def solve_vending_feedback(spec: ProblemSpec, d: int, mem_x: MemorySpec,
     actuator) pair.
 
     Each pair gets a full Lagrangian dual solve; pairs that cannot meet
-    the budget surface a large dual value and lose the minimum.  Ties keep
-    the lexicographically smallest (decoder, actuator) pair.  A bracket
-    warning is re-raised only for the winning pair.
+    the budget score +inf and lose the minimum, and if no pair meets it
+    the solve raises SpecValidationError.  Ties keep the lexicographically
+    smallest (decoder, actuator) pair.  A bracket warning is re-raised
+    only for the winning pair.
     """
     _require_vending(spec)
     if budget is not None:
@@ -218,9 +238,9 @@ def solve_vending_feedback(spec: ProblemSpec, d: int, mem_x: MemorySpec,
                 res = constrained_solve(cmdp, lambda_max=lambda_max,
                                         dual_tol=dual_tol, rvi_tol=rvi_tol,
                                         max_iter=max_iter)
-            values[i, j] = _dual_distortion(res)
+            values[i, j] = _pair_value(res, spec.vending.costs.budget)
             results[(i, j)] = res
-    best_i, best_j = np.unravel_index(int(np.argmin(values)), values.shape)
+    best_i, best_j = _best_pair(values, spec.vending.costs.budget)
     best = results[(best_i, best_j)]
     if best.bracket_edge:
         warnings.warn(
@@ -410,7 +430,8 @@ def solve_vending_nofeedback(spec: ProblemSpec, d: int, mem_x: MemorySpec,
                              max_tables: int = DEFAULT_DECODER_CAP,
                              max_states: Optional[int] = None
                              ) -> ScenarioSolveReport:
-    """Approximate minimum dual distortion for open-loop vending."""
+    """Approximate minimum dual distortion for open-loop vending; pairs
+    are scored as in solve_vending_feedback."""
     _require_vending(spec)
     if budget is not None:
         spec = with_budget(spec, budget)
@@ -436,9 +457,9 @@ def solve_vending_nofeedback(spec: ProblemSpec, d: int, mem_x: MemorySpec,
                 res = constrained_solve(cmdp, lambda_max=lambda_max,
                                         dual_tol=dual_tol, rvi_tol=rvi_tol,
                                         max_iter=max_iter)
-            values[i, j] = _dual_distortion(res)
+            values[i, j] = _pair_value(res, spec.vending.costs.budget)
             results[(i, j)] = res
-    best_i, best_j = np.unravel_index(int(np.argmin(values)), values.shape)
+    best_i, best_j = _best_pair(values, spec.vending.costs.budget)
     best = results[(best_i, best_j)]
     if best.bracket_edge:
         warnings.warn(

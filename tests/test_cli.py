@@ -243,3 +243,15 @@ def test_bad_inputs_exit_2(capsys):
     assert _run(capsys, ["solve", *SOLVE_ARGS, "--memory", "window:3"])[0] == 2
     assert _run(capsys, ["solve", "--spec", "/does/not/exist.json"])[0] == 2
     assert _run(capsys, ["frobnicate"])[0] == 2
+
+
+def test_solve_reports_solver_counters(capsys):
+    rc, out = _run(capsys, ["solve", *SOLVE_ARGS, "--d", "1",
+                            "--memory", "last:2"])
+    assert rc == 0
+    diag = json.loads(out)["diagnostics"]
+    assert diag["fallbacks"] == 0
+    assert diag["iterations"] == diag["rounds_max"] + 1
+    assert diag["rounds_min"] <= diag["rounds_median"] <= diag["rounds_max"]
+    assert diag["final_span"] <= 1e-9
+    assert diag["optimality_residual"] <= 1e-9

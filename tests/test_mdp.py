@@ -1,4 +1,7 @@
 """Average-reward solver machinery against brute-force oracles."""
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -15,6 +18,8 @@ from rtcode import (
     relative_value_iteration,
     rvi_batch,
 )
+from rtcode import mdp as mdp_module
+from rtcode.mdp import batch_policy_iteration, batch_value_iteration
 from conftest import random_unichain_mdp
 
 
@@ -238,3 +243,113 @@ def test_constrained_solve_warns_on_bracket_edge():
         res = constrained_solve(cmdp, lambda_max=1.0)
     assert res.bracket_edge
     assert res.lambda_star == pytest.approx(1.0, abs=1e-4)
+
+
+def _batch(rng, copies=4, **kwargs):
+    """A random unichain structure with several reward tables."""
+    mdp = random_unichain_mdp(rng, **kwargs)
+    rewards = np.stack([rng.uniform(-1.0, 1.0, mdp.rewards.shape)
+                        for _ in range(copies)])
+    return mdp.next_states, mdp.next_probs, rewards
+
+
+def test_stationary_solve_exact_on_slowly_switching_chain():
+    # P(0 -> 1) = a, P(1 -> 0) = 2a: the chain sits in state 1 a third of
+    # the time, however slowly it switches
+    for rate in (1e-4, 1e-5):
+        dense = np.array([[[1.0 - rate, rate]],
+                          [[2.0 * rate, 1.0 - 2.0 * rate]]])
+        mdp = FiniteMdp.from_dense(dense, np.array([[0.0], [1.0]]))
+        t0 = time.perf_counter()
+        ev = evaluate_policy(mdp, [0, 0])
+        assert time.perf_counter() - t0 < 0.5
+        assert abs(ev.gain - 1.0 / 3.0) <= 1e-13
+        assert not ev.multichain
+
+
+def test_batch_policy_iteration_matches_value_iteration():
+    rng = np.random.default_rng(410)
+    for _ in range(20):
+        ns, probs, rewards = _batch(rng, max_states=6, max_actions=4)
+        pi = batch_policy_iteration(ns, probs, rewards, tol=1e-10)
+        vi = batch_value_iteration(ns, probs, rewards, tol=1e-10)
+        np.testing.assert_allclose(pi.gains, vi.gains, atol=1e-8)
+        assert not pi.fallback.any()
+        assert pi.residuals.max() < 1e-10
+        assert pi.spans.max() < 1e-10
+        for k in range(rewards.shape[0]):
+            mdp = FiniteMdp(ns, probs, rewards[k])
+            assert evaluate_policy(mdp, pi.policies[k]).gain == \
+                pytest.approx(pi.gains[k], abs=1e-10)
+
+
+def test_rvi_batch_returns_policy_iteration_counters():
+    rng = np.random.default_rng(411)
+    ns, probs, rewards = _batch(rng, copies=5)
+    gains, policies, rounds, spans = sol = rvi_batch(ns, probs, rewards)
+    assert rounds == sol.steps == 1 + sol.rounds.max()
+    # rtbench's traced runs take a result with .iterations for a
+    # SolveResult of one MDP
+    assert not hasattr(sol, "iterations")
+    assert sol.rounds.shape == sol.fallback.shape == (5,)
+    assert gains.shape == (5,) and policies.shape == rewards.shape[:2]
+
+
+def test_policy_iteration_falls_back_on_multichain_policies():
+    # action 0 stays put, action 1 moves to the other state; staying pays
+    # 1 in state 1 only, so the greedy start policy has two recurrent
+    # classes and a singular evaluation
+    dense = np.zeros((2, 2, 2))
+    dense[0, 0, 0] = dense[1, 0, 1] = 1.0
+    dense[0, 1, 1] = dense[1, 1, 0] = 1.0
+    mdp = FiniteMdp.from_dense(dense, np.array([[0.5, 0.0], [1.0, 0.0]]))
+    sol = batch_policy_iteration(mdp.next_states, mdp.next_probs,
+                                 mdp.rewards[None], tol=1e-10)
+    assert sol.fallback.tolist() == [True]
+    assert sol.gains[0] == pytest.approx(1.0, abs=1e-9)
+
+
+def test_batch_value_iteration_fails_fast_when_span_stalls():
+    # two absorbing states with different rewards: the span of T h - h
+    # never shrinks, so the loop gives up after two progress checks
+    dense = np.zeros((2, 1, 2))
+    dense[0, 0, 0] = dense[1, 0, 1] = 1.0
+    mdp = FiniteMdp.from_dense(dense, np.array([[0.25], [0.75]]))
+    t0 = time.perf_counter()
+    with pytest.raises(NonConvergenceError) as err:
+        batch_value_iteration(mdp.next_states, mdp.next_probs,
+                              mdp.rewards[None])
+    assert time.perf_counter() - t0 < 2.0
+    assert err.value.gain_bracket == pytest.approx((0.25, 0.75))
+
+
+def test_rvi_batch_chunks_keep_gathers_within_budget(monkeypatch):
+    # 200 states is past PI_MAX_STATES, so value iteration runs; one
+    # candidate's (S, A, K) gather is 640 kB and eight of them 5 MB
+    rng = np.random.default_rng(412)
+    s, a = 200, 2
+    assert s > mdp_module.PI_MAX_STATES
+    raw = rng.random((s, a, s))
+    mdp = FiniteMdp.from_dense(raw / raw.sum(axis=2, keepdims=True),
+                               np.zeros((s, a)))
+    rewards = rng.uniform(-1.0, 1.0, (8, s, a))
+    gather = s * a * s * 8
+
+    def run(budget):
+        monkeypatch.setattr(mdp_module, "GATHER_BUDGET_BYTES", budget)
+        tracemalloc.start()
+        try:
+            sol = rvi_batch(mdp.next_states, mdp.next_probs, rewards)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return sol, peak
+
+    whole, whole_peak = run(64 * gather)
+    chunked, peak = run(gather)
+    assert whole_peak > 8 * gather
+    assert peak < 3 * gather
+    # einsum may sum in another order for another batch size
+    np.testing.assert_allclose(whole.gains, chunked.gains, rtol=0, atol=1e-14)
+    np.testing.assert_array_equal(whole.policies, chunked.policies)
+    assert not chunked.fallback.any()

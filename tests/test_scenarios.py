@@ -1,4 +1,7 @@
 """Scenario compilers against brute-force one-step oracles."""
+import json
+import time
+
 import numpy as np
 import pytest
 
@@ -15,6 +18,7 @@ from rtcode import (
     build_nofeedback_finite,
     decoder_tables,
     encoder_action_tables,
+    evaluate_policy,
     memory_last_m,
     project,
     simplex_grid,
@@ -22,6 +26,10 @@ from rtcode import (
     solve_feedback_finite,
     solve_nofeedback,
 )
+from rtcode.cli import main
+from rtcode.mdp import batch_policy_iteration, batch_value_iteration
+from rtcode.scenarios import (_feedback_core, _feedback_rewards,
+                              _first_within)
 
 
 def test_memory_m0_is_singleton():
@@ -306,3 +314,90 @@ def test_nofeedback_never_beats_feedback_badly_nor_d0():
     mem = memory_last_m(1, 2)
     rep = solve_nofeedback(spec, 1, mem, resolution=6)
     assert 0.0 <= rep.distortion <= 0.3 + 1e-9
+
+
+def _feedback_batch(p, delta, m):
+    spec = binary_problem(p, delta)
+    core = _feedback_core(spec, 1, memory_last_m(m, 2))
+    decs = decoder_tables(2 * 2**m, 2).reshape(-1, 2, 2**m)
+    return core, decs, _feedback_rewards(core, decs)
+
+
+def test_feedback_tie_rule_takes_lowest_index_within_tol(capsys):
+    # at p = delta = 0.3 four decoder tables tie to within 1e-16
+    tol = 1e-9
+    core, decs, rewards = _feedback_batch(0.3, 0.3, 2)
+    gains = batch_value_iteration(core["next_states"], core["next_probs"],
+                                  rewards, tol=1e-12).gains
+    top = gains.max()
+    assert not np.any(np.abs(gains - (top - tol)) < 1e-10)   # no near-misses
+    lowest = next(i for i, g in enumerate(gains) if g >= top - tol)
+    assert np.sum(gains >= top - tol) > 1
+
+    assert main(["solve", "--source", "bernoulli:0.3", "--channel", "bsc:0.3",
+                 "--distortion", "hamming", "--d", "1",
+                 "--memory", "last:2"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    np.testing.assert_array_equal(doc["decoder"], decs[lowest])
+    mdp = build_feedback_finite(binary_problem(0.3, 0.3), 1,
+                                memory_last_m(2, 2), doc["decoder"])
+    ev = evaluate_policy(mdp, doc["encoder_policy"])
+    assert abs(-ev.gain - doc["distortion"]) <= 1e-10
+    # the rule itself, on gains whose float maximum is not the first tie
+    assert _first_within(np.array([0.1, 0.5 - 1e-12, 0.5]), tol) == 1
+
+
+@pytest.mark.parametrize("p, delta", [(0.3, 0.3), (0.05, 0.0), (0.15, 0.3),
+                                      (0.0, 0.025), (0.2, 0.1)])
+def test_feedback_policy_iteration_matches_value_iteration(p, delta):
+    core, _, rewards = _feedback_batch(p, delta, 2)
+    args = (core["next_states"], core["next_probs"], rewards)
+    pi = batch_policy_iteration(*args)
+    vi = batch_value_iteration(*args)
+    np.testing.assert_allclose(pi.gains, vi.gains, rtol=0, atol=1e-8)
+
+
+def test_feedback_multichain_candidates_fall_back_to_value_iteration():
+    # at p = delta = 0 many encoder policies split the chain into several
+    # recurrent classes; those candidates are solved by value iteration
+    core, _, rewards = _feedback_batch(0.0, 0.0, 2)
+    args = (core["next_states"], core["next_probs"], rewards)
+    pi = batch_policy_iteration(*args)
+    assert pi.fallback.sum() > 0
+    np.testing.assert_allclose(pi.gains, batch_value_iteration(*args).gains,
+                               rtol=0, atol=1e-8)
+    rep = solve_feedback_finite(binary_problem(0.0, 0.0), 1,
+                                memory_last_m(2, 2))
+    assert rep.distortion == 0.0
+    assert rep.diagnostics["fallbacks"] == int(pi.fallback.sum())
+
+
+@pytest.mark.parametrize("p", [0.0, 1e-6, 1e-4])
+@pytest.mark.parametrize("delta", [0.0, 1e-6, 1e-4])
+def test_feedback_degenerate_parameters_solve_fast(p, delta):
+    spec = binary_problem(p, delta)
+    for m in (0, 1, 2):
+        t0 = time.perf_counter()
+        rep = solve_feedback_finite(spec, 1, memory_last_m(m, 2))
+        assert time.perf_counter() - t0 < 2.0
+        assert 0.0 <= rep.distortion <= min(p, delta) + 1e-12
+        assert rep.diagnostics["optimality_residual"] <= 1e-9
+        mdp = build_feedback_finite(spec, 1, memory_last_m(m, 2),
+                                    rep.decoder)
+        ev = evaluate_policy(mdp, rep.encoder_policy)
+        assert abs(-ev.gain - rep.distortion) <= 1e-10
+
+
+def test_feedback_near_noiseless_point_solves(capsys):
+    # value iteration mixes too slowly here to converge in 1e6 sweeps
+    t0 = time.perf_counter()
+    assert main(["solve", "--source", "bernoulli:0.0001", "--channel",
+                 "bsc:0.0001", "--distortion", "hamming", "--d", "1",
+                 "--memory", "last:2"]) == 0
+    assert time.perf_counter() - t0 < 2.0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["distortion"] == pytest.approx(5.9978e-08, rel=1e-4)
+    diag = doc["diagnostics"]
+    assert diag["final_span"] <= 1e-9
+    assert diag["rounds_min"] <= diag["rounds_median"] <= diag["rounds_max"]
+    assert diag["fallbacks"] == 0

@@ -20,6 +20,7 @@ from rtcode import (
     vending_action_maps,
     with_budget,
 )
+from rtcode.vending import _best_pair
 
 TOY = {
     "source": [0.7, 0.3],
@@ -282,3 +283,26 @@ def test_vending_feedback_matches_nofeedback_on_deterministic_memories():
         fb = solve_vending_feedback(spec, 0, mem_x, mem_y, budget=0.5)
         nf = solve_vending_nofeedback(spec, 0, mem_x, mem_y, 2, budget=0.5)
     assert nf.distortion == pytest.approx(fb.distortion, abs=1e-8)
+
+
+def test_vending_infeasible_pair_cannot_win():
+    # at budget 0.75 the always-pay actuator (average cost 1) cannot meet
+    # the budget, so the free pair's 0.3 wins in both settings
+    mem_x, mem_y = memory_last_m(0, 1), memory_last_m(0, 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        fb = solve_vending_feedback(_toy_spec(), 0, mem_x, mem_y,
+                                    budget=0.75)
+        nf = solve_vending_nofeedback(_toy_spec(), 0, mem_x, mem_y, 2,
+                                      budget=0.75)
+    for rep in (fb, nf):
+        assert rep.diagnostics["avg_constraint_cost"] <= 0.75
+        assert rep.distortion == pytest.approx(0.3, abs=1e-8)
+
+
+def test_vending_no_feasible_pair_names_the_budget():
+    # validated specs always have a free action, so this guards the
+    # selection step itself
+    with pytest.raises(SpecValidationError, match="budget 0.25"):
+        _best_pair(np.full((4, 2), np.inf), 0.25)
+    assert _best_pair(np.array([[np.inf, 0.5], [0.5, 0.2]]), 0.25) == (1, 1)
