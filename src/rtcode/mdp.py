@@ -25,22 +25,15 @@ from .errors import CapacityError, NonConvergenceError, SpecValidationError
 
 PROB_TOL = 1e-12
 DAMPING = 0.5
-# Batched solves: chains up to PI_MAX_STATES states use dense policy
-# iteration.  On the 16-state feedback chains it is 10-100x faster than
-# value iteration; on the fast-mixing 336-state belief-grid chains of
-# `--no-feedback --memory last:2 --grid 6` it is 1.3-1.8x slower, since
-# each round costs S**3 per candidate.  A Q-value must beat the current
-# action by PI_IMPROVE_EPS, relative to the largest Q-value, to change
-# the policy.
-PI_MAX_STATES = 128
+# Batched solves use dense policy iteration.  A Q-value must beat the
+# current action by PI_IMPROVE_EPS, relative to the largest Q-value, to
+# change the policy.
 PI_MAX_ROUNDS = 100
 PI_IMPROVE_EPS = 1e-12
-# Batched value iteration checks its progress every STALL_WINDOW sweeps
-# and gives up early when the span's last contraction rate cannot reach
-# the tolerance within max_iter sweeps.
-STALL_WINDOW = 1000
 # Candidates are solved in chunks whose per-step arrays (successor
-# gathers, evaluation systems) take at most this many bytes.
+# gathers, evaluation systems) take at most this many bytes.  A chain
+# whose dense policy-iteration round cannot fit is left to value
+# iteration.
 GATHER_BUDGET_BYTES = 64 * 2**20
 
 
@@ -203,18 +196,13 @@ def rvi_batch(next_states: np.ndarray, next_probs: np.ndarray,
     """Optimal gains of a batch of reward tables that share one transition
     structure.
 
-    rewards has shape (B, S, A).  Chains of at most PI_MAX_STATES states
-    are solved exactly by batch_policy_iteration, whose third return
-    value counts its rounds; larger chains by batch_value_iteration, whose
-    third return value counts its sweeps.  Every gain is certified by a
-    span of T h - h below tol.
+    rewards has shape (B, S, A).  The batch is solved exactly by
+    batch_policy_iteration, whose third return value counts its rounds
+    plus the sweeps of any value-iteration fallback.  Every gain is
+    certified by a span of T h - h below tol.
     """
-    if rewards.shape[1] <= PI_MAX_STATES:
-        return batch_policy_iteration(next_states, next_probs, rewards,
-                                      tol=tol, max_iter=max_iter,
-                                      ref_state=ref_state)
-    return batch_value_iteration(next_states, next_probs, rewards, tol=tol,
-                                 max_iter=max_iter, ref_state=ref_state)
+    return batch_policy_iteration(next_states, next_probs, rewards, tol=tol,
+                                  max_iter=max_iter, ref_state=ref_state)
 
 
 def _chunks(count: int, bytes_each: int):
@@ -235,8 +223,7 @@ def batch_value_iteration(next_states: np.ndarray, next_probs: np.ndarray,
     answer does not depend on the rest of the batch, and the batch is
     swept in chunks whose successor gathers stay within
     GATHER_BUDGET_BYTES.  NonConvergenceError is raised after max_iter
-    sweeps, or earlier once the contraction of a candidate's span over
-    the last STALL_WINDOW sweeps projects past max_iter.
+    sweeps.
     """
     b, s, a = rewards.shape
     gains = np.empty(b)
@@ -246,7 +233,6 @@ def batch_value_iteration(next_states: np.ndarray, next_probs: np.ndarray,
     for part in _chunks(b, s * a * next_states.shape[2] * 8):
         active = np.arange(part.start, part.stop)
         h = np.zeros((active.size, s))
-        mark = None
         for it in range(1, int(max_iter) + 1):
             ev = np.einsum("sak,bsak->bsa", next_probs, h[:, next_states])
             q = rewards[active] + DAMPING * ev
@@ -264,26 +250,9 @@ def batch_value_iteration(next_states: np.ndarray, next_probs: np.ndarray,
                 sweeps[ids] = it
                 active, th = active[~done], th[~done]
                 lo, hi, span = lo[~done], hi[~done], span[~done]
-                if mark is not None:
-                    mark = mark[~done]
                 if active.size == 0:
                     break
             h = th - th[:, ref_state][:, None]
-            if it % STALL_WINDOW == 0:
-                if mark is not None:
-                    need = _projected_sweeps(it, span, mark, tol)
-                    worst = int(need.argmax())
-                    if need[worst] > max_iter:
-                        raise NonConvergenceError(
-                            f"batched value iteration would need about "
-                            f"{need[worst]:.3g} sweeps, over the limit of "
-                            f"{max_iter} (span {span[worst]:.3e} after "
-                            f"{it})",
-                            span=float(span[worst]),
-                            gain_bracket=(float(lo[worst]),
-                                          float(hi[worst])),
-                        )
-                mark = span
         else:
             worst = int(span.argmax())
             raise NonConvergenceError(
@@ -294,17 +263,6 @@ def batch_value_iteration(next_states: np.ndarray, next_probs: np.ndarray,
             )
     return BatchSolve(gains, policies, sweeps.max(initial=0), spans, sweeps,
                       np.zeros(b, dtype=bool), spans / 2.0)
-
-
-def _projected_sweeps(it: int, span: np.ndarray, mark: np.ndarray,
-                      tol: float) -> np.ndarray:
-    """Sweep count at which each span reaches tol if it keeps contracting
-    as it did from mark, STALL_WINDOW sweeps ago; inf if it did not
-    shrink."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rate = span / mark
-        left = STALL_WINDOW * np.log(span / tol) / np.log(1.0 / rate)
-    return np.where(rate < 1.0, it + left, np.inf)
 
 
 def _evaluate_batch(matrices: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -343,12 +301,15 @@ def batch_policy_iteration(next_states: np.ndarray, next_probs: np.ndarray,
     candidate whose evaluation is singular (a multichain policy), that
     needs more than PI_MAX_ROUNDS rounds, or whose certificate fails (an
     ill-conditioned evaluation) is solved by batch_value_iteration
-    instead, with max_iter sweeps.
+    instead, with max_iter sweeps.  So is every candidate of a chain too
+    large for dense evaluation: when the (S, A, S) tensor and one
+    candidate's (S, S) systems do not fit GATHER_BUDGET_BYTES.
     """
     b, s, a = rewards.shape
-    dense = _dense(next_states, next_probs)                     # (S, A, S)
+    step_bytes = 8 * s * (4 * s + a * next_states.shape[2])
+    fits = 8 * s * a * s + step_bytes <= GATHER_BUDGET_BYTES
+    dense = _dense(next_states, next_probs) if fits else None   # (S, A, S)
     idx = np.arange(s)
-    eye = np.eye(s)
     gains = np.empty(b)
     policies = rewards.argmax(axis=2)
     spans = np.full(b, np.nan)
@@ -356,12 +317,14 @@ def batch_policy_iteration(next_states: np.ndarray, next_probs: np.ndarray,
     rounds = np.zeros(b, dtype=int)
     fallback = np.zeros(b, dtype=bool)
     total = 0
-    for part in _chunks(b, 8 * s * (4 * s + a * next_states.shape[2])):
+    # a candidate left unevaluated has a NaN certificate, so it falls back
+    for part in _chunks(b, step_bytes) if fits else ():
         active = np.arange(part.start, part.stop)
         for rnd in range(1, PI_MAX_ROUNDS + 1):
             total = max(total, rnd)
             pol = policies[active]
-            mat = eye - dense[idx, pol]
+            mat = -dense[idx, pol]
+            mat[:, idx, idx] += 1.0
             mat[:, :, ref_state] = 1.0
             r = rewards[active]
             x = _evaluate_batch(

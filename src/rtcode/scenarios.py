@@ -180,12 +180,15 @@ def _first_within(gains: np.ndarray, tol: float) -> int:
 
 def _batch_diagnostics(sol: BatchSolve, best: int) -> dict:
     """Deterministic solver counters of a batched solve, with the
-    certificate of the chosen candidate."""
+    certificate of the chosen candidate.  The rounds counters cover the
+    candidates that policy iteration solved (0 if it solved none); the
+    value-iteration fallbacks show in iterations and fallbacks."""
+    rounds = sol.rounds[~sol.fallback].tolist() or [0]
     return {
         "iterations": int(sol.steps),
-        "rounds_min": int(sol.rounds.min()),
-        "rounds_median": int(statistics.median_low(sol.rounds.tolist())),
-        "rounds_max": int(sol.rounds.max()),
+        "rounds_min": min(rounds),
+        "rounds_median": statistics.median_low(rounds),
+        "rounds_max": max(rounds),
         "fallbacks": int(sol.fallback.sum()),
         "final_span": float(sol.spans[best]),
         "optimality_residual": float(sol.residuals[best]),

@@ -309,47 +309,44 @@ def test_policy_iteration_falls_back_on_multichain_policies():
     assert sol.gains[0] == pytest.approx(1.0, abs=1e-9)
 
 
-def test_batch_value_iteration_fails_fast_when_span_stalls():
-    # two absorbing states with different rewards: the span of T h - h
-    # never shrinks, so the loop gives up after two progress checks
-    dense = np.zeros((2, 1, 2))
-    dense[0, 0, 0] = dense[1, 0, 1] = 1.0
-    mdp = FiniteMdp.from_dense(dense, np.array([[0.25], [0.75]]))
-    t0 = time.perf_counter()
-    with pytest.raises(NonConvergenceError) as err:
-        batch_value_iteration(mdp.next_states, mdp.next_probs,
-                              mdp.rewards[None])
-    assert time.perf_counter() - t0 < 2.0
-    assert err.value.gain_bracket == pytest.approx((0.25, 0.75))
-
-
 def test_rvi_batch_chunks_keep_gathers_within_budget(monkeypatch):
-    # 200 states is past PI_MAX_STATES, so value iteration runs; one
-    # candidate's (S, A, K) gather is 640 kB and eight of them 5 MB
+    # one candidate's (S, A, K) gather is 640 kB and eight of them 5 MB;
+    # a policy-iteration round also holds the (S, A, S) tensor, one more
+    # gather's worth, and each candidate's (S, S) systems, three more
     rng = np.random.default_rng(412)
     s, a = 200, 2
-    assert s > mdp_module.PI_MAX_STATES
     raw = rng.random((s, a, s))
     mdp = FiniteMdp.from_dense(raw / raw.sum(axis=2, keepdims=True),
                                np.zeros((s, a)))
     rewards = rng.uniform(-1.0, 1.0, (8, s, a))
     gather = s * a * s * 8
 
-    def run(budget):
+    def run(solve, budget):
         monkeypatch.setattr(mdp_module, "GATHER_BUDGET_BYTES", budget)
         tracemalloc.start()
         try:
-            sol = rvi_batch(mdp.next_states, mdp.next_probs, rewards)
+            sol = solve(mdp.next_states, mdp.next_probs, rewards)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         return sol, peak
 
-    whole, whole_peak = run(64 * gather)
-    chunked, peak = run(gather)
-    assert whole_peak > 8 * gather
-    assert peak < 3 * gather
-    # einsum may sum in another order for another batch size
-    np.testing.assert_allclose(whole.gains, chunked.gains, rtol=0, atol=1e-14)
-    np.testing.assert_array_equal(whole.policies, chunked.policies)
-    assert not chunked.fallback.any()
+    for solve, budget in ((rvi_batch, 4 * gather),
+                          (batch_value_iteration, gather)):
+        whole, whole_peak = run(solve, 64 * gather)
+        chunked, peak = run(solve, budget)
+        assert whole_peak > 8 * gather
+        assert peak < budget + gather
+        # einsum may sum in another order for another batch size
+        np.testing.assert_allclose(whole.gains, chunked.gains, rtol=0,
+                                   atol=1e-14)
+        np.testing.assert_array_equal(whole.policies, chunked.policies)
+        assert not chunked.fallback.any()
+    # below one policy-iteration round, every candidate goes to value
+    # iteration, which builds no dense tensor
+    vi, _ = run(batch_value_iteration, gather)
+    small, peak = run(rvi_batch, gather)
+    assert small.fallback.all()
+    assert peak < 2 * gather
+    np.testing.assert_array_equal(small.gains, vi.gains)
+    np.testing.assert_array_equal(small.policies, vi.policies)

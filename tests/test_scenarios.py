@@ -27,7 +27,8 @@ from rtcode import (
     solve_nofeedback,
 )
 from rtcode.cli import main
-from rtcode.mdp import batch_policy_iteration, batch_value_iteration
+from rtcode.mdp import (PI_MAX_ROUNDS, batch_policy_iteration,
+                        batch_value_iteration)
 from rtcode.scenarios import (_feedback_core, _feedback_rewards,
                               _first_within)
 
@@ -370,6 +371,10 @@ def test_feedback_multichain_candidates_fall_back_to_value_iteration():
                                 memory_last_m(2, 2))
     assert rep.distortion == 0.0
     assert rep.diagnostics["fallbacks"] == int(pi.fallback.sum())
+    # the rounds counters count policy-iteration rounds, not the
+    # fallbacks' sweeps
+    assert rep.diagnostics["rounds_max"] == pi.rounds[~pi.fallback].max()
+    assert rep.diagnostics["rounds_max"] <= PI_MAX_ROUNDS
 
 
 @pytest.mark.parametrize("p", [0.0, 1e-6, 1e-4])
