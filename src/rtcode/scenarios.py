@@ -1,12 +1,20 @@
 """Communication scenarios compiled into explicit average-cost MDPs.
 
-Three settings share one skeleton.  The MDP state couples the symbol
+Every scenario follows the paper's recipe: compile the scenario into a
+controlled Markov chain, solve the average-cost optimality equation for
+each decoder choice, keep the best.  The MDP state couples the symbol
 tuple the encoder can see with what the decoder side carries forward:
 the decoder's finite memory (feedback), a grid point for the posterior
 over tuples (feedback with unbounded memory), or a grid point for the
 encoder's belief about the decoder memory (no feedback).  Actions are
 complete encoder maps from tuples to channel inputs, and rewards are
 negated per-symbol losses so the maximizing solver minimizes distortion.
+
+The two finite-memory settings share one decoder-family pipeline: their
+transitions do not depend on the decoder table, so every table is
+enumerated, the rewards are batched over one transition structure, the
+batch is solved at once, and the first table within the tolerance of
+the best wins.
 
 Discretized builds carry an APPROXIMATE flag: projecting beliefs onto a
 grid has no one-sided error bound, so reports can include a stability
@@ -202,6 +210,69 @@ def _guard_states(count: int, max_states: Optional[int]) -> None:
                             hint="reduce lookahead, memory, or grid resolution")
 
 
+def _checked_decoder(decoder, shape: tuple, num_symbols: int) -> np.ndarray:
+    """The decoder table as an int array of the given shape, or
+    SpecValidationError naming what is wrong with it."""
+    dec = np.asarray(decoder)
+    if dec.shape != shape:
+        raise SpecValidationError(
+            [f"decoder has shape {dec.shape}, expected {shape}"]
+        )
+    return check_action_map(dec.ravel(), dec.size, num_symbols).reshape(shape)
+
+
+def _decoder_mdp(spec: ProblemSpec, memory: MemorySpec, core, rewards_fn,
+                 decoder) -> FiniteMdp:
+    """The chain of one decoder table indexed [y, z] over a shared core."""
+    dec = _checked_decoder(decoder, (spec.num_channel_outputs,
+                                     memory.num_states),
+                           spec.num_reconstructions)
+    rewards = rewards_fn(core, dec[None, :, :])[0]
+    return FiniteMdp(core["next_states"], core["next_probs"], rewards)
+
+
+def _solve_decoder_family(scenario: str, spec: ProblemSpec, d: int,
+                          memory: MemorySpec, core, rewards_fn, tol: float,
+                          max_iter: int, max_tables: int, params=None,
+                          diagnostics=None, flags=()) -> ScenarioSolveReport:
+    """Minimum distortion over every decoder table indexed [y, z].
+
+    The tables are enumerated lexicographically, their rewards batched
+    over the core's shared transition structure and solved together by
+    rvi_batch.  Tables whose gains lie within tol of the best count as
+    tied, and ties keep the lexicographically smallest table.  params and
+    diagnostics add scenario entries after the common ones.
+    """
+    n_y, n_z = spec.num_channel_outputs, memory.num_states
+    cells = decoder_tables(n_y * n_z, spec.num_reconstructions, max_tables)
+    dec_all = cells.reshape(-1, n_y, n_z)
+    sol = rvi_batch(core["next_states"], core["next_probs"],
+                    rewards_fn(core, dec_all), tol=tol, max_iter=max_iter)
+    best = _first_within(sol.gains, tol)
+    distortion = _clamp_distortion(-float(sol.gains[best]),
+                                   spec.distortion.max_loss)
+    return ScenarioSolveReport(
+        scenario=scenario,
+        distortion=distortion,
+        encoder_policy=tuple(int(a) for a in sol.policies[best]),
+        decoder=_nested_tuple(dec_all[best]),
+        vending_action_map=None,
+        params={
+            "d": d,
+            "memory": {"num_states": n_z,
+                       "table": _nested_list(memory.table.tolist())},
+            **(params or {}),
+            **spec_params(spec),
+        },
+        diagnostics={
+            **_batch_diagnostics(sol, best),
+            "decoder_candidates": int(dec_all.shape[0]),
+            **(diagnostics or {}),
+        },
+        flags=flags,
+    )
+
+
 def _feedback_core(spec: ProblemSpec, d: int, memory: MemorySpec,
                    max_states: Optional[int] = None):
     """Shared transition structure of the feedback finite-memory chain.
@@ -271,15 +342,7 @@ def build_feedback_finite(spec: ProblemSpec, d: int, memory: MemorySpec,
     the upcoming output, charged to the symbol leaving the window.
     """
     core = _feedback_core(spec, d, memory, max_states)
-    dec = np.asarray(decoder)
-    n_y, n_z = spec.num_channel_outputs, memory.num_states
-    if dec.shape != (n_y, n_z):
-        raise SpecValidationError(
-            [f"decoder has shape {dec.shape}, expected ({n_y}, {n_z})"]
-        )
-    check_action_map(dec.ravel(), n_y * n_z, spec.num_reconstructions)
-    rewards = _feedback_rewards(core, dec.astype(int)[None, :, :])[0]
-    return FiniteMdp(core["next_states"], core["next_probs"], rewards)
+    return _decoder_mdp(spec, memory, core, _feedback_rewards, decoder)
 
 
 def solve_feedback_finite(spec: ProblemSpec, d: int, memory: MemorySpec,
@@ -294,33 +357,8 @@ def solve_feedback_finite(spec: ProblemSpec, d: int, memory: MemorySpec,
     count as tied, and ties keep the lexicographically smallest table.
     """
     core = _feedback_core(spec, d, memory, max_states)
-    n_y, n_z = spec.num_channel_outputs, memory.num_states
-    cells = decoder_tables(n_y * n_z, spec.num_reconstructions, max_tables)
-    dec_all = cells.reshape(-1, n_y, n_z)
-    rewards = _feedback_rewards(core, dec_all)
-    sol = rvi_batch(core["next_states"], core["next_probs"], rewards,
-                    tol=tol, max_iter=max_iter)
-    best = _first_within(sol.gains, tol)
-    distortion = _clamp_distortion(-float(sol.gains[best]),
-                                   spec.distortion.max_loss)
-    return ScenarioSolveReport(
-        scenario="feedback-finite",
-        distortion=distortion,
-        encoder_policy=tuple(int(a) for a in sol.policies[best]),
-        decoder=_nested_tuple(dec_all[best]),
-        vending_action_map=None,
-        params={
-            "d": d,
-            "memory": {"num_states": n_z,
-                       "table": _nested_list(memory.table.tolist())},
-            **spec_params(spec),
-        },
-        diagnostics={
-            **_batch_diagnostics(sol, best),
-            "decoder_candidates": int(dec_all.shape[0]),
-        },
-        flags=(),
-    )
+    return _solve_decoder_family("feedback-finite", spec, d, memory, core,
+                                 _feedback_rewards, tol, max_iter, max_tables)
 
 
 def _project_rows(grid: SimplexGrid, beliefs: np.ndarray) -> np.ndarray:
@@ -328,6 +366,22 @@ def _project_rows(grid: SimplexGrid, beliefs: np.ndarray) -> np.ndarray:
     lexicographic order."""
     dist = np.abs(grid.points[None, :, :] - beliefs[:, None, :]).sum(axis=2)
     return dist.argmin(axis=1)
+
+
+def _project_pushforward(grid: SimplexGrid, table, weights) -> np.ndarray:
+    """proj[g, k]: the grid point nearest to the pushforward of grid point
+    g, a belief over memory states, through the memory table
+    table[z, b] when observation branch b has weight weights[k, b]."""
+    table = np.asarray(table)
+    weights = np.asarray(weights)
+    proj = np.empty((grid.size, weights.shape[0]), dtype=int)
+    for k, row in enumerate(weights):
+        pushed = np.zeros((grid.size, grid.dim))
+        for z in range(grid.dim):
+            for b in range(table.shape[1]):
+                pushed[:, table[z, b]] += grid.points[:, z] * row[b]
+        proj[:, k] = _project_rows(grid, pushed)
+    return proj
 
 
 def build_feedback_complete_discretized(spec: ProblemSpec, d: int,
@@ -448,16 +502,8 @@ def _nofeedback_core(spec: ProblemSpec, d: int, memory: MemorySpec,
     first = codec.components_table()[:, 0]
     w = spec.channel.rows
     p_u = np.asarray(spec.source.p)
-    mem = np.asarray(memory.table)
 
-    proj = np.empty((n_g, n_x), dtype=int)
-    for x in range(n_x):
-        pushed = np.zeros((n_g, n_z))
-        for z in range(n_z):
-            for y in range(n_y):
-                pushed[:, mem[z, y]] += grid.points[:, z] * w[x, y]
-        proj[:, x] = _project_rows(grid, pushed)
-
+    proj = _project_pushforward(grid, memory.table, w)         # (G, X)
     x_sent = tables[:, shift]                                  # (A, V, U)
     nxt = np.empty((n_v, n_g, n_a, n_u), dtype=int)
     for a in range(n_a):
@@ -480,12 +526,12 @@ def _nofeedback_core(spec: ProblemSpec, d: int, memory: MemorySpec,
         "first": first,
         "p_u": p_u,
         "w": w,
+        "loss": np.asarray(spec.distortion.loss),
         "shape": (n_v, n_g, n_a, n_u, n_y, n_z, n_x),
     }
 
 
-def _nofeedback_rewards(core, dec_tables: np.ndarray,
-                        loss: np.ndarray) -> np.ndarray:
+def _nofeedback_rewards(core, dec_tables: np.ndarray) -> np.ndarray:
     """(T, S, A) negated losses for open-loop coding, batched over decoder
     tables indexed [y, z]."""
     n_v, n_g, n_a, n_u, n_y, n_z, n_x = core["shape"]
@@ -494,7 +540,7 @@ def _nofeedback_rewards(core, dec_tables: np.ndarray,
     first, shift, x_sent = core["first"], core["shift"], core["x_sent"]
     grid = core["grid"]
     # e[t, x, z, c] = sum_y W(x, y) * loss(c, dec[t, y, z])
-    picked = loss[:, dec_tables]                               # (C, T, Y, Z)
+    picked = core["loss"][:, dec_tables]                       # (C, T, Y, Z)
     e = np.einsum("xy,ctyz->txzc", w, picked)
     be = np.einsum("gz,txzc->tgxc", grid.points, e)            # (T, G, X, C)
     fs = first[shift]                                          # (V, U)
@@ -515,16 +561,7 @@ def build_nofeedback_finite(spec: ProblemSpec, d: int, memory: MemorySpec,
     is the only random disturbance.
     """
     core = _nofeedback_core(spec, d, memory, grid, max_states)
-    dec = np.asarray(decoder)
-    n_y, n_z = spec.num_channel_outputs, memory.num_states
-    if dec.shape != (n_y, n_z):
-        raise SpecValidationError(
-            [f"decoder has shape {dec.shape}, expected ({n_y}, {n_z})"]
-        )
-    check_action_map(dec.ravel(), n_y * n_z, spec.num_reconstructions)
-    rewards = _nofeedback_rewards(core, dec.astype(int)[None, :, :],
-                                  np.asarray(spec.distortion.loss))[0]
-    return FiniteMdp(core["next_states"], core["next_probs"], rewards)
+    return _decoder_mdp(spec, memory, core, _nofeedback_rewards, decoder)
 
 
 def solve_nofeedback(spec: ProblemSpec, d: int, memory: MemorySpec,
@@ -536,33 +573,8 @@ def solve_nofeedback(spec: ProblemSpec, d: int, memory: MemorySpec,
     over all decoder tables with the tie rule of solve_feedback_finite."""
     grid = simplex_grid(memory.num_states, resolution, max_points=max_states)
     core = _nofeedback_core(spec, d, memory, grid, max_states)
-    n_y, n_z = spec.num_channel_outputs, memory.num_states
-    cells = decoder_tables(n_y * n_z, spec.num_reconstructions, max_tables)
-    dec_all = cells.reshape(-1, n_y, n_z)
-    rewards = _nofeedback_rewards(core, dec_all,
-                                  np.asarray(spec.distortion.loss))
-    sol = rvi_batch(core["next_states"], core["next_probs"], rewards,
-                    tol=tol, max_iter=max_iter)
-    best = _first_within(sol.gains, tol)
-    distortion = _clamp_distortion(-float(sol.gains[best]),
-                                   spec.distortion.max_loss)
-    return ScenarioSolveReport(
-        scenario="nofeedback-finite",
-        distortion=distortion,
-        encoder_policy=tuple(int(a) for a in sol.policies[best]),
-        decoder=_nested_tuple(dec_all[best]),
-        vending_action_map=None,
-        params={
-            "d": d,
-            "memory": {"num_states": n_z,
-                       "table": _nested_list(memory.table.tolist())},
-            "grid_resolution": resolution,
-            **spec_params(spec),
-        },
-        diagnostics={
-            **_batch_diagnostics(sol, best),
-            "decoder_candidates": int(dec_all.shape[0]),
-            "grid_points": grid.size,
-        },
-        flags=(APPROXIMATE,),
+    return _solve_decoder_family(
+        "nofeedback-finite", spec, d, memory, core, _nofeedback_rewards,
+        tol, max_iter, max_tables, params={"grid_resolution": resolution},
+        diagnostics={"grid_points": grid.size}, flags=(APPROXIMATE,),
     )
