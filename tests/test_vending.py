@@ -304,5 +304,10 @@ def test_vending_no_feasible_pair_names_the_budget():
     # validated specs always have a free action, so this guards the
     # selection step itself
     with pytest.raises(SpecValidationError, match="budget 0.25"):
-        _best_pair(np.full((4, 2), np.inf), 0.25)
-    assert _best_pair(np.array([[np.inf, 0.5], [0.5, 0.2]]), 0.25) == (1, 1)
+        _best_pair(np.full((4, 2), np.inf), 0.25, 1e-8)
+    assert _best_pair(np.array([[np.inf, 0.5], [0.5, 0.2]]), 0.25,
+                      1e-8) == (1, 1)
+    # values within the tolerance tie, and the lowest index wins even
+    # where the float minimum lies further on
+    assert _best_pair(np.array([[0.2 + 1e-15, 0.5], [0.2, 0.9]]), 0.25,
+                      1e-8) == (0, 0)
