@@ -1,4 +1,4 @@
-"""Bayes responses and the belief recursions behind each dynamic program.
+"""Bayes envelopes and the belief recursions behind each dynamic program.
 
 Beliefs are probability vectors over a hidden alphabet.  The feedback
 update is a true posterior (it conditions on a channel output), while the
@@ -42,38 +42,11 @@ def check_action_map(table, domain: int, num_values: int) -> np.ndarray:
     return arr
 
 
-def bayes_response(belief, distortion) -> int:
-    """Reconstruction minimizing expected loss under belief; ties take the
-    smallest index."""
-    loss = np.asarray(distortion if not hasattr(distortion, "loss") else distortion.loss)
-    b = _belief_array(belief, loss.shape[0])
-    return int(np.argmin(b @ loss))
-
-
 def bayes_envelope(belief, distortion) -> float:
     """Minimum expected loss achievable against belief."""
     loss = np.asarray(distortion if not hasattr(distortion, "loss") else distortion.loss)
     b = _belief_array(belief, loss.shape[0])
     return float(np.min(b @ loss))
-
-
-def posterior_symbol(prior, channel: StochasticMatrix, policy, y: int) -> ProbVector:
-    """Posterior over a single source symbol after one channel output.
-
-    policy maps each source symbol to the channel input it would send,
-    so the likelihood of symbol u is the channel row of policy[u] at y.
-    """
-    b = _belief_array(prior)
-    mu = check_action_map(policy, b.size, channel.num_inputs)
-    if not 0 <= y < channel.num_outputs:
-        raise SpecValidationError([f"observation {y} outside channel outputs"])
-    num = b * channel.rows[mu, y]
-    total = num.sum()
-    if total <= 0.0:
-        raise UnreachableObservationError(
-            f"unreachable observation {y} under the given policy and prior"
-        )
-    return ProbVector(num / total)
 
 
 def belief_update_feedback(belief, kernel: MarkovKernel, channel: StochasticMatrix,

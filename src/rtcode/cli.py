@@ -23,9 +23,10 @@ from .baselines import (d0_distortion, shannon_limit, suboptimality_region,
 from .errors import (CapacityError, NonConvergenceError, SpecValidationError,
                      UnreachableObservationError)
 from .models import (ProblemSpec, bernoulli_source, binary_problem, bsc,
-                     hamming, load_spec, validate, with_budget)
+                     hamming, load_spec, spec_from_dict, validate,
+                     with_budget)
 from .scenarios import (memory_last_m, solve_feedback_complete,
-                        solve_feedback_finite, solve_nofeedback)
+                        solve_feedback_finite, solve_nofeedback, spec_params)
 from .simplex import simplex_grid
 from .simulate import PolicyBundle, simulate
 from .vending import solve_vending_feedback, solve_vending_nofeedback
@@ -100,17 +101,9 @@ def _parse_last_memory(token: str, what: str) -> int:
 
 
 def _attach_vending(spec: ProblemSpec, path: str) -> ProblemSpec:
-    from .models import spec_from_dict
-
     with open(path, "r", encoding="utf-8") as fh:
         block = json.load(fh)
-    merged = {
-        "source": [float(v) for v in spec.source.p],
-        "channel": [[float(v) for v in row] for row in spec.channel.rows],
-        "distortion": [[float(v) for v in row] for row in spec.distortion.loss],
-        "vending": block,
-    }
-    return spec_from_dict(merged)
+    return spec_from_dict({**spec_params(spec), "vending": block})
 
 
 def _build_spec(args) -> ProblemSpec:
@@ -228,10 +221,9 @@ def _sweep_task(task: dict):
                 report = solve_feedback_finite(spec, task["d"], memory,
                                                tol=task["tol"])
             return report.distortion, report.flags
-        spec = with_budget(
-            _attach_vending(spec, task["vending"]), task["budget"],
-        ) if task["budget"] is not None else _attach_vending(
-            spec, task["vending"])
+        spec = _attach_vending(spec, task["vending"])
+        if task["budget"] is not None:
+            spec = with_budget(spec, task["budget"])
         mem_x = memory_last_m(task["mem_x"], spec.num_channel_inputs)
         mem_y = memory_last_m(task["mem_y"], spec.num_channel_outputs)
         if task["nofeedback"]:

@@ -190,21 +190,6 @@ class BatchSolve(tuple):
     spans = property(lambda self: self[3])
 
 
-def rvi_batch(next_states: np.ndarray, next_probs: np.ndarray,
-              rewards: np.ndarray, tol: float = 1e-9, max_iter: int = 10**6,
-              ref_state: int = 0) -> BatchSolve:
-    """Optimal gains of a batch of reward tables that share one transition
-    structure.
-
-    rewards has shape (B, S, A).  The batch is solved exactly by
-    batch_policy_iteration, whose third return value counts its rounds
-    plus the sweeps of any value-iteration fallback.  Every gain is
-    certified by a span of T h - h below tol.
-    """
-    return batch_policy_iteration(next_states, next_probs, rewards, tol=tol,
-                                  max_iter=max_iter, ref_state=ref_state)
-
-
 def _chunks(count: int, bytes_each: int):
     """Slices of range(count) whose members take at most
     GATHER_BUDGET_BYTES together (at least one member per slice)."""
@@ -368,6 +353,12 @@ def batch_policy_iteration(next_states: np.ndarray, next_probs: np.ndarray,
         steps += sub.steps
     return BatchSolve(gains, policies, steps, spans, rounds, fallback,
                       residuals)
+
+
+# The batched solver entry point of the scenario compilers: optimal gains
+# of a batch of reward tables that share one transition structure, each
+# certified by a span of T h - h below tol.
+rvi_batch = batch_policy_iteration
 
 
 def _stationary_classes(next_states, next_probs):

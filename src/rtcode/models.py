@@ -169,14 +169,6 @@ class ActionCostVector:
             out.append(f"budget {self.budget:.17g} outside [0, {cmax:.17g}]")
         return out
 
-    @property
-    def max_cost(self) -> float:
-        return float(np.max(self.cost))
-
-    def min_positive_cost(self) -> float:
-        pos = self.cost[self.cost > 0]
-        return float(pos.min()) if pos.size else 1.0
-
 
 @dataclass(frozen=True)
 class VendingSpec:

@@ -1,4 +1,4 @@
-"""Bayes responses and the belief updates behind each scenario.
+"""Bayes envelopes and the belief updates behind each scenario.
 
 Every [DERIVED] value is cross-checked against a brute-force enumeration
 of the one-step joint distribution written independently here.
@@ -11,7 +11,6 @@ from rtcode import (
     SpecValidationError,
     UnreachableObservationError,
     bayes_envelope,
-    bayes_response,
     belief_update_encoded_memory,
     belief_update_feedback,
     belief_update_memory,
@@ -21,38 +20,15 @@ from rtcode import (
     build_markov_kernel,
     hamming,
     memory_last_m,
-    posterior_symbol,
     spec_from_dict,
 )
 from conftest import random_belief
-
-
-def test_bayes_response_majority():
-    assert bayes_response([0.3, 0.7], hamming(2)) == 1
-
-
-def test_bayes_response_tie_takes_smallest_index():
-    assert bayes_response([0.5, 0.5], hamming(2)) == 0
-
-
-def test_bayes_response_weighted_losses():
-    # reconstruction 0 costs 0.8*1, reconstruction 1 costs 0.2*10
-    assert bayes_response([0.2, 0.8], [[0.0, 10.0], [1.0, 0.0]]) == 0
 
 
 def test_bayes_envelope_examples():
     assert bayes_envelope([0.3, 0.7], hamming(2)) == pytest.approx(0.3)
     assert bayes_envelope([1.0, 0.0], [[0.0, 5.0], [2.0, 0.0]]) == 0.0
     assert bayes_envelope([0.5, 0.5], hamming(2)) == pytest.approx(0.5)
-
-
-def test_bayes_response_attains_envelope():
-    rng = np.random.default_rng(7)
-    loss = rng.uniform(0.0, 2.0, size=(3, 4))
-    for _ in range(50):
-        beta = random_belief(rng, 3)
-        r = bayes_response(beta, loss)
-        assert beta @ loss[:, r] == pytest.approx(bayes_envelope(beta, loss))
 
 
 @given(st.data())
@@ -64,26 +40,6 @@ def test_bayes_envelope_concave(data):
     mixed = bayes_envelope(t * b1 + (1 - t) * b2, loss)
     parts = t * bayes_envelope(b1, loss) + (1 - t) * bayes_envelope(b2, loss)
     assert mixed >= parts - 1e-12
-
-
-def test_posterior_symbol_noiseless():
-    post = posterior_symbol(bernoulli_source(0.3), bsc(0.0), [0, 1], 0)
-    np.testing.assert_allclose(post.p, [1.0, 0.0])
-
-
-def test_posterior_symbol_uninformative_channel_keeps_prior():
-    post = posterior_symbol(bernoulli_source(0.3), bsc(0.5), [0, 1], 1)
-    np.testing.assert_allclose(post.p, [0.7, 0.3])
-
-
-def test_posterior_symbol_bayes_rule():
-    post = posterior_symbol(bernoulli_source(0.3), bsc(0.2), [0, 1], 0)
-    np.testing.assert_allclose(post.p, [0.56 / 0.62, 0.06 / 0.62])
-
-
-def test_posterior_symbol_unreachable_observation():
-    with pytest.raises(UnreachableObservationError):
-        posterior_symbol([1.0, 0.0], bsc(0.0), [0, 1], 1)
 
 
 def test_feedback_update_uninformative_channel_gives_source_law():

@@ -11,6 +11,7 @@ from rtcode import (
     UnreachableObservationError,
     bayes_envelope,
     belief_update_feedback,
+    belief_update_memory,
     binary_problem,
     build_feedback_complete_discretized,
     build_feedback_finite,
@@ -30,7 +31,7 @@ from rtcode.cli import main
 from rtcode.mdp import (PI_MAX_ROUNDS, batch_policy_iteration,
                         batch_value_iteration)
 from rtcode.scenarios import (_feedback_core, _feedback_rewards,
-                              _first_within)
+                              _first_within, _nofeedback_core)
 
 
 def test_memory_m0_is_singleton():
@@ -287,6 +288,34 @@ def test_nofeedback_one_step_reward_matches_enumeration():
                                  * loss[charged, dec[y, z]])
         assert mdp.rewards[v * n_g + g, a] == pytest.approx(-expected,
                                                             abs=1e-14)
+
+
+def test_nofeedback_transition_matches_memory_belief_oracle():
+    """Open-loop successors vs belief_update_memory plus projection."""
+    spec = binary_problem(0.4, 0.3)
+    d = 1
+    mem = memory_last_m(2, 2)
+    grid = simplex_grid(mem.num_states, 3)
+    core = _nofeedback_core(spec, d, mem, grid)
+    kernel, tables = core["kernel"], core["tables"]
+    codec = kernel.codec
+    p_u = np.asarray(spec.source.p)
+    n_g = grid.size
+    rng = np.random.default_rng(36)
+    for _ in range(60):
+        v = int(rng.integers(0, codec.size))
+        g = int(rng.integers(0, n_g))
+        a = int(rng.integers(0, tables.shape[0]))
+        expected = np.zeros(codec.size * n_g)
+        for u in range(2):
+            vt = codec.shift(v, u)
+            belief = belief_update_memory(grid.points[g], kernel, v, vt,
+                                          spec.channel, tables[a], mem.table)
+            expected[vt * n_g + project(grid, np.asarray(belief))] += p_u[u]
+        got = np.zeros(codec.size * n_g)
+        s = v * n_g + g
+        np.add.at(got, core["next_states"][s, a], core["next_probs"][s, a])
+        np.testing.assert_allclose(got, expected, atol=1e-14)
 
 
 def test_nofeedback_singleton_memory_reduces_to_open_loop():

@@ -7,6 +7,8 @@ import pytest
 from rtcode import (
     CapacityError,
     SpecValidationError,
+    belief_update_encoded_memory,
+    belief_update_sideinfo_memory,
     build_markov_kernel,
     build_vending_feedback_finite,
     build_vending_nofeedback_discretized,
@@ -243,6 +245,16 @@ def test_vending_nofeedback_reward_matches_enumeration():
                     pn[mem_y.table[n, y]] += wgt
                     total += wgt
             pn = pn / total if total > 0 else gamma_n
+            # the library's belief updates agree with the loops above
+            np.testing.assert_allclose(
+                belief_update_encoded_memory(beta_m, kernel, v, vt,
+                                             tables[a], mem_x.table, 2).p,
+                pm, atol=1e-15)
+            np.testing.assert_allclose(
+                belief_update_sideinfo_memory(gamma_n, kernel, v, vt, vend,
+                                              av, tables[a], mem_y.table,
+                                              2).p,
+                pn, atol=1e-15)
             s2 = (vt * n_gm + project(gm, pm)) * n_gn + project(gn, pn)
             trans[s2] += p_u[u]
         expected = -loss_exp + lam * (budget - cost_exp)
