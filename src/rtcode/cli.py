@@ -138,41 +138,45 @@ def _need_grid(args) -> int:
     return args.grid
 
 
+def _solve_finite(spec: ProblemSpec, d: int, nofeedback: bool, grid, tol,
+                  m: int = 0, mem_x: int = 0, mem_y: int = 0):
+    """Solve one finite-memory scenario: the (decoder, actuator) pairs when
+    spec has vending data, the decoder tables otherwise."""
+    if spec.vending is not None:
+        mx = memory_last_m(mem_x, spec.num_channel_inputs)
+        my = memory_last_m(mem_y, spec.num_channel_outputs)
+        if nofeedback:
+            return solve_vending_nofeedback(spec, d, mx, my, grid,
+                                            rvi_tol=tol)
+        return solve_vending_feedback(spec, d, mx, my, rvi_tol=tol)
+    memory = memory_last_m(m, spec.num_channel_outputs)
+    if nofeedback:
+        return solve_nofeedback(spec, d, memory, grid, tol=tol)
+    return solve_feedback_finite(spec, d, memory, tol=tol)
+
+
 def _solve_report(args):
     """Shared solve dispatch; returns (report, spec)."""
     spec = _build_spec(args)
     d = args.d
     if d < 0:
         _usage(f"lookahead {d} must be nonnegative")
+    m = mem_x = mem_y = 0
     if spec.vending is not None:
-        mem_x = memory_last_m(_parse_last_memory(args.memory_x, "--memory-x"),
-                              spec.num_channel_inputs)
-        mem_y = memory_last_m(_parse_last_memory(args.memory_y, "--memory-y"),
-                              spec.num_channel_outputs)
-        if args.no_feedback:
-            report = solve_vending_nofeedback(
-                spec, d, mem_x, mem_y, _need_grid(args), rvi_tol=args.tol,
-            )
-        else:
-            report = solve_vending_feedback(
-                spec, d, mem_x, mem_y, rvi_tol=args.tol,
-            )
-        return report, spec
-    kind, m = _parse_memory(args.memory)
-    if kind == "complete":
-        if args.no_feedback:
-            _usage("--memory complete is a feedback scenario; "
-                   "drop --no-feedback or use --memory last:<m>")
-        report = solve_feedback_complete(spec, d, _need_grid(args),
-                                         tol=args.tol)
-        return report, spec
-    memory = memory_last_m(m, spec.num_channel_outputs)
-    if args.no_feedback:
-        report = solve_nofeedback(spec, d, memory, _need_grid(args),
-                                  tol=args.tol)
+        mem_x = _parse_last_memory(args.memory_x, "--memory-x")
+        mem_y = _parse_last_memory(args.memory_y, "--memory-y")
     else:
-        report = solve_feedback_finite(spec, d, memory, tol=args.tol)
-    return report, spec
+        kind, m = _parse_memory(args.memory)
+        if kind == "complete":
+            if args.no_feedback:
+                _usage("--memory complete is a feedback scenario; "
+                       "drop --no-feedback or use --memory last:<m>")
+            report = solve_feedback_complete(spec, d, _need_grid(args),
+                                             tol=args.tol)
+            return report, spec
+    grid = _need_grid(args) if args.no_feedback else None
+    return _solve_finite(spec, d, args.no_feedback, grid, args.tol, m,
+                         mem_x, mem_y), spec
 
 
 def cmd_solve(args) -> int:
@@ -212,27 +216,13 @@ def _sweep_task(task: dict):
             return value, ()
         if quantity == "Dinf":
             return shannon_limit(spec), ()
-        if quantity == "Ddm":
-            memory = memory_last_m(task["m"], spec.num_channel_outputs)
-            if task["nofeedback"]:
-                report = solve_nofeedback(spec, task["d"], memory,
-                                          task["grid"], tol=task["tol"])
-            else:
-                report = solve_feedback_finite(spec, task["d"], memory,
-                                               tol=task["tol"])
-            return report.distortion, report.flags
-        spec = _attach_vending(spec, task["vending"])
-        if task["budget"] is not None:
-            spec = with_budget(spec, task["budget"])
-        mem_x = memory_last_m(task["mem_x"], spec.num_channel_inputs)
-        mem_y = memory_last_m(task["mem_y"], spec.num_channel_outputs)
-        if task["nofeedback"]:
-            report = solve_vending_nofeedback(spec, task["d"], mem_x, mem_y,
-                                              task["grid"],
-                                              rvi_tol=task["tol"])
-        else:
-            report = solve_vending_feedback(spec, task["d"], mem_x, mem_y,
-                                            rvi_tol=task["tol"])
+        if quantity == "Dvend":
+            spec = _attach_vending(spec, task["vending"])
+            if task["budget"] is not None:
+                spec = with_budget(spec, task["budget"])
+        report = _solve_finite(spec, task["d"], task["nofeedback"],
+                               task["grid"], task["tol"], task["m"],
+                               task["mem_x"], task["mem_y"])
         return report.distortion, report.flags
     except NonConvergenceError:
         return float("nan"), ("NONCONVERGED",)

@@ -176,6 +176,11 @@ def spec_params(spec: ProblemSpec) -> dict:
     return out
 
 
+def _memory_params(name: str, memory: MemorySpec) -> dict:
+    return {name: {"num_states": memory.num_states,
+                   "table": _nested_list(np.asarray(memory.table).tolist())}}
+
+
 def _clamp_distortion(value: float, max_loss: float) -> float:
     return float(min(max(value, 0.0), max_loss) + 0.0)
 
@@ -259,8 +264,7 @@ def _solve_decoder_family(scenario: str, spec: ProblemSpec, d: int,
         vending_action_map=None,
         params={
             "d": d,
-            "memory": {"num_states": n_z,
-                       "table": _nested_list(memory.table.tolist())},
+            **_memory_params("memory", memory),
             **(params or {}),
             **spec_params(spec),
         },
@@ -273,6 +277,42 @@ def _solve_decoder_family(scenario: str, spec: ProblemSpec, d: int,
     )
 
 
+def _tuple_chain(spec: ProblemSpec, d: int, size: int, problems: list,
+                 max_states: Optional[int]):
+    """(kernel, shift, encoder maps, x_sent[a, v, u]) of a chain whose
+    states pair the symbol tuple with one of size companions: memory
+    states or belief grid points.  problems are the caller's validation
+    failures, raised once the tuple kernel builds."""
+    kernel = build_markov_kernel(spec.source, d, max_states=max_states)
+    if problems:
+        raise SpecValidationError(problems)
+    n_v = kernel.codec.size
+    _guard_states(n_v * size, max_states)
+    tables = encoder_action_tables(n_v, spec.num_channel_inputs, max_states)
+    shift = kernel.codec.shift_table()
+    return kernel, shift, tables, tables[:, shift]
+
+
+def _tuple_successors(shift: np.ndarray, nxt_c, prob) -> tuple:
+    """(next_states, next_probs) of a chain on (tuple, c) states, indexed
+    tuple-major.
+
+    A step draws the fresh symbol u and the output y with probability
+    prob[a, v, u, y], moves the tuple v to shift[v, u] and c to
+    nxt_c[v, c, a, u, y]; both may be broadcast views.  An open-loop
+    chain, whose encoder sees no output, passes an output axis of size 1.
+    """
+    n_v, n_u = shift.shape
+    n_c = nxt_c.shape[1]
+    n_a, n_y = prob.shape[0], prob.shape[3]
+    shape = (n_v, n_c, n_a, n_u, n_y)
+    size = (n_v * n_c, n_a, n_u * n_y)
+    nxt = shift[:, None, None, :, None] * n_c + nxt_c
+    probs = prob.transpose(1, 0, 2, 3)[:, None]
+    return (np.ascontiguousarray(np.broadcast_to(nxt, shape).reshape(size)),
+            np.ascontiguousarray(np.broadcast_to(probs, shape).reshape(size)))
+
+
 def _feedback_core(spec: ProblemSpec, d: int, memory: MemorySpec,
                    max_states: Optional[int] = None):
     """Shared transition structure of the feedback finite-memory chain.
@@ -280,43 +320,24 @@ def _feedback_core(spec: ProblemSpec, d: int, memory: MemorySpec,
     Transitions do not depend on the decoder table, which lets a solve
     reuse one structure across every enumerated decoder.
     """
-    kernel = build_markov_kernel(spec.source, d, max_states=max_states)
-    codec = kernel.codec
-    problems = memory.check(spec.num_channel_outputs)
-    if problems:
-        raise SpecValidationError(problems)
-    n_v, n_z = codec.size, memory.num_states
-    n_u, n_y = codec.base, spec.num_channel_outputs
-    _guard_states(n_v * n_z, max_states)
-    tables = encoder_action_tables(n_v, spec.num_channel_inputs, max_states)
-    n_a = tables.shape[0]
-    shift = codec.shift_table()
-    first = codec.components_table()[:, 0]
-
-    x_sent = tables[:, shift]                                  # (A, V, U)
+    kernel, shift, _, x_sent = _tuple_chain(
+        spec, d, memory.num_states, memory.check(spec.num_channel_outputs),
+        max_states)
+    first = kernel.codec.components_table()[:, 0]
     wch = spec.channel.rows[x_sent]                            # (A, V, U, Y)
     p_u = np.asarray(spec.source.p)
-    prob = p_u[None, None, :, None] * wch                      # (A, V, U, Y)
-    mem_next = np.asarray(memory.table)                        # (Z, Y)
-
-    nxt = (shift[:, None, None, :, None] * n_z
-           + mem_next[None, :, None, None, :])                 # (V, Z, 1, U, Y)
-    nxt = np.broadcast_to(nxt, (n_v, n_z, n_a, n_u, n_y))
-    next_states = nxt.reshape(n_v * n_z, n_a, n_u * n_y)
-    probs = np.broadcast_to(
-        prob.transpose(1, 0, 2, 3)[:, None, :, :, :], (n_v, n_z, n_a, n_u, n_y)
-    ).reshape(n_v * n_z, n_a, n_u * n_y)
-    loss_first = np.asarray(spec.distortion.loss)[first[shift]]  # (V, U, R)
+    next_states, next_probs = _tuple_successors(
+        shift, np.asarray(memory.table)[None, :, None, None, :],
+        p_u[None, None, :, None] * wch)
+    n_v, n_u = shift.shape
     return {
-        "kernel": kernel,
-        "memory": memory,
-        "next_states": np.ascontiguousarray(next_states),
-        "next_probs": np.ascontiguousarray(probs),
+        "next_states": next_states,
+        "next_probs": next_probs,
         "wch": wch,
         "p_u": p_u,
-        "loss_first": loss_first,
-        "num_actions": n_a,
-        "shape": (n_v, n_z, n_a, n_u, n_y),
+        "loss_first": np.asarray(spec.distortion.loss)[first[shift]],
+        "shape": (n_v, memory.num_states, x_sent.shape[0], n_u,
+                  spec.num_channel_outputs),
     }
 
 
@@ -399,19 +420,13 @@ def build_feedback_complete_discretized(spec: ProblemSpec, d: int,
     grid belief fall back to the one-step predicted belief, which keeps
     transition rows stochastic without inventing errors.
     """
-    kernel = build_markov_kernel(spec.source, d, max_states=max_states)
-    codec = kernel.codec
-    n_v, n_u, n_y = codec.size, codec.base, spec.num_channel_outputs
-    if grid.dim != n_v:
-        raise SpecValidationError(
-            [f"belief grid has dimension {grid.dim}, expected {n_v}"]
-        )
-    n_g = grid.size
-    _guard_states(n_v * n_g, max_states)
-    tables = encoder_action_tables(n_v, spec.num_channel_inputs, max_states)
-    n_a = tables.shape[0]
-    shift = codec.shift_table()
-    p_u = np.asarray(spec.source.p)
+    n_v = spec.num_source_symbols ** (d + 1)
+    problems = ([] if grid.dim == n_v else
+                [f"belief grid has dimension {grid.dim}, expected {n_v}"])
+    kernel, shift, tables, x_sent = _tuple_chain(spec, d, grid.size,
+                                                 problems, max_states)
+    n_g, n_a, n_u = grid.size, tables.shape[0], shift.shape[1]
+    n_y = spec.num_channel_outputs
     w = spec.channel.rows
 
     predicted = grid.points @ kernel.matrix                    # (G, V)
@@ -425,27 +440,16 @@ def build_feedback_complete_discretized(spec: ProblemSpec, d: int,
             beliefs = predicted.copy()
             beliefs[ok] = num[ok] / totals[ok, None]
             proj[:, a, y] = _project_rows(grid, beliefs)
-
-    x_sent = tables[:, shift]                                  # (A, V, U)
-    wch = w[x_sent]                                            # (A, V, U, Y)
-    prob = p_u[None, None, :, None] * wch                      # (A, V, U, Y)
-    nxt = (shift[:, None, None, :, None] * n_g
-           + proj[None, :, :, None, :])                        # (V, G, A, U, Y)
-    next_states = np.broadcast_to(
-        nxt, (n_v, n_g, n_a, n_u, n_y)
-    ).reshape(n_v * n_g, n_a, n_u * n_y)
-    probs = np.broadcast_to(
-        prob.transpose(1, 0, 2, 3)[:, None, :, :, :], (n_v, n_g, n_a, n_u, n_y)
-    ).reshape(n_v * n_g, n_a, n_u * n_y)
+    p_u = np.asarray(spec.source.p)
+    next_states, probs = _tuple_successors(
+        shift, proj[None, :, :, None, :], p_u[None, None, :, None] * w[x_sent])
 
     marg1 = grid.points.reshape(n_g, n_u, -1).sum(axis=2)      # (G, U)
     env1 = (marg1 @ np.asarray(spec.distortion.loss)).min(axis=1)
     rewards = np.broadcast_to(
         -env1[None, :, None], (n_v, n_g, n_a)
     ).reshape(n_v * n_g, n_a)
-    return FiniteMdp(np.ascontiguousarray(next_states),
-                     np.ascontiguousarray(probs),
-                     np.ascontiguousarray(rewards))
+    return FiniteMdp(next_states, probs, np.ascontiguousarray(rewards))
 
 
 def solve_feedback_complete(spec: ProblemSpec, d: int, resolution: int,
@@ -482,52 +486,33 @@ def solve_feedback_complete(spec: ProblemSpec, d: int, resolution: int,
 def _nofeedback_core(spec: ProblemSpec, d: int, memory: MemorySpec,
                      grid: SimplexGrid, max_states: Optional[int] = None):
     """Transition structure of the open-loop chain; decoder-independent."""
-    kernel = build_markov_kernel(spec.source, d, max_states=max_states)
-    codec = kernel.codec
-    problems = memory.check(spec.num_channel_outputs)
-    if problems:
-        raise SpecValidationError(problems)
-    if grid.dim != memory.num_states:
-        raise SpecValidationError(
-            [f"memory belief grid has dimension {grid.dim}, "
-             f"expected {memory.num_states}"]
-        )
-    n_v, n_u = codec.size, codec.base
-    n_y, n_z = spec.num_channel_outputs, memory.num_states
-    n_g, n_x = grid.size, spec.num_channel_inputs
-    _guard_states(n_v * n_g, max_states)
-    tables = encoder_action_tables(n_v, n_x, max_states)
+    problems = memory.check(spec.num_channel_outputs) or (
+        [] if grid.dim == memory.num_states else
+        [f"memory belief grid has dimension {grid.dim}, "
+         f"expected {memory.num_states}"])
+    kernel, shift, tables, x_sent = _tuple_chain(spec, d, grid.size,
+                                                 problems, max_states)
+    n_v, n_u = shift.shape
     n_a = tables.shape[0]
-    shift = codec.shift_table()
-    first = codec.components_table()[:, 0]
     w = spec.channel.rows
     p_u = np.asarray(spec.source.p)
-
     proj = _project_pushforward(grid, memory.table, w)         # (G, X)
-    x_sent = tables[:, shift]                                  # (A, V, U)
-    nxt = np.empty((n_v, n_g, n_a, n_u), dtype=int)
-    for a in range(n_a):
-        # proj[g, x_sent[a, v, u]] gathered into axes (V, G, U)
-        nxt[:, :, a, :] = (shift[:, None, :] * n_g
-                           + proj[:, x_sent[a]].transpose(1, 0, 2))
-    next_states = nxt.reshape(n_v * n_g, n_a, n_u)
-    probs = np.broadcast_to(
-        p_u[None, None, None, :], (n_v, n_g, n_a, n_u)
-    ).reshape(n_v * n_g, n_a, n_u)
+    # proj[g, x_sent[a, v, u]] moved to axes (V, G, A, U)
+    next_states, next_probs = _tuple_successors(
+        shift, proj[:, x_sent].transpose(2, 0, 1, 3)[..., None],
+        np.broadcast_to(p_u[None, None, :, None], (n_a, n_v, n_u, 1)))
     return {
-        "kernel": kernel,
-        "memory": memory,
         "grid": grid,
-        "next_states": np.ascontiguousarray(next_states),
-        "next_probs": np.ascontiguousarray(probs),
-        "tables": tables,
+        "next_states": next_states,
+        "next_probs": next_probs,
         "x_sent": x_sent,
         "shift": shift,
-        "first": first,
+        "first": kernel.codec.components_table()[:, 0],
         "p_u": p_u,
         "w": w,
         "loss": np.asarray(spec.distortion.loss),
-        "shape": (n_v, n_g, n_a, n_u, n_y, n_z, n_x),
+        "shape": (n_v, grid.size, n_a, n_u, spec.num_channel_outputs,
+                  memory.num_states, spec.num_channel_inputs),
     }
 
 

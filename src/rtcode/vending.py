@@ -24,15 +24,14 @@ import numpy as np
 
 from .bayes import check_action_map
 from .errors import CapacityError, SpecValidationError
-from .lookahead import build_markov_kernel
 from .mdp import (ConstrainedMdp, DualResult, FiniteMdp, constrained_solve,
                   lagrangian_mdp, relative_value_iteration)
 from .models import ProblemSpec, with_budget
 from .scenarios import (APPROXIMATE, DEFAULT_DECODER_CAP, MemorySpec,
                         ScenarioSolveReport, _checked_decoder,
-                        _clamp_distortion, _guard_states, _nested_list,
-                        _nested_tuple, _project_pushforward, decoder_tables,
-                        encoder_action_tables, spec_params)
+                        _clamp_distortion, _memory_params, _nested_tuple,
+                        _project_pushforward, _tuple_chain, _tuple_successors,
+                        decoder_tables, spec_params)
 from .simplex import SimplexGrid, simplex_grid
 
 
@@ -57,11 +56,6 @@ def vending_action_maps(num_inputs: int, num_actions: int,
     return np.stack(cols, axis=1)
 
 
-def _memory_params(name: str, memory: MemorySpec) -> dict:
-    return {name: {"num_states": memory.num_states,
-                   "table": _nested_list(np.asarray(memory.table).tolist())}}
-
-
 def _vending_prologue(spec: ProblemSpec, d: int, mem_x: MemorySpec,
                       mem_y: MemorySpec, av_map, points_m: np.ndarray,
                       points_n: np.ndarray, max_states: Optional[int]):
@@ -73,27 +67,20 @@ def _vending_prologue(spec: ProblemSpec, d: int, mem_x: MemorySpec,
     transitions; the constraint cost is per (state, action).
     """
     _require_vending(spec)
-    kernel = build_markov_kernel(spec.source, d, max_states=max_states)
-    codec = kernel.codec
-    n_v, n_u = codec.size, codec.base
     n_x, n_y = spec.num_channel_inputs, spec.num_channel_outputs
     n_av = spec.vending.num_actions
+    av = check_action_map(np.asarray(av_map, dtype=int), n_x, n_av)
     problems = mem_x.check(n_x) + mem_y.check(n_y)
     for name, points, mem in (("memory-x", points_m, mem_x),
                               ("memory-y", points_n, mem_y)):
         if points.shape[1] != mem.num_states:
             problems.append(f"{name} belief grid has dimension "
                             f"{points.shape[1]}, expected {mem.num_states}")
-    if problems:
-        raise SpecValidationError(problems)
-    av = check_action_map(np.asarray(av_map, dtype=int), n_x, n_av)
     g_m, g_n = points_m.shape[0], points_n.shape[0]
-    _guard_states(n_v * g_m * g_n, max_states)
-    tables = encoder_action_tables(n_v, n_x, max_states)
-    n_a = tables.shape[0]
-    shift = codec.shift_table()
-    u_next = codec.components_table()[:, 0][shift]             # (V, U)
-    x_sent = tables[:, shift]                                  # (A, V, U)
+    kernel, shift, _, x_sent = _tuple_chain(spec, d, g_m * g_n, problems,
+                                            max_states)
+    n_a, n_v, n_u = x_sent.shape
+    u_next = kernel.codec.components_table()[:, 0][shift]      # (V, U)
     p_u = np.asarray(spec.source.p)
     vk = np.asarray(spec.vending.kernel.rows).reshape(n_u, n_av, n_y)
     av_x = av[x_sent]                                          # (A, V, U)
@@ -104,7 +91,6 @@ def _vending_prologue(spec: ProblemSpec, d: int, mem_x: MemorySpec,
         cost_va[:, None, None, :], (n_v, g_m, g_n, n_a)
     ).reshape(n_v * g_m * g_n, n_a)
     return {
-        "kernel": kernel,
         "cost": np.ascontiguousarray(cost),
         "points_m": points_m,
         "points_n": points_n,
@@ -115,7 +101,6 @@ def _vending_prologue(spec: ProblemSpec, d: int, mem_x: MemorySpec,
         "av_x": av_x,
         "p_u": p_u,
         "prob": p_u[None, None, :, None] * wvend,              # (A, V, U, Y)
-        "av": av,
         "shape": (n_v, g_m, g_n, n_a, n_u, n_y, n_x),
     }
 
@@ -129,20 +114,12 @@ def _vending_feedback_core(spec: ProblemSpec, d: int, mem_x: MemorySpec,
                              np.eye(mem_x.num_states),
                              np.eye(mem_y.num_states), max_states)
     n_v, n_m, n_n, n_a, n_u, n_y, _ = core["shape"]
-    mx = np.asarray(mem_x.table)                               # (M, X)
-    ny = np.asarray(mem_y.table)                               # (N, Y)
-    m_next = mx[:, core["x_sent"]]                             # (M, A, V, U)
-    nxt = (core["shift"][:, None, None, None, :, None] * (n_m * n_n)
-           + m_next.transpose(2, 0, 1, 3)[:, :, None, :, :, None] * n_n
-           + ny[None, None, :, None, None, :])                 # (V, M, N, A, U, Y)
-    probs = np.broadcast_to(
-        core["prob"].transpose(1, 0, 2, 3)[:, None, None, :, :, :],
-        (n_v, n_m, n_n, n_a, n_u, n_y),
-    )
-    core["next_states"] = np.ascontiguousarray(
-        nxt.reshape(n_v * n_m * n_n, n_a, n_u * n_y))
-    core["next_probs"] = np.ascontiguousarray(
-        probs.reshape(n_v * n_m * n_n, n_a, n_u * n_y))
+    m_next = np.asarray(mem_x.table)[:, core["x_sent"]]        # (M, A, V, U)
+    nxt_c = (m_next.transpose(2, 0, 1, 3)[:, :, None, :, :, None] * n_n
+             + np.asarray(mem_y.table)[None, None, :, None, None, :])
+    core["next_states"], core["next_probs"] = _tuple_successors(
+        core["shift"], nxt_c.reshape(n_v, n_m * n_n, n_a, n_u, n_y),
+        core["prob"])
     return core
 
 
@@ -154,27 +131,19 @@ def _vending_nofeedback_core(spec: ProblemSpec, d: int, mem_x: MemorySpec,
     core = _vending_prologue(spec, d, mem_x, mem_y, av_map, grid_m.points,
                              grid_n.points, max_states)
     n_v, g_m, g_n, n_a, n_u, n_y, n_x = core["shape"]
-    x_sent, av_x = core["x_sent"], core["av_x"]
     # the belief over the x-memory moves with the sent symbol, the one
     # over the y-memory with the side-observation law P(y | u, action)
     proj_m = _project_pushforward(grid_m, mem_x.table, np.eye(n_x))
     proj_n = _project_pushforward(grid_n, mem_y.table,
                                   core["vk"].reshape(-1, n_y))
     proj_n = proj_n.reshape(g_n, n_u, -1)                      # (Gn, U, AV)
-    nxt = np.empty((n_v, g_m, g_n, n_a, n_u), dtype=int)
-    for a in range(n_a):
-        pm = proj_m[:, x_sent[a]].transpose(1, 0, 2)           # (V, Gm, U)
-        pn = proj_n[:, core["u_next"], av_x[a]].transpose(1, 0, 2)
-        nxt[:, :, :, a, :] = (core["shift"][:, None, None, :] * (g_m * g_n)
-                              + pm[:, :, None, :] * g_n
-                              + pn[:, None, :, :])
-    probs = np.broadcast_to(
-        core["p_u"][None, None, None, None, :], (n_v, g_m, g_n, n_a, n_u)
-    )
-    core["next_states"] = np.ascontiguousarray(
-        nxt.reshape(n_v * g_m * g_n, n_a, n_u))
-    core["next_probs"] = np.ascontiguousarray(
-        probs.reshape(n_v * g_m * g_n, n_a, n_u))
+    pm = proj_m[:, core["x_sent"]].transpose(2, 0, 1, 3)       # (V, Gm, A, U)
+    pn = proj_n[:, core["u_next"], core["av_x"]].transpose(2, 0, 1, 3)
+    nxt_c = pm[:, :, None] * g_n + pn[:, None]                 # (V, Gm, Gn, A, U)
+    core["next_states"], core["next_probs"] = _tuple_successors(
+        core["shift"], nxt_c.reshape(n_v, g_m * g_n, n_a, n_u, 1),
+        np.broadcast_to(core["p_u"][None, None, :, None],
+                        (n_a, n_v, n_u, 1)))
     return core
 
 
@@ -208,14 +177,17 @@ def _pair_cmdp(core, rewards: np.ndarray, spec: ProblemSpec) -> ConstrainedMdp:
     )
 
 
+def _decoder_shape(spec: ProblemSpec, mem_x: MemorySpec,
+                   mem_y: MemorySpec) -> tuple:
+    """Axes [x, y, m, n] of a vending decoder table."""
+    return (spec.num_channel_inputs, spec.num_channel_outputs,
+            mem_x.num_states, mem_y.num_states)
+
+
 def _lagrangian_build(spec: ProblemSpec, core, decoder, mem_x: MemorySpec,
                       mem_y: MemorySpec, lam: float) -> FiniteMdp:
-    dec = _checked_decoder(
-        decoder,
-        (spec.num_channel_inputs, spec.num_channel_outputs,
-         mem_x.num_states, mem_y.num_states),
-        spec.num_reconstructions,
-    )
+    dec = _checked_decoder(decoder, _decoder_shape(spec, mem_x, mem_y),
+                           spec.num_reconstructions)
     rewards = _vending_rewards(core, dec, np.asarray(spec.distortion.loss))
     return lagrangian_mdp(_pair_cmdp(core, rewards, spec), lam)
 
@@ -230,8 +202,6 @@ def build_vending_feedback_finite(spec: ProblemSpec, d: int, mem_x: MemorySpec,
     States are (tuple, memory over x, memory over y); the reward is the
     negated expected loss plus lam times the budget slack.
     """
-    if lam < 0:
-        raise SpecValidationError([f"multiplier {lam} must be nonnegative"])
     core = _vending_feedback_core(spec, d, mem_x, mem_y, av_map, max_states)
     return _lagrangian_build(spec, core, decoder, mem_x, mem_y, lam)
 
@@ -250,26 +220,9 @@ def build_vending_nofeedback_discretized(spec: ProblemSpec, d: int,
     beliefs evolve by deterministic pushforwards projected back to their
     grids, and the only disturbance is the fresh source symbol.
     """
-    if lam < 0:
-        raise SpecValidationError([f"multiplier {lam} must be nonnegative"])
     core = _vending_nofeedback_core(spec, d, mem_x, mem_y, grid_m, grid_n,
                                     av_map, max_states)
     return _lagrangian_build(spec, core, decoder, mem_x, mem_y, lam)
-
-
-def _enumerate_pairs(spec: ProblemSpec, mem_x: MemorySpec, mem_y: MemorySpec,
-                     max_tables: int):
-    n_x, n_y = spec.num_channel_inputs, spec.num_channel_outputs
-    n_m, n_n = mem_x.num_states, mem_y.num_states
-    cells = decoder_tables(n_x * n_y * n_m * n_n, spec.num_reconstructions,
-                           max_tables)
-    decs = cells.reshape(-1, n_x, n_y, n_m, n_n)
-    avs = vending_action_maps(n_x, spec.vending.num_actions, max_tables)
-    return decs, avs
-
-
-def _dual_distortion(res: DualResult) -> float:
-    return -res.dual_value
 
 
 def _pair_value(res: DualResult, budget: float) -> float:
@@ -278,7 +231,7 @@ def _pair_value(res: DualResult, budget: float) -> float:
     action cost still above the budget."""
     if res.bracket_edge and res.avg_constraint_cost > budget + 1e-9:
         return np.inf
-    return _dual_distortion(res)
+    return -res.dual_value
 
 
 def _best_pair(values: np.ndarray, budget: float,
@@ -315,7 +268,10 @@ def _solve_pairs(scenario: str, spec: ProblemSpec, d: int, mem_x: MemorySpec,
     """
     budget = spec.vending.costs.budget
     loss = np.asarray(spec.distortion.loss)
-    decs, avs = _enumerate_pairs(spec, mem_x, mem_y, max_tables)
+    shape = _decoder_shape(spec, mem_x, mem_y)
+    decs = decoder_tables(int(np.prod(shape)), spec.num_reconstructions,
+                          max_tables).reshape(-1, *shape)
+    avs = vending_action_maps(shape[0], spec.vending.num_actions, max_tables)
     values = np.empty((decs.shape[0], avs.shape[0]))
     results: dict[tuple[int, int], DualResult] = {}
     cores = []
@@ -345,7 +301,7 @@ def _solve_pairs(scenario: str, spec: ProblemSpec, d: int, mem_x: MemorySpec,
                                      tol=rvi_tol, max_iter=max_iter)
     return ScenarioSolveReport(
         scenario=scenario,
-        distortion=_clamp_distortion(_dual_distortion(best),
+        distortion=_clamp_distortion(-best.dual_value,
                                      spec.distortion.max_loss),
         encoder_policy=tuple(int(a) for a in refit.policy),
         decoder=_nested_tuple(decs[best_i]),

@@ -297,8 +297,9 @@ def test_nofeedback_transition_matches_memory_belief_oracle():
     mem = memory_last_m(2, 2)
     grid = simplex_grid(mem.num_states, 3)
     core = _nofeedback_core(spec, d, mem, grid)
-    kernel, tables = core["kernel"], core["tables"]
+    kernel = build_markov_kernel(spec.source, d)
     codec = kernel.codec
+    tables = encoder_action_tables(codec.size, 2)
     p_u = np.asarray(spec.source.p)
     n_g = grid.size
     rng = np.random.default_rng(36)

@@ -12,7 +12,9 @@ from rtcode import (
     simulate,
     solve_feedback_complete,
     solve_feedback_finite,
+    solve_nofeedback,
     solve_vending_feedback,
+    solve_vending_nofeedback,
     spec_from_dict,
     with_budget,
 )
@@ -118,6 +120,41 @@ def test_sim_vending_zero_budget_spends_nothing():
     assert out.mean_action_cost == pytest.approx(0.0, abs=1e-12)
     gap = abs(out.mean_distortion - report.distortion)
     assert gap <= 4.0 * out.std_error
+
+
+def _within_band(out, value):
+    """The simulate benchmark's band: 5 standard errors of the mean."""
+    return out.std_error > 0.0 and \
+        abs(out.mean_distortion - value) <= 5.0 * out.std_error
+
+
+def test_sim_matches_planner_without_feedback():
+    # at delta = 0.3 the beliefs over a last:1 memory are points of the
+    # resolution-10 grid, so the open-loop grid chain is exact
+    spec = binary_problem(0.3, 0.3)
+    report = solve_nofeedback(spec, 1, memory_last_m(1, 2), 10)
+    bundle = PolicyBundle.from_report(report)
+    assert bundle.scenario == "nofeedback"
+    out = simulate(bundle, spec, 1, 20000, 10, seed=13)
+    assert _within_band(out, report.distortion)
+    assert out.mean_action_cost is None
+
+
+def test_sim_vending_nofeedback_matches_base_gain():
+    # with last:0 memories both belief grids are single points, so the
+    # open-loop chain is exact; the simulator runs the refit policy,
+    # whose loss is the base gain at the dual minimizer
+    spec = with_budget(spec_from_dict(TOY), 0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        report = solve_vending_nofeedback(spec, 0, memory_last_m(0, 1),
+                                          memory_last_m(0, 2), 2)
+    bundle = PolicyBundle.from_report(report)
+    assert bundle.scenario == "vending-nofeedback"
+    out = simulate(bundle, spec, 0, 20000, 10, seed=19)
+    assert _within_band(out, -report.diagnostics["gain_at_lambda_star"])
+    assert out.mean_action_cost == pytest.approx(
+        report.diagnostics["avg_constraint_cost"], abs=1e-12)
 
 
 def test_sim_bundle_round_trips_through_report(solved_d11):
