@@ -170,6 +170,7 @@ def _step_table(bundle: PolicyBundle, spec: ProblemSpec, d: int):
     feedback = "nofeedback" not in bundle.scenario
     if not feedback and bundle.grid_resolution is None:
         _fail("the open-loop scenario needs a grid resolution")
+    n_g, g0 = 1, 0                      # with feedback, a single grid point
 
     if bundle.scenario.startswith("vending"):
         if spec.vending is None:
@@ -204,9 +205,7 @@ def _step_table(bundle: PolicyBundle, spec: ProblemSpec, d: int):
                 (loss_first[vt][dec[x][y][m][n]], mx[m][x] * n_n + ny[n][y])
                 for y in range(n_ys)]
 
-        if feedback:
-            n_g, g0 = 1, 0
-        else:
+        if not feedback:
             grid_m = simplex_grid(n_m, bundle.grid_resolution)
             grid_n = simplex_grid(n_n, bundle.grid_resolution)
             n_g = grid_m.size * grid_n.size
@@ -238,9 +237,7 @@ def _step_table(bundle: PolicyBundle, spec: ProblemSpec, d: int):
             return cdf_w[x], 0.0, [(loss_first[vt][dec[y][z]], mem_t[z][y])
                                    for y in range(n_y)]
 
-        if feedback:
-            n_g, g0 = 1, 0
-        else:
+        if not feedback:
             grid = simplex_grid(n_mem, bundle.grid_resolution)
             n_g, g0 = grid.size, _initial_grid_index(grid)
             proj = _memory_projection(memory, grid,
