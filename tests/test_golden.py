@@ -73,6 +73,11 @@ CASES = {
                          "--budget", "0.4", "--workers", "1"],
     "region_2x2": ["region", "--d", "1", "--m", "2", "--p", "0.1:0.2:0.1",
                    "--delta", "0.2:0.3:0.1", "--workers", "1"],
+    # four symbol maps tie here and every one is violated; the identity
+    # gap sits at float noise, so reordered arithmetic shows up
+    "check_s2s_grid4": ["check-s2s", *BINARY, "--d", "1", "--grid", "4"],
+    "check_s2s_uncoded_grid4": ["check-s2s", *BINARY, "--d", "1",
+                                "--grid", "4", "--uncoded"],
 }
 
 
