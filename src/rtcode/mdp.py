@@ -521,9 +521,9 @@ def constrained_solve(cmdp: ConstrainedMdp, lambda_max: Optional[float] = None,
     The dual value d(lam) is the optimal gain of the Lagrangian MDP; it is
     convex in lam, so a golden-section search over [0, lambda_max] finds
     its minimum.  The search stops once the bracket width times the
-    largest possible dual slope is below dual_tol.  A minimizer pinned at
-    lambda_max usually signals an infeasible instance or a bracket chosen
-    too small, and is flagged.
+    largest possible dual slope is below dual_tol.  A positive minimizer
+    pinned at lambda_max usually signals an infeasible instance or a
+    bracket chosen too small, and is flagged.
     """
     problems = cmdp.check()
     if problems:
@@ -564,7 +564,8 @@ def constrained_solve(cmdp: ConstrainedMdp, lambda_max: Optional[float] = None,
             fd = dual(d)
     lambda_star = min(cache, key=lambda lam: (cache[lam][0], lam))
     dual_value, best = cache[lambda_star]
-    edge = lambda_star >= float(lambda_max) - max(b - a, 1e-14)
+    # a search that never left lam = 0 (every slack is zero) has no edge
+    edge = 0.0 < lambda_star >= float(lambda_max) - max(b - a, 1e-14)
     if edge:
         warnings.warn(
             "dual minimizer at lambda_max; the bracket may be too small",

@@ -1,6 +1,7 @@
 """Average-reward solver machinery against brute-force oracles."""
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -243,6 +244,19 @@ def test_constrained_solve_warns_on_bracket_edge():
         res = constrained_solve(cmdp, lambda_max=1.0)
     assert res.bracket_edge
     assert res.lambda_star == pytest.approx(1.0, abs=1e-4)
+
+
+def test_constrained_solve_zero_slack_is_not_bracket_edge():
+    # every action costs exactly the budget: the search stops at lam = 0
+    cmdp = ConstrainedMdp(_single_state([0.2, 0.7]), np.full((1, 2), 0.4),
+                          0.4)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        res = constrained_solve(cmdp, lambda_max=1.0)
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert not res.bracket_edge
+    assert res.lambda_star == 0.0
+    assert res.dual_value == pytest.approx(0.7, abs=1e-9)
 
 
 def _batch(rng, copies=4, **kwargs):
