@@ -5,121 +5,74 @@ finite or belief-grid decoder memory, optional cost-constrained side
 information) into average-cost MDPs, solves them by policy or relative
 value iteration, and cross-checks the results with analytic endpoints,
 optimality conditions, and Monte Carlo simulation.
+
+This package exports the library API; the MDP layer, the chain
+builders, the belief updates and the information-theory primitives stay
+importable from their modules.
 """
 from .baselines import (RegionReport, SymbolCheckReport, SymbolPolicy,
-                        binary_shannon_closed_form, d0_distortion, d0_vending,
-                        h_closed_form, shannon_limit, suboptimality_region,
+                        d0_distortion, shannon_limit, suboptimality_region,
                         symbol_by_symbol_check, uncoded_condition_check)
-from .bayes import (bayes_envelope, belief_update_encoded_memory,
-                    belief_update_feedback, belief_update_memory,
-                    belief_update_sideinfo_memory)
 from .errors import (CapacityError, NonConvergenceError, SpecValidationError,
                      UnreachableObservationError)
-from .infotheory import (binary_entropy, channel_capacity, entropy_bits,
-                         rate_distortion_point, zero_rate_distortion)
-from .lookahead import (MarkovKernel, TupleCodec, build_markov_kernel,
-                        modified_distortion)
-from .mdp import (ConstrainedMdp, DualResult, FiniteMdp, PolicyEvaluation,
-                  SolveResult, constrained_solve, evaluate_policy,
-                  exhaustive_policy_search, lagrangian_mdp,
-                  relative_value_iteration, rvi_batch)
 from .models import (ActionCostVector, DistortionMatrix, ProblemSpec,
                      ProbVector, StochasticMatrix, VendingSpec,
                      bernoulli_source, binary_problem, bsc, hamming,
-                     load_spec, spec_from_dict, state_limit, validate,
-                     with_budget)
+                     load_spec, spec_from_dict, with_budget)
 from .scenarios import (APPROXIMATE, MemorySpec, ScenarioSolveReport,
-                        build_feedback_complete_discretized,
-                        build_feedback_finite, build_nofeedback_finite,
-                        decoder_tables, encoder_action_tables, memory_last_m,
-                        solve_feedback_complete, solve_feedback_finite,
-                        solve_nofeedback)
-from .simplex import SimplexGrid, project, simplex_grid
+                        memory_last_m, solve_feedback_complete,
+                        solve_feedback_finite, solve_nofeedback)
+from .simplex import SimplexGrid, simplex_grid
 from .simulate import PolicyBundle, SimReport, simulate
-from .vending import (build_vending_feedback_finite,
-                      build_vending_nofeedback_discretized,
-                      solve_vending_feedback, solve_vending_nofeedback,
-                      vending_action_maps)
+from .vending import solve_vending_feedback, solve_vending_nofeedback
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "APPROXIMATE",
+    # problems
     "ActionCostVector",
-    "CapacityError",
-    "ConstrainedMdp",
     "DistortionMatrix",
-    "DualResult",
-    "FiniteMdp",
-    "MarkovKernel",
-    "MemorySpec",
-    "NonConvergenceError",
-    "PolicyBundle",
-    "PolicyEvaluation",
     "ProbVector",
     "ProblemSpec",
-    "RegionReport",
-    "ScenarioSolveReport",
-    "SimReport",
-    "SimplexGrid",
-    "SolveResult",
-    "SpecValidationError",
     "StochasticMatrix",
-    "SymbolCheckReport",
-    "SymbolPolicy",
-    "TupleCodec",
-    "UnreachableObservationError",
     "VendingSpec",
-    "bayes_envelope",
-    "belief_update_encoded_memory",
-    "belief_update_feedback",
-    "belief_update_memory",
-    "belief_update_sideinfo_memory",
     "bernoulli_source",
-    "binary_entropy",
     "binary_problem",
-    "binary_shannon_closed_form",
     "bsc",
-    "build_feedback_complete_discretized",
-    "build_feedback_finite",
-    "build_markov_kernel",
-    "build_nofeedback_finite",
-    "build_vending_feedback_finite",
-    "build_vending_nofeedback_discretized",
-    "channel_capacity",
-    "constrained_solve",
-    "d0_distortion",
-    "d0_vending",
-    "decoder_tables",
-    "encoder_action_tables",
-    "entropy_bits",
-    "evaluate_policy",
-    "exhaustive_policy_search",
-    "h_closed_form",
     "hamming",
-    "lagrangian_mdp",
     "load_spec",
+    "spec_from_dict",
+    "with_budget",
+    # decoder memories
+    "MemorySpec",
     "memory_last_m",
-    "modified_distortion",
-    "project",
-    "rate_distortion_point",
-    "relative_value_iteration",
-    "rvi_batch",
-    "shannon_limit",
-    "simplex_grid",
-    "simulate",
+    # scenario solvers
+    "APPROXIMATE",
+    "ScenarioSolveReport",
     "solve_feedback_complete",
     "solve_feedback_finite",
     "solve_nofeedback",
     "solve_vending_feedback",
     "solve_vending_nofeedback",
-    "spec_from_dict",
-    "state_limit",
+    # endpoints and optimality checks
+    "RegionReport",
+    "SymbolCheckReport",
+    "SymbolPolicy",
+    "d0_distortion",
+    "shannon_limit",
     "suboptimality_region",
     "symbol_by_symbol_check",
     "uncoded_condition_check",
-    "validate",
-    "vending_action_maps",
-    "with_budget",
-    "zero_rate_distortion",
+    # belief grids
+    "SimplexGrid",
+    "simplex_grid",
+    # simulation
+    "PolicyBundle",
+    "SimReport",
+    "simulate",
+    # errors
+    "CapacityError",
+    "NonConvergenceError",
+    "SpecValidationError",
+    "UnreachableObservationError",
 ]

@@ -18,13 +18,12 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .bayes import belief_update_feedback, check_action_map
-from .errors import (CapacityError, SpecValidationError,
-                     UnreachableObservationError)
+from .errors import SpecValidationError, UnreachableObservationError
 from .infotheory import (binary_entropy, channel_capacity,
                          rate_distortion_point, zero_rate_distortion)
-from .lookahead import build_markov_kernel
-from .models import ProblemSpec, binary_problem, state_limit
-from .scenarios import memory_last_m, solve_feedback_finite
+from .lookahead import TupleCodec, _enumerate_maps
+from .models import ProblemSpec, binary_problem
+from .scenarios import _tuple_chain, memory_last_m, solve_feedback_finite
 from .simplex import SimplexGrid
 
 VIOLATION_TOL = 1e-9
@@ -41,25 +40,18 @@ class SymbolPolicy:
     def make(cls, table) -> "SymbolPolicy":
         return cls(tuple(int(x) for x in np.asarray(table).ravel()))
 
-    def check(self, num_symbols: int, num_inputs: int) -> None:
-        check_action_map(np.asarray(self.table), num_symbols, num_inputs)
 
-    def array(self) -> np.ndarray:
-        return np.asarray(self.table, dtype=int)
-
-
-def _symbol_maps(num_symbols: int, num_inputs: int) -> np.ndarray:
-    count = num_inputs**num_symbols
-    limit = state_limit()
-    if count > limit:
-        raise CapacityError("symbol-map enumeration", count, limit,
-                            hint="reduce the source or input alphabet")
-    maps = np.arange(count)
-    cols = [
-        (maps // num_inputs ** (num_symbols - 1 - u)) % num_inputs
-        for u in range(num_symbols)
-    ]
-    return np.stack(cols, axis=1)
+def _map_scores(spec: ProblemSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Every symbol map, lexicographic, and its Bayes-decoder score."""
+    p_u = np.asarray(spec.source.p)
+    w = np.asarray(spec.channel.rows)
+    loss = np.asarray(spec.distortion.loss)
+    maps = _enumerate_maps(spec.num_source_symbols, spec.num_channel_inputs,
+                           None, "symbol-map enumeration",
+                           "reduce the source or input alphabet")
+    weighted = p_u[None, :, None] * w[maps]                    # (T, U, Y)
+    joint = np.einsum("tuy,uc->tyc", weighted, loss)
+    return maps, joint.min(axis=2).sum(axis=1)
 
 
 def d0_distortion(spec: ProblemSpec) -> tuple[float, SymbolPolicy]:
@@ -68,13 +60,7 @@ def d0_distortion(spec: ProblemSpec) -> tuple[float, SymbolPolicy]:
     Every symbol map is scored with its Bayes-optimal decoder; ties keep
     the lexicographically smallest map.
     """
-    p_u = np.asarray(spec.source.p)
-    w = np.asarray(spec.channel.rows)
-    loss = np.asarray(spec.distortion.loss)
-    maps = _symbol_maps(spec.num_source_symbols, spec.num_channel_inputs)
-    weighted = p_u[None, :, None] * w[maps]                    # (T, U, Y)
-    joint = np.einsum("tuy,uc->tyc", weighted, loss)
-    values = joint.min(axis=2).sum(axis=1)
+    maps, values = _map_scores(spec)
     best = int(np.argmin(values))
     return float(values[best]), SymbolPolicy.make(maps[best])
 
@@ -139,48 +125,6 @@ def binary_shannon_closed_form(p: float, delta: float) -> float:
                         xtol=1e-13, rtol=8.9e-16))
 
 
-def d0_vending(spec: ProblemSpec) -> float:
-    """Best memoryless distortion for the vending setup under a hard
-    expected-cost budget.
-
-    Enumerates (symbol map, actuator map) pairs, drops the ones whose
-    stationary action cost exceeds the budget, and scores the rest with
-    the Bayes decoder on the (sent symbol, side observation) pair.
-    """
-    if spec.vending is None:
-        raise SpecValidationError(["this computation needs vending data"])
-    p_u = np.asarray(spec.source.p)
-    loss = np.asarray(spec.distortion.loss)
-    n_u, n_x = spec.num_source_symbols, spec.num_channel_inputs
-    n_av = spec.vending.num_actions
-    n_y = spec.vending.kernel.num_outputs
-    vk = np.asarray(spec.vending.kernel.rows).reshape(n_u, n_av, n_y)
-    costs = np.asarray(spec.vending.costs.cost)
-    budget = spec.vending.costs.budget
-    mus = _symbol_maps(n_u, n_x)
-    avs = _symbol_maps(n_x, n_av)
-    best = None
-    for mu in mus:
-        for av in avs:
-            if float(p_u @ costs[av[mu]]) > budget + 1e-12:
-                continue
-            value = 0.0
-            for x in range(n_x):
-                sel = mu == x
-                if not sel.any():
-                    continue
-                mass = p_u[sel, None] * vk[sel, av[x], :]      # (U', Y)
-                value += (mass.T @ loss[sel]).min(axis=1).sum()
-            if best is None or value < best:
-                best = value
-    if best is None:
-        raise RuntimeError(
-            "no (symbol map, actuator map) pair meets the budget; "
-            "the cost vector should include a feasible action"
-        )
-    return float(best)
-
-
 def _as_table(policy, num_symbols: int, num_inputs: int) -> np.ndarray:
     raw = getattr(policy, "table", policy)
     return check_action_map(np.asarray(raw), num_symbols, num_inputs)
@@ -211,9 +155,10 @@ def _slot_envelopes(table: np.ndarray, w: np.ndarray, loss: np.ndarray,
     return float((marginals[0] @ loss).min()), env
 
 
-def h_closed_form(u_tuple, belief, spec: ProblemSpec, d: int,
-                  policy) -> float:
-    """Closed-form relative value of a symbol policy at one tuple/belief.
+def _h_vector(belief: np.ndarray, comp: np.ndarray, table: np.ndarray,
+              w: np.ndarray, loss: np.ndarray) -> np.ndarray:
+    """Closed-form relative value of the symbol policy table at every
+    tuple (rows of comp) for one belief over tuples.
 
     Equals minus the Bayes envelope of the belief's first marginal, minus
     the forecast envelopes of each committed-but-unsent symbol: for slot k
@@ -221,31 +166,12 @@ def h_closed_form(u_tuple, belief, spec: ProblemSpec, d: int,
     posterior starts from the belief's k-th marginal.  Outputs that the
     policy cannot produce from a marginal are skipped.
     """
-    if d < 0:
-        raise SpecValidationError([f"lookahead {d} must be nonnegative"])
-    n_u = spec.num_source_symbols
-    table = _as_table(policy, n_u, spec.num_channel_inputs)
-    tup = np.asarray(u_tuple, dtype=int)
-    if tup.shape != (d + 1,):
-        raise SpecValidationError(
-            [f"tuple has shape {tup.shape}, expected ({d + 1},)"]
-        )
-    if tup.min(initial=0) < 0 or tup.max(initial=0) >= n_u:
-        raise SpecValidationError([f"tuple symbols outside 0..{n_u - 1}"])
-    b = np.asarray(getattr(belief, "p", belief), dtype=float)
-    if b.shape != (n_u ** (d + 1),):
-        raise SpecValidationError(
-            [f"belief has shape {b.shape}, expected ({n_u ** (d + 1)},)"]
-        )
-    kernel = build_markov_kernel(spec.source, d)
-    comp = kernel.codec.components_table()
-    w = np.asarray(spec.channel.rows)
-    loss = np.asarray(spec.distortion.loss)
-    b1, env = _slot_envelopes(table, w, loss, _marginals(b, comp, n_u))
-    value = -b1
-    for k in range(1, d + 1):
-        value -= float(w[table[tup[k]]] @ env[k - 1])
-    return value
+    marg = _marginals(belief, comp, loss.shape[0])
+    b1, env = _slot_envelopes(table, w, loss, marg)
+    out = np.full(comp.shape[0], -b1)
+    for k in range(1, comp.shape[1]):
+        out -= w[table[comp[:, k]]] @ env[k - 1]
+    return out
 
 
 @dataclass(frozen=True)
@@ -266,8 +192,6 @@ class SymbolCheckReport:
 
 def _grid_check(spec: ProblemSpec, d: int, belief_grid: SimplexGrid,
                 policy: SymbolPolicy) -> SymbolCheckReport:
-    from .scenarios import encoder_action_tables
-
     if d < 1:
         raise SpecValidationError(
             [f"lookahead {d} must be at least 1 for the grid check"]
@@ -275,25 +199,18 @@ def _grid_check(spec: ProblemSpec, d: int, belief_grid: SimplexGrid,
     n_u = spec.num_source_symbols
     n_x = spec.num_channel_inputs
     table = _as_table(policy, n_u, n_x)
-    kernel = build_markov_kernel(spec.source, d)
-    codec = kernel.codec
-    n_v = codec.size
-    if belief_grid.dim != n_v:
-        raise SpecValidationError(
-            [f"belief grid has dimension {belief_grid.dim}, expected {n_v}"]
-        )
-    comp = codec.components_table()
-    shift = codec.shift_table()
-    actions = encoder_action_tables(n_v, n_x)
+    n_v = n_u ** (d + 1)
+    problems = ([] if belief_grid.dim == n_v else
+                [f"belief grid has dimension {belief_grid.dim}, expected {n_v}"])
+    kernel, shift, actions, _ = _tuple_chain(spec, d, 1, problems, None)
+    comp = kernel.codec.components_table()
     w = np.asarray(spec.channel.rows)
     loss = np.asarray(spec.distortion.loss)
     p_u = np.asarray(spec.source.p)
     n_y = spec.num_channel_outputs
 
-    # symbol policy as an encoder map, and its index among all maps
-    a_sym = table[comp[:, 0]]
-    sym_idx = int(sum(int(a_sym[v]) * n_x ** (n_v - 1 - v)
-                      for v in range(n_v)))
+    # the symbol policy's index among all encoder maps
+    sym_idx = TupleCodec(n_x, n_v).encode(table[comp[:, 0]])
 
     fresh = 0.0
     for y in range(n_y):
@@ -302,20 +219,12 @@ def _grid_check(spec: ProblemSpec, d: int, belief_grid: SimplexGrid,
         if total > 0.0:
             fresh += (num @ loss).min()
 
-    def h_vector(belief: np.ndarray) -> np.ndarray:
-        marg = _marginals(belief, comp, n_u)
-        b1, env = _slot_envelopes(table, w, loss, marg)
-        out = np.full(n_v, -b1)
-        for k in range(1, d + 1):
-            out -= w[table[comp[:, k]]] @ env[k - 1]
-        return out
-
     gaps = np.empty((belief_grid.size, n_v))
     identity = np.empty(belief_grid.size)
     for g in range(belief_grid.size):
         beta = belief_grid.points[g]
         lhs = fresh - float((_marginals(beta, comp, n_u)[0] @ loss).min()) \
-            - h_vector(beta)
+            - _h_vector(beta, comp, table, w, loss)
         rhs = np.zeros((actions.shape[0], n_v))
         for a_idx in range(actions.shape[0]):
             amap = actions[a_idx]
@@ -326,7 +235,7 @@ def _grid_check(spec: ProblemSpec, d: int, belief_grid: SimplexGrid,
                                                     spec.channel, amap, y)
                 except UnreachableObservationError:
                     continue
-                hv = h_vector(np.asarray(tilted.p))
+                hv = _h_vector(np.asarray(tilted.p), comp, table, w, loss)
                 acc += (w[amap[shift], y] * hv[shift]) @ p_u
             rhs[a_idx] = -acc
         gaps[g] = lhs - rhs.min(axis=0)
@@ -355,13 +264,7 @@ def _grid_check(spec: ProblemSpec, d: int, belief_grid: SimplexGrid,
 
 def _optimal_symbol_maps(spec: ProblemSpec) -> np.ndarray:
     """Symbol maps tying the best Bayes-decoder score, lexicographic."""
-    p_u = np.asarray(spec.source.p)
-    w = np.asarray(spec.channel.rows)
-    loss = np.asarray(spec.distortion.loss)
-    maps = _symbol_maps(spec.num_source_symbols, spec.num_channel_inputs)
-    weighted = p_u[None, :, None] * w[maps]
-    joint = np.einsum("tuy,uc->tyc", weighted, loss)
-    values = joint.min(axis=2).sum(axis=1)
+    maps, values = _map_scores(spec)
     return maps[values <= values.min() + TIE_TOL]
 
 

@@ -23,8 +23,7 @@ from .baselines import (d0_distortion, shannon_limit, suboptimality_region,
 from .errors import (CapacityError, NonConvergenceError, SpecValidationError,
                      UnreachableObservationError)
 from .models import (ProblemSpec, bernoulli_source, binary_problem, bsc,
-                     hamming, load_spec, spec_from_dict, validate,
-                     with_budget)
+                     hamming, load_spec, spec_from_dict, with_budget)
 from .scenarios import (memory_last_m, solve_feedback_complete,
                         solve_feedback_finite, solve_nofeedback, spec_params)
 from .simplex import simplex_grid
@@ -124,7 +123,7 @@ def _build_spec(args) -> ProblemSpec:
         spec = _attach_vending(spec, args.vending)
     if getattr(args, "budget", None) is not None:
         spec = with_budget(spec, args.budget)
-    problems = validate(spec)
+    problems = spec.check()
     if problems:
         raise SpecValidationError(problems)
     return spec

@@ -15,12 +15,6 @@ from .models import DistortionMatrix, ProbVector, StochasticMatrix
 _LN2 = np.log(2.0)
 
 
-def entropy_bits(p) -> float:
-    arr = np.asarray(p, dtype=float)
-    pos = arr[arr > 0]
-    return float(-(pos * np.log2(pos)).sum())
-
-
 def binary_entropy(p: float) -> float:
     if p <= 0.0 or p >= 1.0:
         return 0.0

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, SpecValidationError
-from .models import DistortionMatrix, ProbVector, state_limit
+from .models import ProbVector, state_limit
 
 
 @dataclass(frozen=True)
@@ -82,6 +82,18 @@ class TupleCodec:
         return tail[:, None] + np.arange(self.base)[None, :]
 
 
+def _enumerate_maps(domain: int, num_values: int, limit: int | None,
+                    what: str, hint: str) -> np.ndarray:
+    """Every map from domain entries to num_values values, one row per
+    map in lexicographic order (entry 0 most significant).  More than
+    limit maps (default state_limit()) raise CapacityError naming what."""
+    count = num_values**domain
+    limit = state_limit() if limit is None else int(limit)
+    if count > limit:
+        raise CapacityError(what, count, limit, hint=hint)
+    return TupleCodec(num_values, domain).components_table()
+
+
 @dataclass(frozen=True)
 class MarkovKernel:
     """Sliding-window chain over symbol tuples for a given lookahead depth."""
@@ -117,16 +129,3 @@ def build_markov_kernel(source: ProbVector, lookahead: int,
     rows = np.repeat(np.arange(codec.size), base)
     matrix[rows, shift.ravel()] = np.tile(p, codec.size)
     return MarkovKernel(matrix, lookahead, source, codec)
-
-
-def modified_distortion(distortion: DistortionMatrix, codec: TupleCodec,
-                        slot: int = 1) -> np.ndarray:
-    """Loss table on tuple states charging the symbol in 1-based slot.
-
-    Entry [v, r] is the loss of reconstructing r when the charged
-    component of tuple v is the true symbol.
-    """
-    if not 1 <= slot <= codec.width:
-        raise SpecValidationError([f"slot {slot} outside 1..{codec.width}"])
-    comps = codec.components_table()[:, slot - 1]
-    return np.asarray(distortion.loss)[comps, :]

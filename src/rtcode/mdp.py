@@ -412,6 +412,17 @@ def _stationary_classes(next_states, next_probs):
     return out
 
 
+def _class_means(mdp: FiniteMdp, policy: np.ndarray, *tables) -> list:
+    """For each closed recurrent class of the chain that policy induces,
+    the stationary means of the (S, A) tables along policy."""
+    idx = np.arange(mdp.num_states)
+    classes = _stationary_classes(mdp.next_states[idx, policy],
+                                  mdp.next_probs[idx, policy])
+    picked = [table[idx, policy] for table in tables]
+    return [tuple(float(mu @ r[members]) for r in picked)
+            for members, mu in classes]
+
+
 @dataclass(frozen=True)
 class PolicyEvaluation:
     """Average reward of a fixed policy, reported per recurrent class."""
@@ -436,12 +447,7 @@ def evaluate_policy(mdp: FiniteMdp, policy) -> PolicyEvaluation:
                                    f"expected ({mdp.num_states},)"])
     if pol.min(initial=0) < 0 or pol.max(initial=0) >= mdp.num_actions:
         raise SpecValidationError(["policy action index out of range"])
-    idx = np.arange(mdp.num_states)
-    ns = mdp.next_states[idx, pol]
-    probs = mdp.next_probs[idx, pol]
-    r = mdp.rewards[idx, pol]
-    classes = _stationary_classes(ns, probs)
-    gains = tuple(float(mu @ r[members]) for members, mu in classes)
+    gains = tuple(means[0] for means in _class_means(mdp, pol, mdp.rewards))
     best = max(gains)
     spread = max(gains) - min(gains)
     return PolicyEvaluation(best, gains, len(gains) > 1, spread > 1e-10)
@@ -572,18 +578,9 @@ def constrained_solve(cmdp: ConstrainedMdp, lambda_max: Optional[float] = None,
             RuntimeWarning, stacklevel=2,
         )
 
-    idx = np.arange(cmdp.mdp.num_states)
-    ns = cmdp.mdp.next_states[idx, best.policy]
-    probs = cmdp.mdp.next_probs[idx, best.policy]
-    base_r = cmdp.mdp.rewards[idx, best.policy]
-    cost_r = cmdp.cost[idx, best.policy]
-    classes = _stationary_classes(ns, probs)
-    lag_r = base_r + lambda_star * (cmdp.budget - cost_r)
-    stats = [
-        (float(mu @ lag_r[members]), float(mu @ base_r[members]),
-         float(mu @ cost_r[members]))
-        for members, mu in classes
-    ]
+    stats = _class_means(cmdp.mdp, best.policy,
+                         lagrangian_mdp(cmdp, lambda_star).rewards,
+                         cmdp.mdp.rewards, cmdp.cost)
     _, gain_g, avg_cost = max(stats, key=lambda t: t[0])
     return DualResult(float(lambda_star), float(dual_value), gain_g, avg_cost,
                       bool(edge), len(cache))

@@ -247,11 +247,6 @@ class ProblemSpec:
         return out
 
 
-def validate(spec: ProblemSpec) -> list[str]:
-    """Every invariant violated by spec, as human-readable strings."""
-    return spec.check()
-
-
 def bernoulli_source(p: float) -> ProbVector:
     """Binary source with P(1) = p."""
     if not 0.0 <= p <= 1.0:

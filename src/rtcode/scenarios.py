@@ -30,7 +30,7 @@ import numpy as np
 
 from .bayes import check_action_map
 from .errors import CapacityError, SpecValidationError
-from .lookahead import build_markov_kernel
+from .lookahead import _enumerate_maps, build_markov_kernel
 from .mdp import BatchSolve, FiniteMdp, relative_value_iteration, rvi_batch
 from .models import ProblemSpec, state_limit
 from .simplex import SimplexGrid, simplex_grid
@@ -85,39 +85,6 @@ def memory_last_m(m: int, num_observations: int,
         tail = (z % num_observations ** (m - 1)) * num_observations
         table = tail[:, None] + np.arange(num_observations)[None, :]
     return MemorySpec(size, table)
-
-
-def encoder_action_tables(num_tuples: int, num_inputs: int,
-                          max_actions: Optional[int] = None) -> np.ndarray:
-    """All encoder maps from tuple states to channel inputs, one row per
-    action, enumerated lexicographically."""
-    limit = state_limit() if max_actions is None else int(max_actions)
-    count = num_inputs**num_tuples
-    if count > limit:
-        raise CapacityError("encoder action set", count, limit,
-                            hint="reduce the lookahead depth")
-    actions = np.arange(count)
-    cols = [
-        (actions // num_inputs ** (num_tuples - 1 - v)) % num_inputs
-        for v in range(num_tuples)
-    ]
-    return np.stack(cols, axis=1)
-
-
-def decoder_tables(num_cells: int, num_symbols: int,
-                   max_tables: int = DEFAULT_DECODER_CAP) -> np.ndarray:
-    """All decoder tables over num_cells observation cells, enumerated
-    lexicographically with cell 0 most significant."""
-    count = num_symbols**num_cells
-    if count > max_tables:
-        raise CapacityError("decoder enumeration", count, max_tables,
-                            hint="reduce the decoder memory size m")
-    tables = np.arange(count)
-    cols = [
-        (tables // num_symbols ** (num_cells - 1 - c)) % num_symbols
-        for c in range(num_cells)
-    ]
-    return np.stack(cols, axis=1)
 
 
 @dataclass(frozen=True)
@@ -249,8 +216,10 @@ def _solve_decoder_family(scenario: str, spec: ProblemSpec, d: int,
     diagnostics add scenario entries after the common ones.
     """
     n_y, n_z = spec.num_channel_outputs, memory.num_states
-    cells = decoder_tables(n_y * n_z, spec.num_reconstructions, max_tables)
-    dec_all = cells.reshape(-1, n_y, n_z)
+    dec_all = _enumerate_maps(n_y * n_z, spec.num_reconstructions, max_tables,
+                              "decoder enumeration",
+                              "reduce the decoder memory size m"
+                              ).reshape(-1, n_y, n_z)
     sol = rvi_batch(core["next_states"], core["next_probs"],
                     rewards_fn(core, dec_all), tol=tol, max_iter=max_iter)
     best = _first_within(sol.gains, tol)
@@ -288,7 +257,8 @@ def _tuple_chain(spec: ProblemSpec, d: int, size: int, problems: list,
         raise SpecValidationError(problems)
     n_v = kernel.codec.size
     _guard_states(n_v * size, max_states)
-    tables = encoder_action_tables(n_v, spec.num_channel_inputs, max_states)
+    tables = _enumerate_maps(n_v, spec.num_channel_inputs, max_states,
+                             "encoder action set", "reduce the lookahead depth")
     shift = kernel.codec.shift_table()
     return kernel, shift, tables, tables[:, shift]
 

@@ -20,10 +20,9 @@ from typing import Optional
 import numpy as np
 
 from .errors import SpecValidationError
-from .lookahead import build_markov_kernel
 from .models import ProblemSpec
 from .scenarios import (MemorySpec, ScenarioSolveReport, _checked_decoder,
-                        encoder_action_tables)
+                        _tuple_chain)
 from .simplex import SimplexGrid, project, simplex_grid
 
 BURN_IN = 1000
@@ -158,12 +157,11 @@ def _step_table(bundle: PolicyBundle, spec: ProblemSpec, d: int):
     memory mem, c = g * n_mem + mem.  Each entry is (next tuple, output
     CDF row, [(loss, next c) per output], action cost).
     """
-    kernel = build_markov_kernel(spec.source, d)
+    kernel, shift, atab, _ = _tuple_chain(spec, d, 1, [], None)
     codec = kernel.codec
     n_v, n_u = codec.size, codec.base
     n_x, n_y = spec.num_channel_inputs, spec.num_channel_outputs
-    atab = encoder_action_tables(n_v, n_x).tolist()
-    shift = codec.shift_table().tolist()
+    atab, shift = atab.tolist(), shift.tolist()
     first = codec.components_table()[:, 0]
     loss_first = np.asarray(spec.distortion.loss)[first].tolist()  # (V, C)
     first = first.tolist()

@@ -23,7 +23,8 @@ from typing import Optional
 import numpy as np
 
 from .bayes import check_action_map
-from .errors import CapacityError, SpecValidationError
+from .errors import SpecValidationError
+from .lookahead import _enumerate_maps
 from .mdp import (ConstrainedMdp, DualResult, FiniteMdp, constrained_solve,
                   lagrangian_mdp, relative_value_iteration)
 from .models import ProblemSpec, with_budget
@@ -31,29 +32,13 @@ from .scenarios import (APPROXIMATE, DEFAULT_DECODER_CAP, MemorySpec,
                         ScenarioSolveReport, _checked_decoder,
                         _clamp_distortion, _memory_params, _nested_tuple,
                         _project_pushforward, _tuple_chain, _tuple_successors,
-                        decoder_tables, spec_params)
+                        spec_params)
 from .simplex import SimplexGrid, simplex_grid
 
 
 def _require_vending(spec: ProblemSpec) -> None:
     if spec.vending is None:
         raise SpecValidationError(["this scenario needs vending data"])
-
-
-def vending_action_maps(num_inputs: int, num_actions: int,
-                        max_maps: int = DEFAULT_DECODER_CAP) -> np.ndarray:
-    """All actuator maps from channel symbols to vending actions, one row
-    per map, enumerated lexicographically."""
-    count = num_actions**num_inputs
-    if count > max_maps:
-        raise CapacityError("actuator enumeration", count, max_maps,
-                            hint="reduce the channel input alphabet")
-    maps = np.arange(count)
-    cols = [
-        (maps // num_actions ** (num_inputs - 1 - x)) % num_actions
-        for x in range(num_inputs)
-    ]
-    return np.stack(cols, axis=1)
 
 
 def _vending_prologue(spec: ProblemSpec, d: int, mem_x: MemorySpec,
@@ -269,9 +254,13 @@ def _solve_pairs(scenario: str, spec: ProblemSpec, d: int, mem_x: MemorySpec,
     budget = spec.vending.costs.budget
     loss = np.asarray(spec.distortion.loss)
     shape = _decoder_shape(spec, mem_x, mem_y)
-    decs = decoder_tables(int(np.prod(shape)), spec.num_reconstructions,
-                          max_tables).reshape(-1, *shape)
-    avs = vending_action_maps(shape[0], spec.vending.num_actions, max_tables)
+    decs = _enumerate_maps(int(np.prod(shape)), spec.num_reconstructions,
+                           max_tables, "decoder enumeration",
+                           "reduce the decoder memory size m"
+                           ).reshape(-1, *shape)
+    avs = _enumerate_maps(shape[0], spec.vending.num_actions, max_tables,
+                          "actuator enumeration",
+                          "reduce the channel input alphabet")
     values = np.empty((decs.shape[0], avs.shape[0]))
     results: dict[tuple[int, int], DualResult] = {}
     cores = []

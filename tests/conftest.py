@@ -1,7 +1,9 @@
 """Shared factories for the test suite."""
+import itertools
+
 import numpy as np
 
-from rtcode import FiniteMdp
+from rtcode.mdp import FiniteMdp
 
 
 def random_unichain_mdp(rng, max_states=4, max_actions=3, mixing=0.1):
@@ -24,3 +26,10 @@ def random_belief(rng, dim):
     """Random point in the interior of the probability simplex."""
     raw = rng.random(dim) + 1e-3
     return raw / raw.sum()
+
+
+def all_maps(domain, num_values):
+    """Every map from domain entries to num_values values, one row per map
+    in lexicographic order: the enumeration order of the solvers."""
+    return np.array(list(itertools.product(range(num_values),
+                                           repeat=domain)), dtype=int)

@@ -18,14 +18,8 @@ import pytest
 
 from rtcode import (
     binary_problem,
-    binary_shannon_closed_form,
-    build_vending_feedback_finite,
     d0_distortion,
-    decoder_tables,
-    evaluate_policy,
-    exhaustive_policy_search,
     memory_last_m,
-    relative_value_iteration,
     shannon_limit,
     simplex_grid,
     simulate,
@@ -33,12 +27,18 @@ from rtcode import (
     solve_vending_feedback,
     spec_from_dict,
     symbol_by_symbol_check,
-    vending_action_maps,
     with_budget,
 )
+from rtcode.baselines import binary_shannon_closed_form
+from rtcode.mdp import (
+    evaluate_policy,
+    exhaustive_policy_search,
+    relative_value_iteration,
+)
+from rtcode.vending import build_vending_feedback_finite
 from rtcode.cli import CSV_HEADER, main
 from rtcode.simulate import PolicyBundle
-from conftest import random_unichain_mdp
+from conftest import all_maps, random_unichain_mdp
 
 GRID21 = [round(0.025 * i, 5) for i in range(21)]
 GRID11 = [round(0.05 * i, 5) for i in range(11)]
@@ -361,8 +361,8 @@ def test_acceptance_7_vending_duals(capsys, dual_runs):
     mem_y = memory_last_m(0, 2)
     spec1 = with_budget(spec_from_dict(TOY), 1.0)
     best = -np.inf
-    for av in vending_action_maps(1, 2):
-        for dec in decoder_tables(2, 2).reshape(-1, 1, 2, 1, 1):
+    for av in all_maps(1, 2):
+        for dec in all_maps(2, 2).reshape(-1, 1, 2, 1, 1):
             mdp = build_vending_feedback_finite(spec1, 0, mem_x, mem_y,
                                                 dec, av, lam=0.0)
             best = max(best, relative_value_iteration(mdp, tol=1e-10).gain)

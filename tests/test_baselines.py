@@ -3,49 +3,22 @@ import numpy as np
 import pytest
 
 from rtcode import (
-    DistortionMatrix,
     ProblemSpec,
     ProbVector,
     SpecValidationError,
     StochasticMatrix,
     binary_problem,
-    binary_shannon_closed_form,
     bsc,
-    build_markov_kernel,
     d0_distortion,
-    d0_vending,
-    h_closed_form,
     hamming,
     shannon_limit,
     simplex_grid,
-    spec_from_dict,
     suboptimality_region,
     symbol_by_symbol_check,
     uncoded_condition_check,
-    with_budget,
 )
-
-TOY = {
-    "source": [0.7, 0.3],
-    "channel": [[0.5, 0.5]],
-    "distortion": [[0.0, 1.0], [1.0, 0.0]],
-    "vending": {
-        "kernel": [[0.5, 0.5], [1.0, 0.0], [0.5, 0.5], [0.0, 1.0]],
-        "costs": [0.0, 1.0],
-        "budget": 1.0,
-    },
-}
-
-RICH = {
-    "source": [0.6, 0.4],
-    "channel": [[0.8, 0.2], [0.2, 0.8]],
-    "distortion": [[0.0, 1.0], [1.0, 0.0]],
-    "vending": {
-        "kernel": [[0.9, 0.1], [1.0, 0.0], [0.3, 0.7], [0.0, 1.0]],
-        "costs": [0.0, 1.0],
-        "budget": 0.5,
-    },
-}
+from rtcode.baselines import _h_vector, binary_shannon_closed_form
+from rtcode.lookahead import build_markov_kernel
 
 
 def test_d0_binary_equals_min_of_bias_and_crossover():
@@ -86,7 +59,7 @@ def test_d0_policy_achieves_reported_value():
             distortion=hamming(n_u),
         )
         value, policy = d0_distortion(spec)
-        assert _score_map(spec, policy.array()) == pytest.approx(value,
+        assert _score_map(spec, policy.table) == pytest.approx(value,
                                                                  abs=1e-12)
         # no other map does better
         for t in range(2 ** n_u):
@@ -145,6 +118,7 @@ def _h_oracle(tup, belief, spec, d, table):
 
 
 def test_h_closed_form_matches_resummation():
+    # the certificate's own h function, at every tuple
     rng = np.random.default_rng(62)
     for _ in range(25):
         n_u = int(rng.integers(2, 4))
@@ -157,24 +131,13 @@ def test_h_closed_form_matches_resummation():
             distortion=hamming(n_u),
         )
         table = rng.integers(0, 2, size=n_u)
-        tup = rng.integers(0, n_u, size=d + 1)
         belief = rng.dirichlet(np.ones(n_u ** (d + 1)))
-        got = h_closed_form(tup, belief, spec, d, table)
-        assert got == pytest.approx(_h_oracle(tup, belief, spec, d, table),
-                                    abs=1e-12)
-
-
-def test_h_closed_form_validates_inputs():
-    spec = binary_problem(0.3, 0.1)
-    belief = np.full(4, 0.25)
-    with pytest.raises(SpecValidationError):
-        h_closed_form((0,), belief, spec, -1, [0, 1])
-    with pytest.raises(SpecValidationError):
-        h_closed_form((0,), belief, spec, 1, [0, 1])
-    with pytest.raises(SpecValidationError):
-        h_closed_form((0, 2), belief, spec, 1, [0, 1])
-    with pytest.raises(SpecValidationError):
-        h_closed_form((0, 1), np.full(2, 0.5), spec, 1, [0, 1])
+        comp = build_markov_kernel(spec.source, d).codec.components_table()
+        got = _h_vector(belief, comp, table, np.asarray(spec.channel.rows),
+                        np.asarray(spec.distortion.loss))
+        for v, tup in enumerate(comp):
+            assert got[v] == pytest.approx(
+                _h_oracle(tup, belief, spec, d, table), abs=1e-12)
 
 
 def test_symbol_check_holds_for_useless_channel():
@@ -223,63 +186,6 @@ def test_uncoded_check_agrees_when_identity_is_best():
     assert best.policy.table == (0, 1) == pinned.policy.table
     assert best.holds_on_grid == pinned.holds_on_grid
     assert best.max_gap == pytest.approx(pinned.max_gap, abs=1e-15)
-
-
-def _d0_vending_oracle(spec):
-    """Exhaustive (symbol map, actuator map) scan with dict-style loops."""
-    p_u = np.asarray(spec.source.p)
-    loss = np.asarray(spec.distortion.loss)
-    n_u = spec.num_source_symbols
-    n_x = spec.num_channel_inputs
-    n_av = spec.vending.num_actions
-    n_y = spec.vending.kernel.num_outputs
-    costs = np.asarray(spec.vending.costs.cost)
-    budget = spec.vending.costs.budget
-    best = None
-    for t in range(n_x ** n_u):
-        mu = [(t // n_x ** (n_u - 1 - u)) % n_x for u in range(n_u)]
-        for s in range(n_av ** n_x):
-            av = [(s // n_av ** (n_x - 1 - x)) % n_av for x in range(n_x)]
-            avg_cost = sum(p_u[u] * costs[av[mu[u]]] for u in range(n_u))
-            if avg_cost > budget + 1e-12:
-                continue
-            value = 0.0
-            for x in range(n_x):
-                for y in range(n_y):
-                    cell = [
-                        p_u[u] * spec.vending.row(u, av[x])[y]
-                        for u in range(n_u) if mu[u] == x
-                    ]
-                    us = [u for u in range(n_u) if mu[u] == x]
-                    if not us:
-                        continue
-                    value += min(
-                        sum(w * loss[u, c] for w, u in zip(cell, us))
-                        for c in range(loss.shape[1])
-                    )
-            if best is None or value < best:
-                best = value
-    return best
-
-
-def test_d0_vending_budget_endpoints():
-    toy = spec_from_dict(TOY)
-    assert d0_vending(with_budget(toy, 1.0)) == pytest.approx(0.0, abs=1e-12)
-    assert d0_vending(with_budget(toy, 0.0)) == pytest.approx(0.3, abs=1e-12)
-    # half budget cannot afford the revealing action memorylessly
-    assert d0_vending(with_budget(toy, 0.5)) == pytest.approx(0.3, abs=1e-12)
-
-
-def test_d0_vending_matches_exhaustive_oracle():
-    for budget in (0.0, 0.25, 0.5, 1.0):
-        spec = with_budget(spec_from_dict(RICH), budget)
-        assert d0_vending(spec) == pytest.approx(_d0_vending_oracle(spec),
-                                                 abs=1e-12)
-
-
-def test_d0_vending_needs_vending_data():
-    with pytest.raises(SpecValidationError):
-        d0_vending(binary_problem(0.3, 0.1))
 
 
 def test_region_small_grid_flags_known_point():

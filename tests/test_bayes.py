@@ -10,18 +10,20 @@ from hypothesis import given, strategies as st
 from rtcode import (
     SpecValidationError,
     UnreachableObservationError,
+    bernoulli_source,
+    bsc,
+    hamming,
+    memory_last_m,
+    spec_from_dict,
+)
+from rtcode.bayes import (
     bayes_envelope,
     belief_update_encoded_memory,
     belief_update_feedback,
     belief_update_memory,
     belief_update_sideinfo_memory,
-    bernoulli_source,
-    bsc,
-    build_markov_kernel,
-    hamming,
-    memory_last_m,
-    spec_from_dict,
 )
+from rtcode.lookahead import build_markov_kernel
 from conftest import random_belief
 
 

@@ -4,7 +4,7 @@ import warnings
 
 import pytest
 
-from rtcode import binary_shannon_closed_form
+from rtcode.baselines import binary_shannon_closed_form
 from rtcode.cli import CSV_HEADER, main
 
 SOLVE_ARGS = [

@@ -2,13 +2,10 @@
 import numpy as np
 import pytest
 
-from rtcode import (
-    bernoulli_source,
+from rtcode import bernoulli_source, bsc, hamming
+from rtcode.infotheory import (
     binary_entropy,
-    bsc,
     channel_capacity,
-    entropy_bits,
-    hamming,
     rate_distortion_point,
     zero_rate_distortion,
 )
@@ -19,11 +16,6 @@ def test_binary_entropy_endpoints():
     assert binary_entropy(1.0) == 0.0
     assert binary_entropy(0.5) == pytest.approx(1.0)
     assert binary_entropy(0.11) == pytest.approx(0.4999, abs=5e-4)
-
-
-def test_entropy_bits_uniform():
-    assert entropy_bits([0.25] * 4) == pytest.approx(2.0)
-    assert entropy_bits([1.0, 0.0]) == 0.0
 
 
 @pytest.mark.parametrize("delta", [0.0, 0.1, 0.25, 0.4, 0.5])

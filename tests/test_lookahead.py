@@ -1,4 +1,6 @@
-"""Tuple codec and the sliding-window source chain."""
+"""Tuple codec, the sliding-window source chain, map enumeration."""
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -6,12 +8,16 @@ from hypothesis import given, strategies as st
 from rtcode import (
     CapacityError,
     SpecValidationError,
-    TupleCodec,
     bernoulli_source,
-    build_markov_kernel,
-    hamming,
-    modified_distortion,
+    binary_problem,
+    d0_distortion,
+    memory_last_m,
+    solve_feedback_finite,
+    solve_vending_feedback,
+    spec_from_dict,
 )
+from rtcode.lookahead import TupleCodec, _enumerate_maps, build_markov_kernel
+from conftest import all_maps
 
 
 def test_kernel_depth_zero_is_iid():
@@ -79,18 +85,6 @@ def test_codec_tables_match_scalar_ops():
             assert shifts[v, u] == codec.shift(v, u)
 
 
-def test_modified_distortion_charges_requested_slot():
-    codec = TupleCodec(2, 2)
-    loss = modified_distortion(hamming(2), codec, slot=1)
-    # tuple (0,1) charged on its first symbol: loss of reconstructing r
-    v = codec.encode((0, 1))
-    np.testing.assert_allclose(loss[v], [0.0, 1.0])
-    loss2 = modified_distortion(hamming(2), codec, slot=2)
-    np.testing.assert_allclose(loss2[v], [1.0, 0.0])
-    with pytest.raises(SpecValidationError):
-        modified_distortion(hamming(2), codec, slot=3)
-
-
 def test_kernel_rejects_negative_lookahead():
     with pytest.raises(SpecValidationError):
         build_markov_kernel(bernoulli_source(0.3), -1)
@@ -101,3 +95,49 @@ def test_kernel_capacity_guard():
         build_markov_kernel(bernoulli_source(0.3), 4, max_states=8)
     assert err.value.count == 32
     assert err.value.limit == 8
+
+
+# Two channel inputs, one output, three vending actions: nine actuator
+# maps against four decoder tables, so the actuator cap binds first.
+WIDE_ACTUATOR = {
+    "source": [0.5, 0.5],
+    "channel": [[1.0], [1.0]],
+    "distortion": [[0.0, 1.0], [1.0, 0.0]],
+    "vending": {"kernel": [[1.0]] * 6, "costs": [0.0, 1.0, 2.0],
+                "budget": 1.0},
+}
+
+# Each caller's CapacityError label and hint, one (domain, values) shape
+# of the enumeration it asks for, and a call that trips its cap.
+CAPPED = {
+    "encoder": ("encoder action set", "reduce the lookahead depth", (8, 2),
+                lambda: solve_feedback_finite(
+                    binary_problem(0.3, 0.3), 2, memory_last_m(0, 2),
+                    max_states=100)),
+    "decoder": ("decoder enumeration", "reduce the decoder memory size m",
+                (4, 3),
+                lambda: solve_feedback_finite(
+                    binary_problem(0.3, 0.3), 1, memory_last_m(2, 2),
+                    max_tables=100)),
+    "actuator": ("actuator enumeration", "reduce the channel input alphabet",
+                 (2, 3),
+                 lambda: solve_vending_feedback(
+                     spec_from_dict(WIDE_ACTUATOR), 0, memory_last_m(0, 2),
+                     memory_last_m(0, 1), max_tables=5)),
+    "symbol": ("symbol-map enumeration", "reduce the source or input alphabet",
+               (3, 2),
+               lambda: d0_distortion(binary_problem(0.3, 0.3))),
+}
+
+
+@pytest.mark.parametrize("caller", sorted(CAPPED))
+def test_map_enumeration_and_caps(caller, monkeypatch):
+    what, hint, (domain, values), trip = CAPPED[caller]
+    np.testing.assert_array_equal(
+        _enumerate_maps(domain, values, None, what, hint),
+        all_maps(domain, values))
+    if caller == "symbol":
+        monkeypatch.setenv("RTC_MAX_STATES", "3")
+    with pytest.raises(CapacityError,
+                       match=re.escape(what) + r" needs .*\(" + re.escape(hint)):
+        trip()

@@ -6,12 +6,10 @@ import warnings
 import numpy as np
 import pytest
 
-from rtcode import (
-    CapacityError,
+from rtcode import CapacityError, NonConvergenceError, SpecValidationError
+from rtcode.mdp import (
     ConstrainedMdp,
     FiniteMdp,
-    NonConvergenceError,
-    SpecValidationError,
     constrained_solve,
     evaluate_policy,
     exhaustive_policy_search,

@@ -14,10 +14,9 @@ from rtcode import (
     bsc,
     hamming,
     spec_from_dict,
-    state_limit,
-    validate,
     with_budget,
 )
+from rtcode.models import state_limit
 
 
 def test_bernoulli_source_orders_mass():
@@ -51,7 +50,7 @@ def test_binary_problem_dimensions():
     assert spec.num_channel_inputs == 2
     assert spec.num_channel_outputs == 2
     assert spec.num_reconstructions == 2
-    assert validate(spec) == []
+    assert spec.check() == []
 
 
 def test_prob_vector_must_sum_to_one():

@@ -9,29 +9,28 @@ from rtcode import (
     CapacityError,
     SpecValidationError,
     UnreachableObservationError,
-    bayes_envelope,
-    belief_update_feedback,
-    belief_update_memory,
     binary_problem,
-    build_feedback_complete_discretized,
-    build_feedback_finite,
-    build_markov_kernel,
-    build_nofeedback_finite,
-    decoder_tables,
-    encoder_action_tables,
-    evaluate_policy,
     memory_last_m,
-    project,
     simplex_grid,
     solve_feedback_complete,
     solve_feedback_finite,
     solve_nofeedback,
 )
+from rtcode.bayes import (
+    bayes_envelope,
+    belief_update_feedback,
+    belief_update_memory,
+)
 from rtcode.cli import main
+from rtcode.lookahead import build_markov_kernel
 from rtcode.mdp import (PI_MAX_ROUNDS, batch_policy_iteration,
-                        batch_value_iteration)
+                        batch_value_iteration, evaluate_policy)
 from rtcode.scenarios import (_feedback_core, _feedback_rewards,
-                              _first_within, _nofeedback_core)
+                              _first_within, _nofeedback_core,
+                              build_feedback_complete_discretized,
+                              build_feedback_finite, build_nofeedback_finite)
+from rtcode.simplex import project
+from conftest import all_maps
 
 
 def test_memory_m0_is_singleton():
@@ -63,18 +62,6 @@ def test_memory_capacity_guard():
         memory_last_m(3, 4, max_states=10)
 
 
-def test_encoder_action_tables_enumeration():
-    tables = encoder_action_tables(2, 2)
-    np.testing.assert_array_equal(tables, [[0, 0], [0, 1], [1, 0], [1, 1]])
-
-
-def test_decoder_tables_enumeration_and_cap():
-    tables = decoder_tables(2, 2)
-    np.testing.assert_array_equal(tables, [[0, 0], [0, 1], [1, 0], [1, 1]])
-    with pytest.raises(CapacityError):
-        decoder_tables(16, 2, max_tables=100)
-
-
 def test_feedback_build_counts_d0_m0():
     spec = binary_problem(0.3, 0.2)
     mdp = build_feedback_finite(spec, 0, memory_last_m(0, 2),
@@ -101,7 +88,7 @@ def test_feedback_one_step_reward_matches_enumeration():
     rng = np.random.default_rng(31)
     dec = rng.integers(0, 2, size=(2, mem.num_states))
     mdp = build_feedback_finite(spec, d, mem, dec)
-    tables = encoder_action_tables(codec.size, 2)
+    tables = all_maps(codec.size, 2)
     p_u = np.asarray(spec.source.p)
     w = spec.channel.rows
     loss = np.asarray(spec.distortion.loss)
@@ -128,7 +115,7 @@ def test_feedback_one_step_transition_matches_enumeration():
     codec = kernel.codec
     dec = np.zeros((2, mem.num_states), dtype=int)
     mdp = build_feedback_finite(spec, d, mem, dec)
-    tables = encoder_action_tables(codec.size, 2)
+    tables = all_maps(codec.size, 2)
     dense = mdp.dense()
     p_u = np.asarray(spec.source.p)
     w = spec.channel.rows
@@ -195,7 +182,7 @@ def test_feedback_complete_transition_matches_belief_oracle():
     codec = kernel.codec
     grid = simplex_grid(codec.size, 4)
     mdp = build_feedback_complete_discretized(spec, d, grid)
-    tables = encoder_action_tables(codec.size, 2)
+    tables = all_maps(codec.size, 2)
     dense = mdp.dense()
     p_u = np.asarray(spec.source.p)
     w = spec.channel.rows
@@ -267,7 +254,7 @@ def test_nofeedback_one_step_reward_matches_enumeration():
     rng = np.random.default_rng(34)
     dec = rng.integers(0, 2, size=(2, mem.num_states))
     mdp = build_nofeedback_finite(spec, d, mem, dec, grid)
-    tables = encoder_action_tables(codec.size, 2)
+    tables = all_maps(codec.size, 2)
     p_u = np.asarray(spec.source.p)
     w = spec.channel.rows
     loss = np.asarray(spec.distortion.loss)
@@ -299,7 +286,7 @@ def test_nofeedback_transition_matches_memory_belief_oracle():
     core = _nofeedback_core(spec, d, mem, grid)
     kernel = build_markov_kernel(spec.source, d)
     codec = kernel.codec
-    tables = encoder_action_tables(codec.size, 2)
+    tables = all_maps(codec.size, 2)
     p_u = np.asarray(spec.source.p)
     n_g = grid.size
     rng = np.random.default_rng(36)
@@ -350,7 +337,7 @@ def test_nofeedback_never_beats_feedback_badly_nor_d0():
 def _feedback_batch(p, delta, m):
     spec = binary_problem(p, delta)
     core = _feedback_core(spec, 1, memory_last_m(m, 2))
-    decs = decoder_tables(2 * 2**m, 2).reshape(-1, 2, 2**m)
+    decs = all_maps(2 * 2**m, 2).reshape(-1, 2, 2**m)
     return core, decs, _feedback_rewards(core, decs)
 
 

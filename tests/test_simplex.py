@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from rtcode import CapacityError, project, simplex_grid
+from rtcode import CapacityError, simplex_grid
+from rtcode.simplex import project
 from conftest import random_belief
 
 

@@ -5,24 +5,23 @@ import numpy as np
 import pytest
 
 from rtcode import (
-    CapacityError,
     SpecValidationError,
-    belief_update_encoded_memory,
-    belief_update_sideinfo_memory,
-    build_markov_kernel,
-    build_vending_feedback_finite,
-    build_vending_nofeedback_discretized,
-    encoder_action_tables,
     memory_last_m,
-    project,
     simplex_grid,
     solve_vending_feedback,
     solve_vending_nofeedback,
     spec_from_dict,
-    vending_action_maps,
     with_budget,
 )
-from rtcode.vending import _best_pair
+from rtcode.bayes import (
+    belief_update_encoded_memory,
+    belief_update_sideinfo_memory,
+)
+from rtcode.lookahead import build_markov_kernel
+from rtcode.simplex import project
+from rtcode.vending import (_best_pair, build_vending_feedback_finite,
+                            build_vending_nofeedback_discretized)
+from conftest import all_maps
 
 TOY = {
     "source": [0.7, 0.3],
@@ -50,13 +49,6 @@ RICH = {
 def _toy_spec(budget=None):
     spec = spec_from_dict(TOY)
     return spec if budget is None else with_budget(spec, budget)
-
-
-def test_vending_action_maps_enumeration():
-    maps = vending_action_maps(2, 2)
-    np.testing.assert_array_equal(maps, [[0, 0], [0, 1], [1, 0], [1, 1]])
-    with pytest.raises(CapacityError):
-        vending_action_maps(8, 4, max_maps=100)
 
 
 def test_vending_feedback_build_rejects_negative_multiplier():
@@ -95,7 +87,7 @@ def test_vending_feedback_reward_matches_enumeration():
     lam = 0.4
     mdp = build_vending_feedback_finite(spec, d, mem_x, mem_y, dec, av,
                                         lam=lam)
-    tables = encoder_action_tables(codec.size, 2)
+    tables = all_maps(codec.size, 2)
     p_u = np.asarray(spec.source.p)
     loss = np.asarray(spec.distortion.loss)
     vend = spec.vending
@@ -204,7 +196,7 @@ def test_vending_nofeedback_reward_matches_enumeration():
     lam = 0.4
     mdp = build_vending_nofeedback_discretized(spec, d, mem_x, mem_y, dec,
                                                av, gm, gn, lam=lam)
-    tables = encoder_action_tables(codec.size, 2)
+    tables = all_maps(codec.size, 2)
     p_u = np.asarray(spec.source.p)
     loss = np.asarray(spec.distortion.loss)
     vend = spec.vending
