@@ -571,7 +571,8 @@ def constrained_solve(cmdp: ConstrainedMdp, lambda_max: Optional[float] = None,
     lambda_star = min(cache, key=lambda lam: (cache[lam][0], lam))
     dual_value, best = cache[lambda_star]
     # a search that never left lam = 0 (every slack is zero) has no edge
-    edge = 0.0 < lambda_star >= float(lambda_max) - max(b - a, 1e-14)
+    edge = (lambda_star > 0.0
+            and lambda_star >= float(lambda_max) - max(b - a, 1e-14))
     if edge:
         warnings.warn(
             "dual minimizer at lambda_max; the bracket may be too small",

@@ -30,14 +30,11 @@ from rtcode import (
     with_budget,
 )
 from rtcode.baselines import binary_shannon_closed_form
-from rtcode.mdp import (
-    evaluate_policy,
-    exhaustive_policy_search,
-    relative_value_iteration,
-)
-from rtcode.vending import build_vending_feedback_finite
 from rtcode.cli import CSV_HEADER, main
+from rtcode.mdp import (evaluate_policy, exhaustive_policy_search,
+                        relative_value_iteration)
 from rtcode.simulate import PolicyBundle
+from rtcode.vending import build_vending_feedback_finite
 from conftest import all_maps, random_unichain_mdp
 
 GRID21 = [round(0.025 * i, 5) for i in range(21)]

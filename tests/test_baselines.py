@@ -60,7 +60,7 @@ def test_d0_policy_achieves_reported_value():
         )
         value, policy = d0_distortion(spec)
         assert _score_map(spec, policy.table) == pytest.approx(value,
-                                                                 abs=1e-12)
+                                                               abs=1e-12)
         # no other map does better
         for t in range(2 ** n_u):
             table = [(t >> (n_u - 1 - u)) & 1 for u in range(n_u)]

@@ -7,9 +7,12 @@ import numpy as np
 import pytest
 
 from rtcode import CapacityError, NonConvergenceError, SpecValidationError
+from rtcode import mdp as mdp_module
 from rtcode.mdp import (
     ConstrainedMdp,
     FiniteMdp,
+    batch_policy_iteration,
+    batch_value_iteration,
     constrained_solve,
     evaluate_policy,
     exhaustive_policy_search,
@@ -17,8 +20,6 @@ from rtcode.mdp import (
     relative_value_iteration,
     rvi_batch,
 )
-from rtcode import mdp as mdp_module
-from rtcode.mdp import batch_policy_iteration, batch_value_iteration
 from conftest import random_unichain_mdp
 
 
