@@ -28,6 +28,7 @@ from .simplex import SimplexGrid
 
 VIOLATION_TOL = 1e-9
 TIE_TOL = 1e-12
+_D_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -65,16 +66,15 @@ def d0_distortion(spec: ProblemSpec) -> tuple[float, SymbolPolicy]:
     return float(values[best]), SymbolPolicy.make(maps[best])
 
 
-def shannon_limit(spec: ProblemSpec, cap_tol: float = 1e-10,
-                  rd_tol: float = 1e-13, d_tol: float = 1e-9) -> float:
+def shannon_limit(spec: ProblemSpec) -> float:
     """Distortion floor with unlimited lookahead, one channel use per
     source symbol.
 
     Finds the smallest distortion whose rate requirement fits under the
     channel capacity, bisecting the tradeoff slope of the rate-distortion
-    curve until the distortion bracket closes below d_tol.
+    curve until the distortion bracket closes below 1e-9.
     """
-    cap, _ = channel_capacity(spec.channel, tol=cap_tol)
+    cap, _ = channel_capacity(spec.channel)
     if cap <= 1e-12:
         return zero_rate_distortion(spec.source, spec.distortion)
     lo_d = zero_rate_distortion(spec.source, spec.distortion)
@@ -85,10 +85,10 @@ def shannon_limit(spec: ProblemSpec, cap_tol: float = 1e-10,
         # fresh start per slope: warm-starting across the zero-rate corner
         # can pin the alternating minimization to a stale reproduction law
         rate, dist, _ = rate_distortion_point(spec.source, spec.distortion,
-                                              hi_s, tol=rd_tol)
+                                              hi_s)
         if rate >= cap - 1e-9:
             break
-        if rate - prev_rate <= 1e-13 and dist <= d_tol:
+        if rate - prev_rate <= 1e-13 and dist <= _D_TOL:
             # the curve has topped out below capacity: rate is not binding
             return dist
         prev_rate = rate
@@ -98,11 +98,11 @@ def shannon_limit(spec: ProblemSpec, cap_tol: float = 1e-10,
         return dist
     hi_d = dist
     for _ in range(200):
-        if lo_d - hi_d <= d_tol or hi_s - lo_s <= 1e-13:
+        if lo_d - hi_d <= _D_TOL or hi_s - lo_s <= 1e-13:
             break
         mid = 0.5 * (lo_s + hi_s)
         rate, dist, _ = rate_distortion_point(spec.source, spec.distortion,
-                                              mid, tol=rd_tol)
+                                              mid)
         if rate >= cap:
             hi_s, hi_d = mid, dist
         else:
@@ -202,7 +202,7 @@ def _grid_check(spec: ProblemSpec, d: int, belief_grid: SimplexGrid,
     n_v = n_u ** (d + 1)
     problems = ([] if belief_grid.dim == n_v else
                 [f"belief grid has dimension {belief_grid.dim}, expected {n_v}"])
-    kernel, shift, actions, _ = _tuple_chain(spec, d, 1, problems, None)
+    kernel, shift, actions, _ = _tuple_chain(spec, d, 1, problems)
     comp = kernel.codec.components_table()
     w = np.asarray(spec.channel.rows)
     loss = np.asarray(spec.distortion.loss)

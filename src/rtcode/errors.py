@@ -20,7 +20,12 @@ class CapacityError(RuntimeError):
         self.what = what
         self.count = count
         self.limit = limit
-        msg = f"{what} needs {count} entries, over the limit of {limit}"
+        # a count past 64 bits is worded by its bit length: str() refuses
+        # integers of more than 4300 digits, and such counts are reachable
+        # from a command line (a lookahead of 20000 symbols)
+        bits = int(count).bit_length()
+        need = count if bits <= 64 else f"at least 2**{bits - 1}"
+        msg = f"{what} needs {need} entries, over the limit of {limit}"
         if hint:
             msg += f" ({hint})"
         super().__init__(msg)

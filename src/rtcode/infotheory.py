@@ -1,9 +1,8 @@
 """Entropy, channel capacity, and rate-distortion primitives, in bits.
 
 Capacity and the rate-distortion curve are computed by the classical
-alternating-optimization schemes.  Both return bracketed estimates whose
-width is controlled by the tolerance argument, so callers can reason
-about the precision of downstream comparisons.
+alternating-optimization schemes, each run to a fixed tolerance and
+raising NonConvergenceError after MAX_SWEEPS updates.
 """
 from __future__ import annotations
 
@@ -13,6 +12,11 @@ from .errors import NonConvergenceError
 from .models import DistortionMatrix, ProbVector, StochasticMatrix
 
 _LN2 = np.log(2.0)
+MAX_SWEEPS = 10**5
+# capacity stops once its mutual-information bracket is this narrow, a
+# rate-distortion point once its reproduction law moves less than this
+_CAP_TOL = 1e-10
+_RD_TOL = 1e-13
 
 
 def binary_entropy(p: float) -> float:
@@ -21,62 +25,59 @@ def binary_entropy(p: float) -> float:
     return float(-p * np.log2(p) - (1 - p) * np.log2(1 - p))
 
 
-def channel_capacity(channel: StochasticMatrix, tol: float = 1e-10,
-                     max_iter: int = 10**5) -> tuple[float, np.ndarray]:
+def channel_capacity(channel: StochasticMatrix) -> tuple[float, np.ndarray]:
     """Capacity in bits per use and a maximizing input law.
 
     Alternates the input-law update with the standard mutual-information
-    bracket; stops when the bracket is narrower than tol and returns its
-    midpoint.
+    bracket; stops when the bracket is narrower than 1e-10 and returns
+    its midpoint.
     """
     w = np.asarray(channel.rows, dtype=float)
     n_in = w.shape[0]
     p = np.full(n_in, 1.0 / n_in)
     logw = np.where(w > 0, np.log(np.where(w > 0, w, 1.0)), 0.0)
-    for _ in range(int(max_iter)):
+    for _ in range(MAX_SWEEPS):
         q = p @ w
         logq = np.where(q > 0, np.log(np.where(q > 0, q, 1.0)), 0.0)
         kl = (w * (logw - logq[None, :])).sum(axis=1) / _LN2
         lower = float(p @ kl)
         upper = float(kl.max())
-        if upper - lower < tol:
+        if upper - lower < _CAP_TOL:
             return (upper + lower) / 2.0, p
         p = p * np.exp(kl * _LN2)
         p = p / p.sum()
     raise NonConvergenceError(
-        f"capacity iteration did not reach tolerance {tol:.1e}"
+        f"capacity iteration did not reach tolerance {_CAP_TOL:.1e}"
     )
 
 
 def rate_distortion_point(source: ProbVector, distortion: DistortionMatrix,
-                          slope: float, q0: np.ndarray | None = None,
-                          tol: float = 1e-13, max_iter: int = 10**5):
+                          slope: float):
     """One point of the rate-distortion curve at a given tradeoff slope.
 
     Larger slopes penalize distortion harder, sweeping the curve from the
-    zero-rate end toward zero distortion.  Returns (rate_bits, distortion,
-    reproduction_law); pass the returned law back as q0 to warm-start a
-    neighboring slope.
+    zero-rate end toward zero distortion.  The iteration starts from the
+    uniform reproduction law and stops once no entry of the law moves by
+    1e-13.  Returns (rate_bits, distortion, reproduction_law).
     """
     p = np.asarray(source.p, dtype=float)
     loss = np.asarray(distortion.loss, dtype=float)
     n_rec = loss.shape[1]
     live = p > 0
-    q = (np.full(n_rec, 1.0 / n_rec) if q0 is None
-         else np.asarray(q0, dtype=float).copy())
+    q = np.full(n_rec, 1.0 / n_rec)
     weights = np.exp(-slope * loss)
     cond = np.zeros_like(loss)
     step_prev = np.inf
     ext_step = np.inf
     ext_ok = True
-    for it in range(int(max_iter)):
+    for it in range(MAX_SWEEPS):
         scores = q[None, :] * weights
         denom = scores.sum(axis=1, keepdims=True)
         cond[live] = scores[live] / denom[live]
         q_new = p @ cond
         diff = q_new - q
         step = float(np.abs(diff).max())
-        if step < tol:
+        if step < _RD_TOL:
             q = q_new
             break
         q = q_new
@@ -98,7 +99,8 @@ def rate_distortion_point(source: ProbVector, distortion: DistortionMatrix,
         step_prev = step
     else:
         raise NonConvergenceError(
-            f"rate-distortion iteration did not reach tolerance {tol:.1e}"
+            f"rate-distortion iteration did not reach tolerance "
+            f"{_RD_TOL:.1e}"
         )
     scores = q[None, :] * weights
     denom = scores.sum(axis=1, keepdims=True)

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, SpecValidationError
-from .models import ProbVector, state_limit
+from .errors import SpecValidationError
+from .models import ProbVector, _check_capacity
 
 
 @dataclass(frozen=True)
@@ -87,10 +87,7 @@ def _enumerate_maps(domain: int, num_values: int, limit: int | None,
     """Every map from domain entries to num_values values, one row per
     map in lexicographic order (entry 0 most significant).  More than
     limit maps (default state_limit()) raise CapacityError naming what."""
-    count = num_values**domain
-    limit = state_limit() if limit is None else int(limit)
-    if count > limit:
-        raise CapacityError(what, count, limit, hint=hint)
+    _check_capacity(what, num_values**domain, hint, limit)
     return TupleCodec(num_values, domain).components_table()
 
 
@@ -108,8 +105,7 @@ class MarkovKernel:
         return self.codec.size
 
 
-def build_markov_kernel(source: ProbVector, lookahead: int,
-                        max_states: int | None = None) -> MarkovKernel:
+def build_markov_kernel(source: ProbVector, lookahead: int) -> MarkovKernel:
     """Transition kernel of the tuple chain induced by lookahead symbols.
 
     Row v has mass only on the tuples that extend v's last (width-1)
@@ -119,10 +115,8 @@ def build_markov_kernel(source: ProbVector, lookahead: int,
         raise SpecValidationError([f"lookahead {lookahead} must be nonnegative"])
     base = len(source)
     codec = TupleCodec(base, lookahead + 1)
-    limit = state_limit() if max_states is None else int(max_states)
-    if codec.size > limit:
-        raise CapacityError("tuple state space", codec.size, limit,
-                            hint="reduce the lookahead depth or raise RTC_MAX_STATES")
+    _check_capacity("tuple state space", codec.size,
+                    "reduce the lookahead depth or raise RTC_MAX_STATES")
     p = np.asarray(source.p, dtype=float)
     matrix = np.zeros((codec.size, codec.size))
     shift = codec.shift_table()

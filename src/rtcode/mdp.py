@@ -21,7 +21,8 @@ from scipy.sparse import csc_matrix, csr_matrix
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import spsolve
 
-from .errors import CapacityError, NonConvergenceError, SpecValidationError
+from .errors import NonConvergenceError, SpecValidationError
+from .models import _check_capacity
 
 PROB_TOL = 1e-12
 DAMPING = 0.5
@@ -35,6 +36,11 @@ PI_IMPROVE_EPS = 1e-12
 # whose dense policy-iteration round cannot fit is left to value
 # iteration.
 GATHER_BUDGET_BYTES = 64 * 2**20
+# Value iteration raises NonConvergenceError after this many sweeps.
+MAX_SWEEPS = 10**6
+# Width of the dual search's stopping bracket, in dual value; vending
+# pairs whose dual values lie this close tie.
+DUAL_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -119,13 +125,12 @@ def _validated(mdp: FiniteMdp) -> FiniteMdp:
     return mdp
 
 
-def relative_value_iteration(mdp: FiniteMdp, tol: float = 1e-9,
-                             max_iter: int = 10**6,
-                             ref_state: int = 0) -> SolveResult:
+def relative_value_iteration(mdp: FiniteMdp,
+                             tol: float = 1e-9) -> SolveResult:
     """Solve for the optimal average reward by span-contracting sweeps.
 
     Each sweep applies the Bellman operator, measures the span of the
-    one-step improvement, and renormalizes the bias at ref_state.  For a
+    one-step improvement, and renormalizes the bias at state 0.  For a
     unichain model the span brackets the optimal gain, and the reported
     gain is the midpoint of the final bracket, so its error is at most
     half the stopping tolerance.
@@ -139,25 +144,24 @@ def relative_value_iteration(mdp: FiniteMdp, tol: float = 1e-9,
     _validated(mdp)
     if tol <= 0:
         raise SpecValidationError([f"tolerance {tol} must be positive"])
-    if not 0 <= ref_state < mdp.num_states:
-        raise SpecValidationError([f"reference state {ref_state} out of range"])
     h = np.zeros(mdp.num_states)
     ns, probs, rewards = mdp.next_states, mdp.next_probs, mdp.rewards
     span = np.inf
     lo = hi = np.nan
-    for it in range(1, int(max_iter) + 1):
+    for it in range(1, MAX_SWEEPS + 1):
         q = rewards + DAMPING * (probs * h[ns]).sum(axis=2)
         th = (1.0 - DAMPING) * h + q.max(axis=1)
         diff = th - h
         lo = float(diff.min())
         hi = float(diff.max())
         span = hi - lo
-        h = th - th[ref_state]
+        h = th - th[0]
         if span < tol:
             policy = q.argmax(axis=1)
             return SolveResult((lo + hi) / 2.0, h, policy, it, span)
     raise NonConvergenceError(
-        f"relative value iteration exceeded {max_iter} sweeps (span {span:.3e})",
+        f"relative value iteration exceeded {MAX_SWEEPS} sweeps "
+        f"(span {span:.3e})",
         span=span, gain_bracket=(lo, hi),
     )
 
@@ -198,16 +202,15 @@ def _chunks(count: int, bytes_each: int):
 
 
 def batch_value_iteration(next_states: np.ndarray, next_probs: np.ndarray,
-                          rewards: np.ndarray, tol: float = 1e-9,
-                          max_iter: int = 10**6,
-                          ref_state: int = 0) -> BatchSolve:
+                          rewards: np.ndarray,
+                          tol: float = 1e-9) -> BatchSolve:
     """Relative value iteration over a batch of reward tables.
 
     Sweeps apply the same self-loop damping as relative_value_iteration.
     A candidate retires on the sweep its span falls below tol, so its
     answer does not depend on the rest of the batch, and the batch is
     swept in chunks whose successor gathers stay within
-    GATHER_BUDGET_BYTES.  NonConvergenceError is raised after max_iter
+    GATHER_BUDGET_BYTES.  NonConvergenceError is raised after MAX_SWEEPS
     sweeps.
     """
     b, s, a = rewards.shape
@@ -218,7 +221,7 @@ def batch_value_iteration(next_states: np.ndarray, next_probs: np.ndarray,
     for part in _chunks(b, s * a * next_states.shape[2] * 8):
         active = np.arange(part.start, part.stop)
         h = np.zeros((active.size, s))
-        for it in range(1, int(max_iter) + 1):
+        for it in range(1, MAX_SWEEPS + 1):
             ev = np.einsum("sak,bsak->bsa", next_probs, h[:, next_states])
             q = rewards[active] + DAMPING * ev
             th = (1.0 - DAMPING) * h + q.max(axis=2)
@@ -237,11 +240,11 @@ def batch_value_iteration(next_states: np.ndarray, next_probs: np.ndarray,
                 lo, hi, span = lo[~done], hi[~done], span[~done]
                 if active.size == 0:
                     break
-            h = th - th[:, ref_state][:, None]
+            h = th - th[:, 0][:, None]
         else:
             worst = int(span.argmax())
             raise NonConvergenceError(
-                f"batched value iteration exceeded {max_iter} sweeps "
+                f"batched value iteration exceeded {MAX_SWEEPS} sweeps "
                 f"(worst span {span[worst]:.3e})",
                 span=float(span[worst]),
                 gain_bracket=(float(lo[worst]), float(hi[worst])),
@@ -266,14 +269,13 @@ def _evaluate_batch(matrices: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 
 def batch_policy_iteration(next_states: np.ndarray, next_probs: np.ndarray,
-                           rewards: np.ndarray, tol: float = 1e-9,
-                           max_iter: int = 10**6,
-                           ref_state: int = 0) -> BatchSolve:
+                           rewards: np.ndarray,
+                           tol: float = 1e-9) -> BatchSolve:
     """Howard policy iteration over a batch of reward tables (Puterman
     1994, section 8.6), with dense evaluations.
 
     Each round evaluates every unfinished candidate's policy exactly, by
-    one batched solve of (I - P) h + g = r with h[ref_state] = 0, and then
+    one batched solve of (I - P) h + g = r with h[0] = 0, and then
     moves each state to its first maximizing action, but only where that
     beats the current action by more than PI_IMPROVE_EPS relative to the
     size of the Q-values.  Policies start greedy on the rewards.
@@ -286,7 +288,7 @@ def batch_policy_iteration(next_states: np.ndarray, next_probs: np.ndarray,
     candidate whose evaluation is singular (a multichain policy), that
     needs more than PI_MAX_ROUNDS rounds, or whose certificate fails (an
     ill-conditioned evaluation) is solved by batch_value_iteration
-    instead, with max_iter sweeps.  So is every candidate of a chain too
+    instead.  So is every candidate of a chain too
     large for dense evaluation: when the (S, A, S) tensor and one
     candidate's (S, S) systems do not fit GATHER_BUDGET_BYTES.
     """
@@ -310,15 +312,15 @@ def batch_policy_iteration(next_states: np.ndarray, next_probs: np.ndarray,
             pol = policies[active]
             mat = -dense[idx, pol]
             mat[:, idx, idx] += 1.0
-            mat[:, :, ref_state] = 1.0
+            mat[:, :, 0] = 1.0
             r = rewards[active]
             x = _evaluate_batch(
                 mat, np.take_along_axis(r, pol[:, :, None], axis=2)[:, :, 0])
             ok = np.isfinite(x).all(axis=1)
             fallback[active[~ok]] = True
             active, x, pol, r = active[ok], x[ok], pol[ok], r[ok]
-            g = x[:, ref_state].copy()
-            x[:, ref_state] = 0.0
+            g = x[:, 0].copy()
+            x[:, 0] = 0.0
             q = r + np.einsum("sak,bsak->bsa", next_probs, x[:, next_states])
             now = np.take_along_axis(q, pol[:, :, None], axis=2)[:, :, 0]
             best = q.max(axis=2)
@@ -344,8 +346,7 @@ def batch_policy_iteration(next_states: np.ndarray, next_probs: np.ndarray,
     steps = total
     if fallback.any():
         sub = batch_value_iteration(next_states, next_probs,
-                                    rewards[fallback], tol=tol,
-                                    max_iter=max_iter, ref_state=ref_state)
+                                    rewards[fallback], tol=tol)
         gains[fallback], policies[fallback] = sub.gains, sub.policies
         spans[fallback] = sub.spans
         rounds[fallback] = sub.rounds
@@ -453,16 +454,15 @@ def evaluate_policy(mdp: FiniteMdp, policy) -> PolicyEvaluation:
     return PolicyEvaluation(best, gains, len(gains) > 1, spread > 1e-10)
 
 
-def exhaustive_policy_search(mdp: FiniteMdp, limit: int = 10**6):
+def exhaustive_policy_search(mdp: FiniteMdp):
     """Best stationary deterministic policy by full enumeration.
 
     Ties keep the lexicographically smallest action table.  Only usable
-    when num_actions ** num_states stays within limit.
+    when num_actions ** num_states stays within state_limit().
     """
     _validated(mdp)
-    total = mdp.num_actions**mdp.num_states
-    if total > limit:
-        raise CapacityError("policy enumeration", total, limit)
+    _check_capacity("policy enumeration", mdp.num_actions**mdp.num_states,
+                    "reduce the states or actions")
     best_gain = -np.inf
     best_policy = None
     for tbl in itertools.product(range(mdp.num_actions), repeat=mdp.num_states):
@@ -520,14 +520,13 @@ _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
 
 def constrained_solve(cmdp: ConstrainedMdp, lambda_max: Optional[float] = None,
-                      dual_tol: float = 1e-8, rvi_tol: float = 1e-10,
-                      max_iter: int = 10**6) -> DualResult:
+                      rvi_tol: float = 1e-10) -> DualResult:
     """Minimize the Lagrangian dual of a budget-constrained MDP.
 
     The dual value d(lam) is the optimal gain of the Lagrangian MDP; it is
     convex in lam, so a golden-section search over [0, lambda_max] finds
     its minimum.  The search stops once the bracket width times the
-    largest possible dual slope is below dual_tol.  A positive minimizer
+    largest possible dual slope is below DUAL_TOL.  A positive minimizer
     pinned at lambda_max usually signals an infeasible instance or a
     bracket chosen too small, and is flagged.
     """
@@ -547,7 +546,7 @@ def constrained_solve(cmdp: ConstrainedMdp, lambda_max: Optional[float] = None,
     def dual(lam: float) -> float:
         if lam not in cache:
             res = relative_value_iteration(lagrangian_mdp(cmdp, lam),
-                                           tol=rvi_tol, max_iter=max_iter)
+                                           tol=rvi_tol)
             cache[lam] = (res.gain, res)
         return cache[lam][0]
 
@@ -558,7 +557,7 @@ def constrained_solve(cmdp: ConstrainedMdp, lambda_max: Optional[float] = None,
     d = a + _GOLDEN * (b - a)
     fc, fd = dual(c), dual(d)
     for _ in range(200):
-        if slope * (b - a) <= max(dual_tol, 0.0) or (b - a) <= 1e-14:
+        if slope * (b - a) <= DUAL_TOL or (b - a) <= 1e-14:
             break
         if fc <= fd:
             b, d, fd = d, c, fc

@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import SpecValidationError
+from .errors import CapacityError, SpecValidationError
 
 SIMPLEX_TOL = 1e-12
 DEFAULT_STATE_LIMIT = 10**6
@@ -24,6 +24,16 @@ def state_limit() -> int:
     """Capacity guard for enumerated spaces; RTC_MAX_STATES overrides it."""
     raw = os.environ.get("RTC_MAX_STATES", "").strip()
     return int(raw) if raw else DEFAULT_STATE_LIMIT
+
+
+def _check_capacity(what: str, count: int, hint: str,
+                    limit: Optional[int] = None) -> None:
+    """The capacity guard of every enumerated space: raise CapacityError
+    naming what when its count entries exceed limit, state_limit() unless
+    the caller has a cap of its own."""
+    limit = state_limit() if limit is None else limit
+    if count > limit:
+        raise CapacityError(what, count, limit, hint=hint)
 
 
 def _float_array(values, name, ndim):

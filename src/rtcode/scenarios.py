@@ -17,8 +17,7 @@ batch is solved at once, and the first table within the tolerance of
 the best wins.
 
 Discretized builds carry an APPROXIMATE flag: projecting beliefs onto a
-grid has no one-sided error bound, so reports can include a stability
-delta from re-solving at twice the resolution instead.
+grid has no one-sided error bound.
 """
 from __future__ import annotations
 
@@ -29,13 +28,16 @@ from typing import Optional
 import numpy as np
 
 from .bayes import check_action_map
-from .errors import CapacityError, SpecValidationError
+from .errors import SpecValidationError
 from .lookahead import _enumerate_maps, build_markov_kernel
-from .mdp import BatchSolve, FiniteMdp, relative_value_iteration, rvi_batch
-from .models import ProblemSpec, state_limit
+from .mdp import (BatchSolve, FiniteMdp, _chunks, relative_value_iteration,
+                  rvi_batch)
+from .models import ProblemSpec, _check_capacity
 from .simplex import SimplexGrid, simplex_grid
 
 APPROXIMATE = "APPROXIMATE"
+# Cap on the decoder tables and actuator maps a solve enumerates, read at
+# call time.
 DEFAULT_DECODER_CAP = 4096
 
 
@@ -63,8 +65,7 @@ class MemorySpec:
         return out
 
 
-def memory_last_m(m: int, num_observations: int,
-                  max_states: Optional[int] = None) -> MemorySpec:
+def memory_last_m(m: int, num_observations: int) -> MemorySpec:
     """Sliding window remembering the last m observations.
 
     m = 0 gives the single-state memory that forgets everything.
@@ -74,10 +75,7 @@ def memory_last_m(m: int, num_observations: int,
     if num_observations < 1:
         raise SpecValidationError(["memory needs at least one observation symbol"])
     size = num_observations**m
-    limit = state_limit() if max_states is None else int(max_states)
-    if size > limit:
-        raise CapacityError("decoder memory", size, limit,
-                            hint="reduce the memory length m")
+    _check_capacity("decoder memory", size, "reduce the memory length m")
     if m == 0:
         table = np.zeros((1, num_observations), dtype=int)
     else:
@@ -175,13 +173,6 @@ def _batch_diagnostics(sol: BatchSolve, best: int) -> dict:
     }
 
 
-def _guard_states(count: int, max_states: Optional[int]) -> None:
-    limit = state_limit() if max_states is None else int(max_states)
-    if count > limit:
-        raise CapacityError("scenario state space", count, limit,
-                            hint="reduce lookahead, memory, or grid resolution")
-
-
 def _checked_decoder(decoder, shape: tuple, num_symbols: int) -> np.ndarray:
     """The decoder table as an int array of the given shape, or
     SpecValidationError naming what is wrong with it."""
@@ -205,8 +196,8 @@ def _decoder_mdp(spec: ProblemSpec, memory: MemorySpec, core, rewards_fn,
 
 def _solve_decoder_family(scenario: str, spec: ProblemSpec, d: int,
                           memory: MemorySpec, core, rewards_fn, tol: float,
-                          max_iter: int, max_tables: int, params=None,
-                          diagnostics=None, flags=()) -> ScenarioSolveReport:
+                          params=None, diagnostics=None,
+                          flags=()) -> ScenarioSolveReport:
     """Minimum distortion over every decoder table indexed [y, z].
 
     The tables are enumerated lexicographically, their rewards batched
@@ -216,12 +207,12 @@ def _solve_decoder_family(scenario: str, spec: ProblemSpec, d: int,
     diagnostics add scenario entries after the common ones.
     """
     n_y, n_z = spec.num_channel_outputs, memory.num_states
-    dec_all = _enumerate_maps(n_y * n_z, spec.num_reconstructions, max_tables,
-                              "decoder enumeration",
+    dec_all = _enumerate_maps(n_y * n_z, spec.num_reconstructions,
+                              DEFAULT_DECODER_CAP, "decoder enumeration",
                               "reduce the decoder memory size m"
                               ).reshape(-1, n_y, n_z)
     sol = rvi_batch(core["next_states"], core["next_probs"],
-                    rewards_fn(core, dec_all), tol=tol, max_iter=max_iter)
+                    rewards_fn(core, dec_all), tol=tol)
     best = _first_within(sol.gains, tol)
     distortion = _clamp_distortion(-float(sol.gains[best]),
                                    spec.distortion.max_loss)
@@ -246,18 +237,18 @@ def _solve_decoder_family(scenario: str, spec: ProblemSpec, d: int,
     )
 
 
-def _tuple_chain(spec: ProblemSpec, d: int, size: int, problems: list,
-                 max_states: Optional[int]):
+def _tuple_chain(spec: ProblemSpec, d: int, size: int, problems: list):
     """(kernel, shift, encoder maps, x_sent[a, v, u]) of a chain whose
     states pair the symbol tuple with one of size companions: memory
     states or belief grid points.  problems are the caller's validation
     failures, raised once the tuple kernel builds."""
-    kernel = build_markov_kernel(spec.source, d, max_states=max_states)
+    kernel = build_markov_kernel(spec.source, d)
     if problems:
         raise SpecValidationError(problems)
     n_v = kernel.codec.size
-    _guard_states(n_v * size, max_states)
-    tables = _enumerate_maps(n_v, spec.num_channel_inputs, max_states,
+    _check_capacity("scenario state space", n_v * size,
+                    "reduce lookahead, memory, or grid resolution")
+    tables = _enumerate_maps(n_v, spec.num_channel_inputs, None,
                              "encoder action set", "reduce the lookahead depth")
     shift = kernel.codec.shift_table()
     return kernel, shift, tables, tables[:, shift]
@@ -283,16 +274,14 @@ def _tuple_successors(shift: np.ndarray, nxt_c, prob) -> tuple:
             np.ascontiguousarray(np.broadcast_to(probs, shape).reshape(size)))
 
 
-def _feedback_core(spec: ProblemSpec, d: int, memory: MemorySpec,
-                   max_states: Optional[int] = None):
+def _feedback_core(spec: ProblemSpec, d: int, memory: MemorySpec):
     """Shared transition structure of the feedback finite-memory chain.
 
     Transitions do not depend on the decoder table, which lets a solve
     reuse one structure across every enumerated decoder.
     """
     kernel, shift, _, x_sent = _tuple_chain(
-        spec, d, memory.num_states, memory.check(spec.num_channel_outputs),
-        max_states)
+        spec, d, memory.num_states, memory.check(spec.num_channel_outputs))
     first = kernel.codec.components_table()[:, 0]
     wch = spec.channel.rows[x_sent]                            # (A, V, U, Y)
     p_u = np.asarray(spec.source.p)
@@ -325,21 +314,19 @@ def _feedback_rewards(core, dec_tables: np.ndarray) -> np.ndarray:
 
 
 def build_feedback_finite(spec: ProblemSpec, d: int, memory: MemorySpec,
-                          decoder, max_states: Optional[int] = None) -> FiniteMdp:
+                          decoder) -> FiniteMdp:
     """MDP for feedback coding with a finite decoder memory.
 
     States are (tuple, memory) pairs indexed tuple-major; the reward of an
     encoder map is the negated expected loss of the decoder's response to
     the upcoming output, charged to the symbol leaving the window.
     """
-    core = _feedback_core(spec, d, memory, max_states)
+    core = _feedback_core(spec, d, memory)
     return _decoder_mdp(spec, memory, core, _feedback_rewards, decoder)
 
 
 def solve_feedback_finite(spec: ProblemSpec, d: int, memory: MemorySpec,
-                          tol: float = 1e-9, max_iter: int = 10**6,
-                          max_tables: int = DEFAULT_DECODER_CAP,
-                          max_states: Optional[int] = None) -> ScenarioSolveReport:
+                          tol: float = 1e-9) -> ScenarioSolveReport:
     """Minimum distortion over all decoder tables for the feedback chain.
 
     Every decoder table is enumerated; the encoder is optimized exactly
@@ -347,16 +334,21 @@ def solve_feedback_finite(spec: ProblemSpec, d: int, memory: MemorySpec,
     structure.  Decoder tables whose values lie within tol of the best
     count as tied, and ties keep the lexicographically smallest table.
     """
-    core = _feedback_core(spec, d, memory, max_states)
+    core = _feedback_core(spec, d, memory)
     return _solve_decoder_family("feedback-finite", spec, d, memory, core,
-                                 _feedback_rewards, tol, max_iter, max_tables)
+                                 _feedback_rewards, tol)
 
 
 def _project_rows(grid: SimplexGrid, beliefs: np.ndarray) -> np.ndarray:
     """Row-wise L1 projection; first minimum wins, matching the grid's
-    lexicographic order."""
-    dist = np.abs(grid.points[None, :, :] - beliefs[:, None, :]).sum(axis=2)
-    return dist.argmin(axis=1)
+    lexicographic order.  Rows go in slices whose two (rows, G, dim)
+    temporaries, the difference and its absolute value, stay within
+    GATHER_BUDGET_BYTES together."""
+    out = np.empty(beliefs.shape[0], dtype=int)
+    for part in _chunks(beliefs.shape[0], 16 * grid.points.size):
+        diff = grid.points[None, :, :] - beliefs[part, None, :]
+        out[part] = np.abs(diff).sum(axis=2).argmin(axis=1)
+    return out
 
 
 def _project_pushforward(grid: SimplexGrid, table, weights) -> np.ndarray:
@@ -376,9 +368,7 @@ def _project_pushforward(grid: SimplexGrid, table, weights) -> np.ndarray:
 
 
 def build_feedback_complete_discretized(spec: ProblemSpec, d: int,
-                                        grid: SimplexGrid,
-                                        max_states: Optional[int] = None
-                                        ) -> FiniteMdp:
+                                        grid: SimplexGrid) -> FiniteMdp:
     """Grid approximation of feedback coding with unbounded memory.
 
     States pair the symbol tuple with a grid point for the decoder's
@@ -394,7 +384,7 @@ def build_feedback_complete_discretized(spec: ProblemSpec, d: int,
     problems = ([] if grid.dim == n_v else
                 [f"belief grid has dimension {grid.dim}, expected {n_v}"])
     kernel, shift, tables, x_sent = _tuple_chain(spec, d, grid.size,
-                                                 problems, max_states)
+                                                 problems)
     n_g, n_a, n_u = grid.size, tables.shape[0], shift.shape[1]
     n_y = spec.num_channel_outputs
     w = spec.channel.rows
@@ -423,45 +413,37 @@ def build_feedback_complete_discretized(spec: ProblemSpec, d: int,
 
 
 def solve_feedback_complete(spec: ProblemSpec, d: int, resolution: int,
-                            tol: float = 1e-9, max_iter: int = 10**6,
-                            max_states: Optional[int] = None,
-                            stability_check: bool = False) -> ScenarioSolveReport:
+                            tol: float = 1e-9) -> ScenarioSolveReport:
     """Approximate minimum distortion for feedback with unbounded memory."""
     n_v = spec.num_source_symbols ** (d + 1)
-    grid = simplex_grid(n_v, resolution, max_points=max_states)
-    mdp = build_feedback_complete_discretized(spec, d, grid, max_states)
-    res = relative_value_iteration(mdp, tol=tol, max_iter=max_iter)
-    distortion = _clamp_distortion(-res.gain, spec.distortion.max_loss)
-    diagnostics = {
-        "iterations": res.iterations,
-        "final_span": res.final_span,
-        "grid_points": grid.size,
-    }
-    if stability_check:
-        finer = solve_feedback_complete(spec, d, 2 * resolution, tol=tol,
-                                        max_iter=max_iter, max_states=max_states)
-        diagnostics["stability_delta"] = abs(distortion - finer.distortion)
+    grid = simplex_grid(n_v, resolution)
+    mdp = build_feedback_complete_discretized(spec, d, grid)
+    res = relative_value_iteration(mdp, tol=tol)
     return ScenarioSolveReport(
         scenario="feedback-complete",
-        distortion=distortion,
+        distortion=_clamp_distortion(-res.gain, spec.distortion.max_loss),
         encoder_policy=tuple(int(a) for a in res.policy),
         decoder=(),
         vending_action_map=None,
         params={"d": d, "grid_resolution": resolution, **spec_params(spec)},
-        diagnostics=diagnostics,
+        diagnostics={
+            "iterations": res.iterations,
+            "final_span": res.final_span,
+            "grid_points": grid.size,
+        },
         flags=(APPROXIMATE,),
     )
 
 
 def _nofeedback_core(spec: ProblemSpec, d: int, memory: MemorySpec,
-                     grid: SimplexGrid, max_states: Optional[int] = None):
+                     grid: SimplexGrid):
     """Transition structure of the open-loop chain; decoder-independent."""
     problems = memory.check(spec.num_channel_outputs) or (
         [] if grid.dim == memory.num_states else
         [f"memory belief grid has dimension {grid.dim}, "
          f"expected {memory.num_states}"])
     kernel, shift, tables, x_sent = _tuple_chain(spec, d, grid.size,
-                                                 problems, max_states)
+                                                 problems)
     n_v, n_u = shift.shape
     n_a = tables.shape[0]
     w = spec.channel.rows
@@ -507,29 +489,26 @@ def _nofeedback_rewards(core, dec_tables: np.ndarray) -> np.ndarray:
 
 
 def build_nofeedback_finite(spec: ProblemSpec, d: int, memory: MemorySpec,
-                            decoder, grid: SimplexGrid,
-                            max_states: Optional[int] = None) -> FiniteMdp:
+                            decoder, grid: SimplexGrid) -> FiniteMdp:
     """Grid approximation of open-loop coding with a finite decoder memory.
 
     The encoder never observes the channel output, so the chain tracks a
     grid point for its belief about the decoder memory; the source tuple
     is the only random disturbance.
     """
-    core = _nofeedback_core(spec, d, memory, grid, max_states)
+    core = _nofeedback_core(spec, d, memory, grid)
     return _decoder_mdp(spec, memory, core, _nofeedback_rewards, decoder)
 
 
 def solve_nofeedback(spec: ProblemSpec, d: int, memory: MemorySpec,
-                     resolution: int, tol: float = 1e-9,
-                     max_iter: int = 10**6,
-                     max_tables: int = DEFAULT_DECODER_CAP,
-                     max_states: Optional[int] = None) -> ScenarioSolveReport:
+                     resolution: int,
+                     tol: float = 1e-9) -> ScenarioSolveReport:
     """Approximate minimum distortion for open-loop coding, minimizing
     over all decoder tables with the tie rule of solve_feedback_finite."""
-    grid = simplex_grid(memory.num_states, resolution, max_points=max_states)
-    core = _nofeedback_core(spec, d, memory, grid, max_states)
+    grid = simplex_grid(memory.num_states, resolution)
+    core = _nofeedback_core(spec, d, memory, grid)
     return _solve_decoder_family(
         "nofeedback-finite", spec, d, memory, core, _nofeedback_rewards,
-        tol, max_iter, max_tables, params={"grid_resolution": resolution},
+        tol, params={"grid_resolution": resolution},
         diagnostics={"grid_points": grid.size}, flags=(APPROXIMATE,),
     )

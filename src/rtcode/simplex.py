@@ -7,8 +7,8 @@ from math import comb
 
 import numpy as np
 
-from .errors import CapacityError, SpecValidationError
-from .models import state_limit
+from .errors import SpecValidationError
+from .models import _check_capacity
 
 
 @dataclass(frozen=True)
@@ -28,18 +28,14 @@ class SimplexGrid:
         return self.points.shape[0]
 
 
-def simplex_grid(dim: int, resolution: int,
-                 max_points: int | None = None) -> SimplexGrid:
+def simplex_grid(dim: int, resolution: int) -> SimplexGrid:
     """Grid of compositions of resolution into dim nonnegative parts."""
     if dim < 1:
         raise SpecValidationError([f"simplex dimension {dim} must be at least 1"])
     if resolution < 1:
         raise SpecValidationError([f"resolution {resolution} must be at least 1"])
     size = comb(resolution + dim - 1, dim - 1)
-    limit = state_limit() if max_points is None else int(max_points)
-    if size > limit:
-        raise CapacityError("simplex grid", size, limit,
-                            hint="reduce the grid resolution")
+    _check_capacity("simplex grid", size, "reduce the grid resolution")
     slots = resolution + dim - 1
     counts = np.empty((size, dim), dtype=np.int64)
     for i, dividers in enumerate(combinations(range(slots), dim - 1)):

@@ -157,7 +157,7 @@ def _step_table(bundle: PolicyBundle, spec: ProblemSpec, d: int):
     memory mem, c = g * n_mem + mem.  Each entry is (next tuple, output
     CDF row, [(loss, next c) per output], action cost).
     """
-    kernel, shift, atab, _ = _tuple_chain(spec, d, 1, [], None)
+    kernel, shift, atab, _ = _tuple_chain(spec, d, 1, [])
     codec = kernel.codec
     n_v, n_u = codec.size, codec.base
     n_x, n_y = spec.num_channel_inputs, spec.num_channel_outputs

@@ -18,17 +18,17 @@ pair its own dual search and keeps the best pair.
 from __future__ import annotations
 
 import warnings
-from typing import Optional
 
 import numpy as np
 
+from . import scenarios
 from .bayes import check_action_map
 from .errors import SpecValidationError
 from .lookahead import _enumerate_maps
-from .mdp import (ConstrainedMdp, DualResult, FiniteMdp, constrained_solve,
-                  lagrangian_mdp, relative_value_iteration)
-from .models import ProblemSpec, with_budget
-from .scenarios import (APPROXIMATE, DEFAULT_DECODER_CAP, MemorySpec,
+from .mdp import (DUAL_TOL, ConstrainedMdp, DualResult, FiniteMdp,
+                  constrained_solve, lagrangian_mdp, relative_value_iteration)
+from .models import ProblemSpec
+from .scenarios import (APPROXIMATE, MemorySpec,
                         ScenarioSolveReport, _checked_decoder,
                         _clamp_distortion, _memory_params, _nested_tuple,
                         _project_pushforward, _tuple_chain, _tuple_successors,
@@ -43,7 +43,7 @@ def _require_vending(spec: ProblemSpec) -> None:
 
 def _vending_prologue(spec: ProblemSpec, d: int, mem_x: MemorySpec,
                       mem_y: MemorySpec, av_map, points_m: np.ndarray,
-                      points_n: np.ndarray, max_states: Optional[int]):
+                      points_n: np.ndarray):
     """What both vending chains compile alike for one actuator map.
 
     points_m and points_n are the chain's beliefs over the two decoder
@@ -62,8 +62,7 @@ def _vending_prologue(spec: ProblemSpec, d: int, mem_x: MemorySpec,
             problems.append(f"{name} belief grid has dimension "
                             f"{points.shape[1]}, expected {mem.num_states}")
     g_m, g_n = points_m.shape[0], points_n.shape[0]
-    kernel, shift, _, x_sent = _tuple_chain(spec, d, g_m * g_n, problems,
-                                            max_states)
+    kernel, shift, _, x_sent = _tuple_chain(spec, d, g_m * g_n, problems)
     n_a, n_v, n_u = x_sent.shape
     u_next = kernel.codec.components_table()[:, 0][shift]      # (V, U)
     p_u = np.asarray(spec.source.p)
@@ -91,13 +90,12 @@ def _vending_prologue(spec: ProblemSpec, d: int, mem_x: MemorySpec,
 
 
 def _vending_feedback_core(spec: ProblemSpec, d: int, mem_x: MemorySpec,
-                           mem_y: MemorySpec, av_map,
-                           max_states: Optional[int] = None):
+                           mem_y: MemorySpec, av_map):
     """Transitions, constraint costs and reusable tensors for one actuator
     map; decoder tables only change the reward."""
     core = _vending_prologue(spec, d, mem_x, mem_y, av_map,
                              np.eye(mem_x.num_states),
-                             np.eye(mem_y.num_states), max_states)
+                             np.eye(mem_y.num_states))
     n_v, n_m, n_n, n_a, n_u, n_y, _ = core["shape"]
     m_next = np.asarray(mem_x.table)[:, core["x_sent"]]        # (M, A, V, U)
     nxt_c = (m_next.transpose(2, 0, 1, 3)[:, :, None, :, :, None] * n_n
@@ -110,11 +108,10 @@ def _vending_feedback_core(spec: ProblemSpec, d: int, mem_x: MemorySpec,
 
 def _vending_nofeedback_core(spec: ProblemSpec, d: int, mem_x: MemorySpec,
                              mem_y: MemorySpec, grid_m: SimplexGrid,
-                             grid_n: SimplexGrid, av_map,
-                             max_states: Optional[int] = None):
+                             grid_n: SimplexGrid, av_map):
     """Open-loop vending transition structure over product belief grids."""
     core = _vending_prologue(spec, d, mem_x, mem_y, av_map, grid_m.points,
-                             grid_n.points, max_states)
+                             grid_n.points)
     n_v, g_m, g_n, n_a, n_u, n_y, n_x = core["shape"]
     # the belief over the x-memory moves with the sent symbol, the one
     # over the y-memory with the side-observation law P(y | u, action)
@@ -179,15 +176,14 @@ def _lagrangian_build(spec: ProblemSpec, core, decoder, mem_x: MemorySpec,
 
 def build_vending_feedback_finite(spec: ProblemSpec, d: int, mem_x: MemorySpec,
                                   mem_y: MemorySpec, decoder, av_map,
-                                  lam: float = 0.0,
-                                  max_states: Optional[int] = None) -> FiniteMdp:
+                                  lam: float = 0.0) -> FiniteMdp:
     """MDP for feedback vending with finite memories, at a fixed budget
     multiplier.
 
     States are (tuple, memory over x, memory over y); the reward is the
     negated expected loss plus lam times the budget slack.
     """
-    core = _vending_feedback_core(spec, d, mem_x, mem_y, av_map, max_states)
+    core = _vending_feedback_core(spec, d, mem_x, mem_y, av_map)
     return _lagrangian_build(spec, core, decoder, mem_x, mem_y, lam)
 
 
@@ -196,9 +192,7 @@ def build_vending_nofeedback_discretized(spec: ProblemSpec, d: int,
                                          decoder, av_map,
                                          grid_m: SimplexGrid,
                                          grid_n: SimplexGrid,
-                                         lam: float = 0.0,
-                                         max_states: Optional[int] = None
-                                         ) -> FiniteMdp:
+                                         lam: float = 0.0) -> FiniteMdp:
     """Grid approximation of open-loop vending at a fixed multiplier.
 
     States are (tuple, belief over memory-x, belief over memory-y); both
@@ -206,7 +200,7 @@ def build_vending_nofeedback_discretized(spec: ProblemSpec, d: int,
     grids, and the only disturbance is the fresh source symbol.
     """
     core = _vending_nofeedback_core(spec, d, mem_x, mem_y, grid_m, grid_n,
-                                    av_map, max_states)
+                                    av_map)
     return _lagrangian_build(spec, core, decoder, mem_x, mem_y, lam)
 
 
@@ -219,30 +213,23 @@ def _pair_value(res: DualResult, budget: float) -> float:
     return -res.dual_value
 
 
-def _best_pair(values: np.ndarray, budget: float,
-               tol: float) -> tuple[int, int]:
-    """Lowest (decoder, actuator) index whose value is within tol of the
-    least: the lexicographic tie rule of the decoder family, blind to
+def _best_pair(values: np.ndarray, budget: float) -> tuple[int, int]:
+    """Lowest (decoder, actuator) index whose value is within DUAL_TOL of
+    the least: the lexicographic tie rule of the decoder family, blind to
     dual-search noise below the tolerance.  Raise if no pair meets the
     budget."""
     if not np.isfinite(values).any():
         raise SpecValidationError(
             [f"no (decoder, actuator) pair meets the budget {budget:g}"])
-    first = np.flatnonzero(values.ravel() <= values.min() + tol)[0]
+    first = np.flatnonzero(values.ravel() <= values.min() + DUAL_TOL)[0]
     best_i, best_j = np.unravel_index(int(first), values.shape)
     return int(best_i), int(best_j)
 
 
-def _budgeted(spec: ProblemSpec, budget: Optional[float]) -> ProblemSpec:
-    _require_vending(spec)
-    return spec if budget is None else with_budget(spec, budget)
-
-
 def _solve_pairs(scenario: str, spec: ProblemSpec, d: int, mem_x: MemorySpec,
-                 mem_y: MemorySpec, compile_core, rewards_fn,
-                 dual_tol: float, rvi_tol: float, max_iter: int,
-                 lambda_max: Optional[float], max_tables: int, params=None,
-                 diagnostics=None, flags=()) -> ScenarioSolveReport:
+                 mem_y: MemorySpec, compile_core, rewards_fn, rvi_tol: float,
+                 params=None, diagnostics=None,
+                 flags=()) -> ScenarioSolveReport:
     """The pair loop behind both vending solvers.
 
     compile_core(av) compiles the chain of one actuator map and
@@ -251,14 +238,16 @@ def _solve_pairs(scenario: str, spec: ProblemSpec, d: int, mem_x: MemorySpec,
     its encoder policy is refit at its dual minimizer.  params and
     diagnostics add scenario entries after the common ones.
     """
+    _require_vending(spec)
     budget = spec.vending.costs.budget
     loss = np.asarray(spec.distortion.loss)
     shape = _decoder_shape(spec, mem_x, mem_y)
+    cap = scenarios.DEFAULT_DECODER_CAP
     decs = _enumerate_maps(int(np.prod(shape)), spec.num_reconstructions,
-                           max_tables, "decoder enumeration",
+                           cap, "decoder enumeration",
                            "reduce the decoder memory size m"
                            ).reshape(-1, *shape)
-    avs = _enumerate_maps(shape[0], spec.vending.num_actions, max_tables,
+    avs = _enumerate_maps(shape[0], spec.vending.num_actions, cap,
                           "actuator enumeration",
                           "reduce the channel input alphabet")
     values = np.empty((decs.shape[0], avs.shape[0]))
@@ -271,12 +260,10 @@ def _solve_pairs(scenario: str, spec: ProblemSpec, d: int, mem_x: MemorySpec,
             cmdp = _pair_cmdp(core, rewards_fn(core, dec, loss), spec)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
-                res = constrained_solve(cmdp, lambda_max=lambda_max,
-                                        dual_tol=dual_tol, rvi_tol=rvi_tol,
-                                        max_iter=max_iter)
+                res = constrained_solve(cmdp, rvi_tol=rvi_tol)
             values[i, j] = _pair_value(res, budget)
             results[(i, j)] = res
-    best_i, best_j = _best_pair(values, budget, dual_tol)
+    best_i, best_j = _best_pair(values, budget)
     best = results[(best_i, best_j)]
     if best.bracket_edge:
         warnings.warn(
@@ -287,7 +274,7 @@ def _solve_pairs(scenario: str, spec: ProblemSpec, d: int, mem_x: MemorySpec,
     core = cores[best_j]
     cmdp = _pair_cmdp(core, rewards_fn(core, decs[best_i], loss), spec)
     refit = relative_value_iteration(lagrangian_mdp(cmdp, best.lambda_star),
-                                     tol=rvi_tol, max_iter=max_iter)
+                                     tol=rvi_tol)
     return ScenarioSolveReport(
         scenario=scenario,
         distortion=_clamp_distortion(-best.dual_value,
@@ -320,53 +307,38 @@ def _solve_pairs(scenario: str, spec: ProblemSpec, d: int, mem_x: MemorySpec,
 
 
 def solve_vending_feedback(spec: ProblemSpec, d: int, mem_x: MemorySpec,
-                           mem_y: MemorySpec, budget: Optional[float] = None,
-                           dual_tol: float = 1e-8, rvi_tol: float = 1e-10,
-                           max_iter: int = 10**6,
-                           lambda_max: Optional[float] = None,
-                           max_tables: int = DEFAULT_DECODER_CAP,
-                           max_states: Optional[int] = None
-                           ) -> ScenarioSolveReport:
+                           mem_y: MemorySpec,
+                           rvi_tol: float = 1e-10) -> ScenarioSolveReport:
     """Minimum dual distortion for feedback vending over every (decoder,
     actuator) pair.
 
-    Each pair gets a full Lagrangian dual solve; pairs that cannot meet
-    the budget score +inf and lose the minimum, and if no pair meets it
-    the solve raises SpecValidationError.  Pairs whose values lie within
-    dual_tol of the best count as tied, and ties keep the
-    lexicographically smallest (decoder, actuator) pair.  A bracket
-    warning is re-raised only for the winning pair.
+    The budget is the spec's; with_budget sets another.  Each pair gets
+    a full Lagrangian dual solve; pairs that cannot meet the budget score
+    +inf and lose the minimum, and if no pair meets it the solve raises
+    SpecValidationError.  Pairs whose values lie within DUAL_TOL (1e-8)
+    of the best count as tied, and ties keep the lexicographically
+    smallest (decoder, actuator) pair.  A bracket warning is re-raised
+    only for the winning pair.
     """
-    spec = _budgeted(spec, budget)
     return _solve_pairs(
         "vending-feedback", spec, d, mem_x, mem_y,
-        lambda av: _vending_feedback_core(spec, d, mem_x, mem_y, av,
-                                          max_states),
-        _vending_feedback_rewards, dual_tol, rvi_tol, max_iter, lambda_max,
-        max_tables,
+        lambda av: _vending_feedback_core(spec, d, mem_x, mem_y, av),
+        _vending_feedback_rewards, rvi_tol,
     )
 
 
 def solve_vending_nofeedback(spec: ProblemSpec, d: int, mem_x: MemorySpec,
                              mem_y: MemorySpec, resolution: int,
-                             budget: Optional[float] = None,
-                             dual_tol: float = 1e-8, rvi_tol: float = 1e-10,
-                             max_iter: int = 10**6,
-                             lambda_max: Optional[float] = None,
-                             max_tables: int = DEFAULT_DECODER_CAP,
-                             max_states: Optional[int] = None
-                             ) -> ScenarioSolveReport:
+                             rvi_tol: float = 1e-10) -> ScenarioSolveReport:
     """Approximate minimum dual distortion for open-loop vending; pairs
     are scored as in solve_vending_feedback."""
-    spec = _budgeted(spec, budget)
-    grid_m = simplex_grid(mem_x.num_states, resolution, max_points=max_states)
-    grid_n = simplex_grid(mem_y.num_states, resolution, max_points=max_states)
+    grid_m = simplex_grid(mem_x.num_states, resolution)
+    grid_n = simplex_grid(mem_y.num_states, resolution)
     return _solve_pairs(
         "vending-nofeedback", spec, d, mem_x, mem_y,
         lambda av: _vending_nofeedback_core(spec, d, mem_x, mem_y, grid_m,
-                                            grid_n, av, max_states),
-        _vending_rewards, dual_tol, rvi_tol, max_iter, lambda_max,
-        max_tables, params={"grid_resolution": resolution},
+                                            grid_n, av),
+        _vending_rewards, rvi_tol, params={"grid_resolution": resolution},
         diagnostics={"grid_points_x": grid_m.size,
                      "grid_points_y": grid_n.size},
         flags=(APPROXIMATE,),

@@ -177,10 +177,10 @@ def _dual_once():
     spec0 = spec_from_dict(TOY)
     out = {}
     for gamma in (0.0, 0.25, 0.5, 0.75, 1.0):
+        spec = with_budget(spec0, gamma)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            rep = solve_vending_feedback(spec0, 0, mem_x, mem_y, budget=gamma)
-        spec = with_budget(spec0, gamma)
+            rep = solve_vending_feedback(spec, 0, mem_x, mem_y)
         build = lambda lam: build_vending_feedback_finite(
             spec, 0, mem_x, mem_y, rep.decoder, rep.vending_action_map,
             lam=lam)

@@ -6,6 +6,7 @@ import pytest
 
 from rtcode.baselines import binary_shannon_closed_form
 from rtcode.cli import CSV_HEADER, main
+from rtcode.models import state_limit
 
 SOLVE_ARGS = [
     "--source", "bernoulli:0.3", "--channel", "bsc:0.3",
@@ -247,6 +248,20 @@ def test_bad_inputs_exit_2(capsys):
     assert _run(capsys, ["solve", *SOLVE_ARGS, "--memory", "window:3"])[0] == 2
     assert _run(capsys, ["solve", "--spec", "/does/not/exist.json"])[0] == 2
     assert _run(capsys, ["frobnicate"])[0] == 2
+
+
+@pytest.mark.parametrize("flags, guard", [
+    (["--d", "100000"], "tuple state space"),
+    (["--d", "1", "--memory", "last:100000"], "decoder memory"),
+])
+def test_capacity_error_with_an_unprintable_count_exits_2(capsys, flags,
+                                                          guard):
+    # both counts have over 30,000 digits, past what str() of an int takes
+    rc = main(["solve", *SOLVE_ARGS, *flags])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert f"error: {guard} needs at least 2**" in err
+    assert f"over the limit of {state_limit()}" in err
 
 
 def test_solve_reports_solver_counters(capsys):

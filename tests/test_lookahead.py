@@ -16,6 +16,7 @@ from rtcode import (
     solve_vending_feedback,
     spec_from_dict,
 )
+from rtcode import scenarios
 from rtcode.lookahead import TupleCodec, _enumerate_maps, build_markov_kernel
 from conftest import all_maps
 
@@ -90,9 +91,10 @@ def test_kernel_rejects_negative_lookahead():
         build_markov_kernel(bernoulli_source(0.3), -1)
 
 
-def test_kernel_capacity_guard():
+def test_kernel_capacity_guard(monkeypatch):
+    monkeypatch.setenv("RTC_MAX_STATES", "8")
     with pytest.raises(CapacityError) as err:
-        build_markov_kernel(bernoulli_source(0.3), 4, max_states=8)
+        build_markov_kernel(bernoulli_source(0.3), 4)
     assert err.value.count == 32
     assert err.value.limit == 8
 
@@ -108,36 +110,40 @@ WIDE_ACTUATOR = {
 }
 
 # Each caller's CapacityError label and hint, one (domain, values) shape
-# of the enumeration it asks for, and a call that trips its cap.
+# of the enumeration it asks for, the cap that binds it lowered to a
+# limit, and a call that trips that limit.
 CAPPED = {
     "encoder": ("encoder action set", "reduce the lookahead depth", (8, 2),
+                "RTC_MAX_STATES", 100,
                 lambda: solve_feedback_finite(
-                    binary_problem(0.3, 0.3), 2, memory_last_m(0, 2),
-                    max_states=100)),
+                    binary_problem(0.3, 0.3), 2, memory_last_m(0, 2))),
     "decoder": ("decoder enumeration", "reduce the decoder memory size m",
-                (4, 3),
+                (4, 3), "DEFAULT_DECODER_CAP", 100,
                 lambda: solve_feedback_finite(
-                    binary_problem(0.3, 0.3), 1, memory_last_m(2, 2),
-                    max_tables=100)),
+                    binary_problem(0.3, 0.3), 1, memory_last_m(2, 2))),
     "actuator": ("actuator enumeration", "reduce the channel input alphabet",
-                 (2, 3),
+                 (2, 3), "DEFAULT_DECODER_CAP", 5,
                  lambda: solve_vending_feedback(
                      spec_from_dict(WIDE_ACTUATOR), 0, memory_last_m(0, 2),
-                     memory_last_m(0, 1), max_tables=5)),
+                     memory_last_m(0, 1))),
     "symbol": ("symbol-map enumeration", "reduce the source or input alphabet",
-               (3, 2),
+               (3, 2), "RTC_MAX_STATES", 3,
                lambda: d0_distortion(binary_problem(0.3, 0.3))),
 }
 
 
 @pytest.mark.parametrize("caller", sorted(CAPPED))
 def test_map_enumeration_and_caps(caller, monkeypatch):
-    what, hint, (domain, values), trip = CAPPED[caller]
+    what, hint, (domain, values), cap, limit, trip = CAPPED[caller]
     np.testing.assert_array_equal(
         _enumerate_maps(domain, values, None, what, hint),
         all_maps(domain, values))
-    if caller == "symbol":
-        monkeypatch.setenv("RTC_MAX_STATES", "3")
+    if cap == "RTC_MAX_STATES":
+        monkeypatch.setenv(cap, str(limit))
+    else:
+        monkeypatch.setattr(scenarios, cap, limit)
     with pytest.raises(CapacityError,
-                       match=re.escape(what) + r" needs .*\(" + re.escape(hint)):
+                       match=re.escape(what) + r" needs .*\(" + re.escape(hint)
+                       ) as err:
         trip()
+    assert err.value.limit == limit

@@ -97,12 +97,13 @@ def test_gain_shifts_exactly_with_constant_reward_offset():
         assert res2.gain - res.gain == pytest.approx(3.25, abs=1e-8)
 
 
-def test_rvi_nonconvergence_carries_bracket():
+def test_rvi_nonconvergence_carries_bracket(monkeypatch):
     # slow-mixing two-state chain cannot hit 1e-12 span in three sweeps
     dense = np.array([[[0.99, 0.01]], [[0.01, 0.99]]])
     mdp = FiniteMdp.from_dense(dense, np.array([[0.0], [1.0]]))
+    monkeypatch.setattr(mdp_module, "MAX_SWEEPS", 3)
     with pytest.raises(NonConvergenceError) as err:
-        relative_value_iteration(mdp, tol=1e-12, max_iter=3)
+        relative_value_iteration(mdp, tol=1e-12)
     assert err.value.span is not None
     lo, hi = err.value.gain_bracket
     assert lo <= hi
@@ -134,13 +135,14 @@ def test_exhaustive_search_trivial_cases():
     assert gain == pytest.approx(0.5)
 
 
-def test_exhaustive_search_capacity_guard():
+def test_exhaustive_search_capacity_guard(monkeypatch):
     rng = np.random.default_rng(1)
     dense = rng.random((4, 3, 4)) + 0.1
     dense /= dense.sum(axis=2, keepdims=True)
     mdp = FiniteMdp.from_dense(dense, rng.random((4, 3)))
+    monkeypatch.setenv("RTC_MAX_STATES", "10")
     with pytest.raises(CapacityError):
-        exhaustive_policy_search(mdp, limit=10)
+        exhaustive_policy_search(mdp)
 
 
 def test_invalid_mdp_rejected():

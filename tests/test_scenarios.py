@@ -1,6 +1,7 @@
 """Scenario compilers against brute-force one-step oracles."""
 import json
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,12 +22,13 @@ from rtcode.bayes import (
     belief_update_feedback,
     belief_update_memory,
 )
+from rtcode import mdp as mdp_module
 from rtcode.cli import main
 from rtcode.lookahead import build_markov_kernel
 from rtcode.mdp import (PI_MAX_ROUNDS, batch_policy_iteration,
                         batch_value_iteration, evaluate_policy)
 from rtcode.scenarios import (_feedback_core, _feedback_rewards,
-                              _first_within, _nofeedback_core,
+                              _first_within, _nofeedback_core, _project_rows,
                               build_feedback_complete_discretized,
                               build_feedback_finite, build_nofeedback_finite)
 from rtcode.simplex import project
@@ -57,9 +59,10 @@ def test_memory_m2_is_shift_register():
                 assert mem.table[2 * a + b, c] == 2 * b + c
 
 
-def test_memory_capacity_guard():
+def test_memory_capacity_guard(monkeypatch):
+    monkeypatch.setenv("RTC_MAX_STATES", "10")
     with pytest.raises(CapacityError):
-        memory_last_m(3, 4, max_states=10)
+        memory_last_m(3, 4)
 
 
 def test_feedback_build_counts_d0_m0():
@@ -220,6 +223,36 @@ def test_feedback_complete_reward_is_first_marginal_envelope():
                                        atol=1e-14)
 
 
+def test_projection_slices_keep_temporaries_within_budget(monkeypatch):
+    # one row's (G, dim) difference and its absolute value take 18 kB
+    # together, the 400 rows 7.3 MB; a budget of 8 rows makes 50 slices
+    rng = np.random.default_rng(414)
+    grid = simplex_grid(4, 10)
+    beliefs = rng.dirichlet(np.ones(4), size=400)
+    row = 16 * grid.points.size
+    whole = np.abs(grid.points[None, :, :] - beliefs[:, None, :]
+                   ).sum(axis=2).argmin(axis=1)
+
+    def run(budget):
+        monkeypatch.setattr(mdp_module, "GATHER_BUDGET_BYTES", budget)
+        tracemalloc.start()
+        try:
+            out = _project_rows(grid, beliefs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return out, peak
+
+    budget = 8 * row
+    one, one_peak = run(400 * row)
+    sliced, peak = run(budget)
+    np.testing.assert_array_equal(one, whole)
+    np.testing.assert_array_equal(sliced, whole)
+    assert one_peak > 8 * budget
+    # the budget, plus one slice's (rows, G) sum and other small arrays
+    assert peak < 2 * budget
+
+
 def test_feedback_complete_vertex_grid_noiseless():
     spec = binary_problem(0.3, 0.0)
     rep = solve_feedback_complete(spec, 0, 1)
@@ -235,12 +268,6 @@ def test_feedback_complete_sandwich_at_zero_lookahead():
     for r in (10, 40):
         rep = solve_feedback_complete(spec, 0, r)
         assert dinf - 1e-9 <= rep.distortion <= d0 + 1e-9
-
-
-def test_feedback_complete_stability_diagnostic():
-    spec = binary_problem(0.3, 0.3)
-    rep = solve_feedback_complete(spec, 0, 10, stability_check=True)
-    assert rep.diagnostics["stability_delta"] >= 0.0
 
 
 def test_nofeedback_one_step_reward_matches_enumeration():

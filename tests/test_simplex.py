@@ -60,6 +60,7 @@ def test_grid_dim1_is_single_point():
     np.testing.assert_allclose(grid.points, [[1.0]])
 
 
-def test_grid_capacity_guard():
+def test_grid_capacity_guard(monkeypatch):
+    monkeypatch.setenv("RTC_MAX_STATES", "1000")
     with pytest.raises(CapacityError):
-        simplex_grid(4, 200, max_points=1000)
+        simplex_grid(4, 200)

@@ -114,7 +114,7 @@ def test_sim_vending_zero_budget_spends_nothing():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         report = solve_vending_feedback(spec, 0, memory_last_m(0, 1),
-                                        memory_last_m(0, 2), budget=0.0)
+                                        memory_last_m(0, 2))
     bundle = PolicyBundle.from_report(report)
     out = simulate(bundle, spec, 0, 20000, 4, seed=9)
     assert out.mean_action_cost == pytest.approx(0.0, abs=1e-12)

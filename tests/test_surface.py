@@ -11,6 +11,14 @@ A method counts as used where an attribute of its name is read, unless
 every such read is a call whose arguments its signature cannot take: a
 call x.check(n) does not keep alive a check method that needs two
 arguments.
+
+Every parameter with a default on a public function or method must be
+set by some call under src/rtcode, by keyword or by position, through
+the function's name or an alias of it.  A None argument sets nothing,
+and one that only passes on a parameter of the calling function sets
+nothing unless that parameter is set in turn: a defaulted one, or any
+parameter of a private function.  The only exceptions are the options
+in SET_BY_TESTS_ONLY, each with the test function that sets it.
 """
 import ast
 import re
@@ -54,6 +62,20 @@ REFERENCE_ONLY = {
         "test_acceptance.py::test_acceptance_7_vending_duals",
     "vending.build_vending_nofeedback_discretized":
         "test_vending.py::test_vending_nofeedback_reward_matches_enumeration",
+}
+
+
+# The bracket of the dual search, which the bracket-edge tests choose,
+# the multiplier of the two Lagrangian builders, and the argument list of
+# the CLI entry point.
+SET_BY_TESTS_ONLY = {
+    "mdp.constrained_solve.lambda_max":
+        "test_mdp.py::test_constrained_solve_interior_kink",
+    "vending.build_vending_feedback_finite.lam":
+        "test_vending.py::test_vending_feedback_reward_matches_enumeration",
+    "vending.build_vending_nofeedback_discretized.lam":
+        "test_vending.py::test_vending_nofeedback_reward_matches_enumeration",
+    "cli.main.argv": "test_cli.py::_run",
 }
 
 
@@ -172,3 +194,136 @@ def test_public_names_resolve_and_are_all_that_init_imports():
     imported = {alias.asname or alias.name for node in ast.walk(tree)
                 if isinstance(node, ast.ImportFrom) for alias in node.names}
     assert imported == set(rtcode.__all__)
+
+
+def _signatures(modules):
+    """name -> [(key, node, skip)] for every function and method of
+    _definitions, and for every module-level alias of one; skip is the
+    number of leading parameters (self) that a call does not pass."""
+    out = {}
+    for key, node in _definitions(modules):
+        if isinstance(node, ast.FunctionDef):
+            bound = key.count(".") == 2 and not any(
+                isinstance(d, ast.Name) and d.id == "staticmethod"
+                for d in node.decorator_list)
+            out.setdefault(node.name, []).append((key, node, int(bound)))
+    for tree in modules.values():
+        for node in tree.body:
+            if (isinstance(node, ast.Assign)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id in out):
+                for target in node.targets:
+                    if isinstance(target, ast.Name):
+                        out.setdefault(target.id, []).extend(
+                            out[node.value.id])
+    return out
+
+
+def _defaulted(node: ast.FunctionDef) -> list[str]:
+    args = node.args
+    params = args.posonlyargs + args.args
+    names = [p.arg for p in params[len(params) - len(args.defaults):]]
+    return names + [k.arg for k, d in zip(args.kwonlyargs, args.kw_defaults)
+                    if d is not None]
+
+
+def _bound(call: ast.Call, node: ast.FunctionDef, skip: int):
+    """(parameter, argument) for each parameter of node that call passes;
+    the argument is None where *args or **kwargs may pass it."""
+    args = node.args
+    params = [p.arg for p in (args.posonlyargs + args.args)[skip:]]
+    everything = params + [k.arg for k in args.kwonlyargs]
+    if (any(isinstance(a, ast.Starred) for a in call.args)
+            or any(k.arg is None for k in call.keywords)):
+        return [(p, None) for p in everything]
+    return (list(zip(params, call.args))
+            + [(k.arg, k.value) for k in call.keywords])
+
+
+def _called_name(call: ast.Call):
+    if isinstance(call.func, ast.Name):
+        return call.func.id
+    if isinstance(call.func, ast.Attribute):
+        return call.func.attr
+    return None
+
+
+def _unset_options(modules):
+    """module.qualname.parameter for every defaulted parameter of a public
+    function or method that no call under src/rtcode sets."""
+    sigs = _signatures(modules)
+    keys = {id(node): key for entries in sigs.values()
+            for key, node, _ in entries}
+    parents = {child: node for tree in modules.values()
+               for node in ast.walk(tree)
+               for child in ast.iter_child_nodes(node)}
+
+    def passed_on(expr, at):
+        """(key, parameter) when expr only passes on a parameter of the
+        function around at that callers may leave unset, else None."""
+        if not isinstance(expr, ast.Name):
+            return None
+        while at in parents:
+            at = parents[at]
+            if isinstance(at, (ast.FunctionDef, ast.Lambda)):
+                args = at.args
+                names = {a.arg for a in (args.posonlyargs + args.args
+                                         + args.kwonlyargs)}
+                if expr.id in names:
+                    if (isinstance(at, ast.FunctionDef) and id(at) in keys
+                            and (at.name.startswith("_")
+                                 or expr.id in _defaulted(at))):
+                        return keys[id(at)], expr.id
+                    return None
+        return None
+
+    done, passes = set(), []
+    for tree in modules.values():
+        for call in ast.walk(tree):
+            if not isinstance(call, ast.Call):
+                continue
+            for key, node, skip in sigs.get(_called_name(call), ()):
+                for param, expr in _bound(call, node, skip):
+                    if isinstance(expr, ast.Constant) and expr.value is None:
+                        continue
+                    source = passed_on(expr, call)
+                    if source is None:
+                        done.add((key, param))
+                    else:
+                        passes.append(((key, param), source))
+    grew = True
+    while grew:
+        grew = False
+        for target, source in passes:
+            if source in done and target not in done:
+                done.add(target)
+                grew = True
+    return {f"{key}.{param}"
+            for entries in sigs.values() for key, node, _ in entries
+            if not any(part.startswith("_") for part in key.split(".")[1:])
+            for param in _defaulted(node) if (key, param) not in done}
+
+
+def test_every_public_option_is_set_by_the_program():
+    unset = _unset_options(_modules())
+    assert sorted(unset - set(SET_BY_TESTS_ONLY)) == []
+    # an option the program now sets needs no exception
+    assert sorted(set(SET_BY_TESTS_ONLY) - unset) == []
+
+
+def test_options_set_by_tests_name_a_test_that_sets_them():
+    sigs = _signatures(_modules())
+    for option, where in SET_BY_TESTS_ONLY.items():
+        key, param = option.rsplit(".", 1)
+        name = key.rsplit(".", 1)[1]
+        path, func = where.split("::")
+        tree = ast.parse((TESTS / path).read_text(encoding="utf-8"))
+        found = [n for n in tree.body
+                 if isinstance(n, ast.FunctionDef) and n.name == func]
+        assert found, f"{where} does not exist"
+        node, skip = next((n, k) for kk, n, k in sigs[name] if kk == key)
+        assert any(param in dict(_bound(call, node, skip))
+                   for call in ast.walk(found[0])
+                   if isinstance(call, ast.Call)
+                   and _called_name(call) == name), \
+            f"{where} does not set {option}"

@@ -6,6 +6,7 @@ import pytest
 
 from rtcode import (
     SpecValidationError,
+    binary_problem,
     memory_last_m,
     simplex_grid,
     solve_vending_feedback,
@@ -142,10 +143,8 @@ def test_vending_feedback_budget_endpoints():
     mem_y = memory_last_m(0, 2)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        slack = solve_vending_feedback(_toy_spec(1.0), 0, mem_x, mem_y,
-                                       budget=1.0)
-        binding = solve_vending_feedback(_toy_spec(0.0), 0, mem_x, mem_y,
-                                         budget=0.0)
+        slack = solve_vending_feedback(_toy_spec(1.0), 0, mem_x, mem_y)
+        binding = solve_vending_feedback(_toy_spec(0.0), 0, mem_x, mem_y)
     # a full budget affords the revealing action every step
     assert slack.distortion == pytest.approx(0.0, abs=1e-8)
     # zero budget forbids the informative action on average
@@ -161,8 +160,7 @@ def test_vending_feedback_value_monotone_in_budget():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         for g in (0.0, 0.25, 0.5, 0.75, 1.0):
-            rep = solve_vending_feedback(_toy_spec(g), 0, mem_x, mem_y,
-                                         budget=g)
+            rep = solve_vending_feedback(_toy_spec(g), 0, mem_x, mem_y)
             values.append(rep.distortion)
     assert all(b <= a + 1e-9 for a, b in zip(values, values[1:]))
 
@@ -171,7 +169,7 @@ def test_vending_feedback_report_diagnostics():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         rep = solve_vending_feedback(_toy_spec(0.5), 0, memory_last_m(0, 1),
-                                     memory_last_m(0, 2), budget=0.5)
+                                     memory_last_m(0, 2))
     diag = rep.diagnostics
     assert diag["lambda_star"] >= 0.0
     assert diag["decoder_candidates"] == 4
@@ -269,7 +267,7 @@ def test_vending_nofeedback_solve_flags_approximate():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         rep = solve_vending_nofeedback(_toy_spec(1.0), 0, memory_last_m(0, 1),
-                                       memory_last_m(0, 2), 4, budget=1.0)
+                                       memory_last_m(0, 2), 4)
     assert rep.scenario == "vending-nofeedback"
     assert "APPROXIMATE" in rep.flags
     # the informative action remains affordable and memoryless decoding
@@ -279,13 +277,13 @@ def test_vending_nofeedback_solve_flags_approximate():
 
 def test_vending_feedback_matches_nofeedback_on_deterministic_memories():
     """Point-mass beliefs make the open-loop build exact."""
-    spec = spec_from_dict(RICH)
+    spec = with_budget(spec_from_dict(RICH), 0.5)
     mem_x = memory_last_m(0, 2)
     mem_y = memory_last_m(0, 2)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        fb = solve_vending_feedback(spec, 0, mem_x, mem_y, budget=0.5)
-        nf = solve_vending_nofeedback(spec, 0, mem_x, mem_y, 2, budget=0.5)
+        fb = solve_vending_feedback(spec, 0, mem_x, mem_y)
+        nf = solve_vending_nofeedback(spec, 0, mem_x, mem_y, 2)
     assert nf.distortion == pytest.approx(fb.distortion, abs=1e-8)
 
 
@@ -295,23 +293,29 @@ def test_vending_infeasible_pair_cannot_win():
     mem_x, mem_y = memory_last_m(0, 1), memory_last_m(0, 2)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        fb = solve_vending_feedback(_toy_spec(), 0, mem_x, mem_y,
-                                    budget=0.75)
-        nf = solve_vending_nofeedback(_toy_spec(), 0, mem_x, mem_y, 2,
-                                      budget=0.75)
+        fb = solve_vending_feedback(_toy_spec(0.75), 0, mem_x, mem_y)
+        nf = solve_vending_nofeedback(_toy_spec(0.75), 0, mem_x, mem_y, 2)
     for rep in (fb, nf):
         assert rep.diagnostics["avg_constraint_cost"] <= 0.75
         assert rep.distortion == pytest.approx(0.3, abs=1e-8)
+
+
+def test_vending_solvers_need_vending_data():
+    spec = binary_problem(0.3, 0.3)
+    mem = memory_last_m(0, 2)
+    with pytest.raises(SpecValidationError, match="needs vending data"):
+        solve_vending_feedback(spec, 0, mem, mem)
+    with pytest.raises(SpecValidationError, match="needs vending data"):
+        solve_vending_nofeedback(spec, 0, mem, mem, 2)
 
 
 def test_vending_no_feasible_pair_names_the_budget():
     # validated specs always have a free action, so this guards the
     # selection step itself
     with pytest.raises(SpecValidationError, match="budget 0.25"):
-        _best_pair(np.full((4, 2), np.inf), 0.25, 1e-8)
-    assert _best_pair(np.array([[np.inf, 0.5], [0.5, 0.2]]), 0.25,
-                      1e-8) == (1, 1)
+        _best_pair(np.full((4, 2), np.inf), 0.25)
+    assert _best_pair(np.array([[np.inf, 0.5], [0.5, 0.2]]), 0.25) == (1, 1)
     # values within the tolerance tie, and the lowest index wins even
     # where the float minimum lies further on
-    assert _best_pair(np.array([[0.2 + 1e-15, 0.5], [0.2, 0.9]]), 0.25,
-                      1e-8) == (0, 0)
+    assert _best_pair(np.array([[0.2 + 1e-15, 0.5], [0.2, 0.9]]),
+                      0.25) == (0, 0)
