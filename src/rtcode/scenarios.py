@@ -341,13 +341,15 @@ def solve_feedback_finite(spec: ProblemSpec, d: int, memory: MemorySpec,
 
 def _project_rows(grid: SimplexGrid, beliefs: np.ndarray) -> np.ndarray:
     """Row-wise L1 projection; first minimum wins, matching the grid's
-    lexicographic order.  Rows go in slices whose two (rows, G, dim)
-    temporaries, the difference and its absolute value, stay within
+    lexicographic order.  Rows go in slices whose temporaries, the
+    (rows, G, dim) distances and their (rows, G) sums, stay within
     GATHER_BUDGET_BYTES together."""
     out = np.empty(beliefs.shape[0], dtype=int)
-    for part in _chunks(beliefs.shape[0], 16 * grid.points.size):
-        diff = grid.points[None, :, :] - beliefs[part, None, :]
-        out[part] = np.abs(diff).sum(axis=2).argmin(axis=1)
+    for part in _chunks(beliefs.shape[0], 8 * grid.size * (grid.dim + 1)):
+        dist = grid.points[None, :, :] - beliefs[part, None, :]
+        np.abs(dist, out=dist)
+        out[part] = dist.sum(axis=2).argmin(axis=1)
+        del dist    # freed before the next slice allocates its own
     return out
 
 

@@ -224,12 +224,12 @@ def test_feedback_complete_reward_is_first_marginal_envelope():
 
 
 def test_projection_slices_keep_temporaries_within_budget(monkeypatch):
-    # one row's (G, dim) difference and its absolute value take 18 kB
-    # together, the 400 rows 7.3 MB; a budget of 8 rows makes 50 slices
+    # one row's (G, dim) distances and their (G,) sum take 71 kB, the
+    # 200 rows 14 MB; a budget of 8 rows makes 25 slices
     rng = np.random.default_rng(414)
-    grid = simplex_grid(4, 10)
-    beliefs = rng.dirichlet(np.ones(4), size=400)
-    row = 16 * grid.points.size
+    grid = simplex_grid(4, 20)
+    beliefs = rng.dirichlet(np.ones(4), size=200)
+    row = 8 * grid.size * (grid.dim + 1)
     whole = np.abs(grid.points[None, :, :] - beliefs[:, None, :]
                    ).sum(axis=2).argmin(axis=1)
 
@@ -244,12 +244,13 @@ def test_projection_slices_keep_temporaries_within_budget(monkeypatch):
         return out, peak
 
     budget = 8 * row
-    one, one_peak = run(400 * row)
+    one, one_peak = run(200 * row)
     sliced, peak = run(budget)
     np.testing.assert_array_equal(one, whole)
     np.testing.assert_array_equal(sliced, whole)
     assert one_peak > 8 * budget
-    # the budget, plus one slice's (rows, G) sum and other small arrays
+    # the budget plus one slice's worth, which covers the 128 kB of
+    # buffers that numpy's broadcast subtraction takes
     assert peak < 2 * budget
 
 
