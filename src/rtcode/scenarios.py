@@ -30,10 +30,9 @@ import numpy as np
 from .bayes import check_action_map
 from .errors import SpecValidationError
 from .lookahead import _enumerate_maps, build_markov_kernel
-from .mdp import (BatchSolve, FiniteMdp, _chunks, relative_value_iteration,
-                  rvi_batch)
+from .mdp import BatchSolve, FiniteMdp, relative_value_iteration, rvi_batch
 from .models import ProblemSpec, _check_capacity
-from .simplex import SimplexGrid, simplex_grid
+from .simplex import SimplexGrid, project, simplex_grid
 
 APPROXIMATE = "APPROXIMATE"
 # Cap on the decoder tables and actuator maps a solve enumerates, read at
@@ -339,34 +338,18 @@ def solve_feedback_finite(spec: ProblemSpec, d: int, memory: MemorySpec,
                                  _feedback_rewards, tol)
 
 
-def _project_rows(grid: SimplexGrid, beliefs: np.ndarray) -> np.ndarray:
-    """Row-wise L1 projection; first minimum wins, matching the grid's
-    lexicographic order.  Rows go in slices whose temporaries, the
-    (rows, G, dim) distances and their (rows, G) sums, stay within
-    GATHER_BUDGET_BYTES together."""
-    out = np.empty(beliefs.shape[0], dtype=int)
-    for part in _chunks(beliefs.shape[0], 8 * grid.size * (grid.dim + 1)):
-        dist = grid.points[None, :, :] - beliefs[part, None, :]
-        np.abs(dist, out=dist)
-        out[part] = dist.sum(axis=2).argmin(axis=1)
-        del dist    # freed before the next slice allocates its own
-    return out
-
-
 def _project_pushforward(grid: SimplexGrid, table, weights) -> np.ndarray:
     """proj[g, k]: the grid point nearest to the pushforward of grid point
     g, a belief over memory states, through the memory table
     table[z, b] when observation branch b has weight weights[k, b]."""
     table = np.asarray(table)
     weights = np.asarray(weights)
-    proj = np.empty((grid.size, weights.shape[0]), dtype=int)
-    for k, row in enumerate(weights):
-        pushed = np.zeros((grid.size, grid.dim))
-        for z in range(grid.dim):
-            for b in range(table.shape[1]):
-                pushed[:, table[z, b]] += grid.points[:, z] * row[b]
-        proj[:, k] = _project_rows(grid, pushed)
-    return proj
+    pushed = np.zeros((weights.shape[0], grid.size, grid.dim))
+    for z in range(grid.dim):
+        for b in range(table.shape[1]):
+            pushed[:, :, table[z, b]] += (grid.points[None, :, z]
+                                          * weights[:, b, None])
+    return project(grid, pushed).T
 
 
 def build_feedback_complete_discretized(spec: ProblemSpec, d: int,
@@ -401,7 +384,7 @@ def build_feedback_complete_discretized(spec: ProblemSpec, d: int,
             ok = totals > 0.0
             beliefs = predicted.copy()
             beliefs[ok] = num[ok] / totals[ok, None]
-            proj[:, a, y] = _project_rows(grid, beliefs)
+            proj[:, a, y] = project(grid, beliefs)
     p_u = np.asarray(spec.source.p)
     next_states, probs = _tuple_successors(
         shift, proj[None, :, :, None, :], p_u[None, None, :, None] * w[x_sent])

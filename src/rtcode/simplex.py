@@ -8,7 +8,10 @@ from math import comb
 import numpy as np
 
 from .errors import SpecValidationError
-from .models import _check_capacity
+from .models import SIMPLEX_TOL, _check_capacity
+
+# Grid points whose L1 distances to a belief differ by at most this tie.
+_TIE_L1 = 1e-12
 
 
 @dataclass(frozen=True)
@@ -16,7 +19,7 @@ class SimplexGrid:
     """All distributions with denominators resolution over dim atoms.
 
     Points are stored in lexicographic order of their composition
-    vectors, which makes first-hit argmin searches reproducible.
+    vectors, so a point's index is its composition's lexicographic rank.
     """
 
     dim: int
@@ -47,12 +50,42 @@ def simplex_grid(dim: int, resolution: int) -> SimplexGrid:
     return SimplexGrid(dim, resolution, counts / float(resolution))
 
 
-def project(grid: SimplexGrid, belief) -> int:
-    """Index of the L1-nearest grid point; ties pick the lexicographically
-    smallest composition."""
-    b = np.asarray(belief, dtype=float)
-    if b.shape != (grid.dim,):
+def project(grid: SimplexGrid, beliefs):
+    """Index of the L1-nearest grid point to a (dim,) belief, or the
+    indices for a (..., dim) batch of them.
+
+    resolution * belief is rounded by largest remainder: after flooring,
+    the missing units go to the largest remainders, which is exact as the
+    L1 cost is separable and convex in the counts.  Remainders within an
+    L1 gap of _TIE_L1 of the cut tie, and the tied units go to the later
+    coordinates: of the tied nearest points, the lexicographically
+    smallest composition.
+    """
+    b = np.asarray(beliefs, dtype=float)
+    if b.ndim == 0 or b.shape[-1] != grid.dim:
         raise SpecValidationError(
-            [f"belief has shape {b.shape}, expected ({grid.dim},)"]
-        )
-    return int(np.argmin(np.abs(grid.points - b[None, :]).sum(axis=1)))
+            [f"belief has shape {b.shape}, expected (..., {grid.dim})"])
+    if not ((b >= 0.0).all()
+            and (np.abs(b.sum(axis=-1) - 1.0) <= SIMPLEX_TOL).all()):
+        raise SpecValidationError(["beliefs must be probability vectors"])
+    r, dim = grid.resolution, grid.dim
+    scaled = b * r
+    counts = np.floor(scaled)
+    rem = scaled - counts
+    short = r - counts.sum(axis=-1, keepdims=True)         # 0..dim units
+    cut = np.take_along_axis(-np.sort(-rem, axis=-1),
+                             np.maximum(short - 1, 0).astype(int), axis=-1)
+    tol = r * _TIE_L1 / 2   # remainders e apart trade L1 distance 2e / r
+    above = rem > cut + tol
+    tied = np.abs(rem - cut) <= tol
+    tied_on = np.cumsum(tied[..., ::-1], axis=-1)[..., ::-1]
+    counts += above | tied & (tied_on
+                              <= short - above.sum(axis=-1, keepdims=True))
+    # tail[i, n]: compositions of n into the parts i..dim-1.  Those before
+    # counts differ from it first at some part i, with a smaller count.
+    c = counts.astype(np.int64)
+    after = r - np.cumsum(c, axis=-1)
+    tail = np.array([[comb(n + dim - 1 - i, dim - 1 - i)
+                      for n in range(r + 1)] for i in range(dim)])
+    parts = np.arange(dim)
+    return (tail[parts, after + c] - tail[parts, after]).sum(axis=-1)

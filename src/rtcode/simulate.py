@@ -7,7 +7,8 @@ tensors, and reports empirical averages with standard errors.
 
 Every scenario runs through one loop over a step table built from the
 bundle's mechanics: memory tables, the channel or vending kernel, and
-belief projections made one grid point at a time.
+the belief projections of the open-loop grid, which it shares with the
+solvers.
 
 Replication r of a run seeded s draws from the dedicated stream (s, r),
 so reports are bit-reproducible and replications are independent.
@@ -22,8 +23,8 @@ import numpy as np
 from .errors import SpecValidationError
 from .models import ProblemSpec
 from .scenarios import (MemorySpec, ScenarioSolveReport, _checked_decoder,
-                        _tuple_chain)
-from .simplex import SimplexGrid, project, simplex_grid
+                        _project_pushforward, _tuple_chain)
+from .simplex import project, simplex_grid
 
 BURN_IN = 1000
 
@@ -125,29 +126,6 @@ def _check_encoder(encoder, num_states: int, num_actions: int) -> np.ndarray:
     return enc
 
 
-def _memory_projection(memory: MemorySpec, grid: SimplexGrid,
-                       weights) -> np.ndarray:
-    """Grid-to-grid projection of the belief pushforward, one column per
-    conditioning symbol k; weights[k, b] weights observation branch b."""
-    table = np.asarray(memory.table)
-    weights = np.asarray(weights)
-    out = np.empty((grid.size, weights.shape[0]), dtype=int)
-    for sym, row in enumerate(weights):
-        pushed = np.zeros((grid.size, memory.num_states))
-        for z in range(memory.num_states):
-            for br in range(table.shape[1]):
-                pushed[:, table[z, br]] += grid.points[:, z] * row[br]
-        for g in range(grid.size):
-            out[g, sym] = project(grid, pushed[g])
-    return out
-
-
-def _initial_grid_index(grid: SimplexGrid) -> int:
-    point = np.zeros(grid.dim)
-    point[0] = 1.0
-    return project(grid, point)
-
-
 def _step_table(bundle: PolicyBundle, spec: ProblemSpec, d: int):
     """Per-step mechanics of the bundle as (table, start state).
 
@@ -207,12 +185,13 @@ def _step_table(bundle: PolicyBundle, spec: ProblemSpec, d: int):
             grid_m = simplex_grid(n_m, bundle.grid_resolution)
             grid_n = simplex_grid(n_n, bundle.grid_resolution)
             n_g = grid_m.size * grid_n.size
-            g0 = (_initial_grid_index(grid_m) * grid_n.size
-                  + _initial_grid_index(grid_n))
-            proj_m = _memory_projection(mem_x, grid_m, np.eye(n_x)).tolist()
+            g0 = (project(grid_m, np.eye(n_m)[0]) * grid_n.size
+                  + project(grid_n, np.eye(n_n)[0]))
+            proj_m = _project_pushforward(grid_m, mem_x.table,
+                                          np.eye(n_x)).tolist()
             # belief over the y-memory advances with weights P(y | u, a_v)
-            proj_n = _memory_projection(mem_y, grid_n,
-                                        vk.reshape(n_u * n_av, n_ys))
+            proj_n = _project_pushforward(grid_n, mem_y.table,
+                                          vk.reshape(n_u * n_av, n_ys))
             proj_n = proj_n.reshape(grid_n.size, n_u, n_av).tolist()
 
             def grid_step(g, vt, x):
@@ -237,9 +216,9 @@ def _step_table(bundle: PolicyBundle, spec: ProblemSpec, d: int):
 
         if not feedback:
             grid = simplex_grid(n_mem, bundle.grid_resolution)
-            n_g, g0 = grid.size, _initial_grid_index(grid)
-            proj = _memory_projection(memory, grid,
-                                      spec.channel.rows).tolist()
+            n_g, g0 = grid.size, project(grid, np.eye(n_mem)[0])
+            proj = _project_pushforward(grid, memory.table,
+                                        spec.channel.rows).tolist()
 
             def grid_step(g, vt, x):
                 return proj[g][x]

@@ -1,0 +1,23 @@
+"""The benchmark runs end to end on the current code.
+
+A short run of every workload must exit 0 and end with its JSON result
+line, correct and with no failed operation; a run whose last line is not
+a result is refused by the benchmark's driver, so it fails here first.
+"""
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_benchmark_short_run_is_correct():
+    run = subprocess.run(
+        [sys.executable, "rtbench/run.py", "--workload", "all", "--seed", "1",
+         "--seconds", "0.1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=600)
+    assert run.returncode == 0, run.stderr[-2000:]
+    result = json.loads(run.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True
+    assert result["failed"] == 0

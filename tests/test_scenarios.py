@@ -1,7 +1,6 @@
 """Scenario compilers against brute-force one-step oracles."""
 import json
 import time
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,17 +21,15 @@ from rtcode.bayes import (
     belief_update_feedback,
     belief_update_memory,
 )
-from rtcode import mdp as mdp_module
 from rtcode.cli import main
 from rtcode.lookahead import build_markov_kernel
 from rtcode.mdp import (PI_MAX_ROUNDS, batch_policy_iteration,
                         batch_value_iteration, evaluate_policy)
 from rtcode.scenarios import (_feedback_core, _feedback_rewards,
-                              _first_within, _nofeedback_core, _project_rows,
+                              _first_within, _nofeedback_core,
                               build_feedback_complete_discretized,
                               build_feedback_finite, build_nofeedback_finite)
-from rtcode.simplex import project
-from conftest import all_maps
+from conftest import all_maps, nearest
 
 
 def test_memory_m0_is_singleton():
@@ -204,9 +201,9 @@ def test_feedback_complete_transition_matches_belief_oracle():
                 try:
                     nxt = belief_update_feedback(beta, kernel, spec.channel,
                                                  tables[a], y)
-                    g2 = project(grid, np.asarray(nxt))
+                    g2 = nearest(grid, nxt)
                 except UnreachableObservationError:
-                    g2 = project(grid, beta @ kernel.matrix)
+                    g2 = nearest(grid, beta @ kernel.matrix)
                 expected[vt * n_g + g2] += p_u[u] * w[x, y]
         np.testing.assert_allclose(dense[v * n_g + g, a], expected, atol=1e-14)
 
@@ -223,35 +220,28 @@ def test_feedback_complete_reward_is_first_marginal_envelope():
                                        atol=1e-14)
 
 
-def test_projection_slices_keep_temporaries_within_budget(monkeypatch):
-    # one row's (G, dim) distances and their (G,) sum take 71 kB, the
-    # 200 rows 14 MB; a budget of 8 rows makes 25 slices
-    rng = np.random.default_rng(414)
-    grid = simplex_grid(4, 20)
-    beliefs = rng.dirichlet(np.ones(4), size=200)
-    row = 8 * grid.size * (grid.dim + 1)
-    whole = np.abs(grid.points[None, :, :] - beliefs[:, None, :]
-                   ).sum(axis=2).argmin(axis=1)
-
-    def run(budget):
-        monkeypatch.setattr(mdp_module, "GATHER_BUDGET_BYTES", budget)
-        tracemalloc.start()
-        try:
-            out = _project_rows(grid, beliefs)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        return out, peak
-
-    budget = 8 * row
-    one, one_peak = run(200 * row)
-    sliced, peak = run(budget)
-    np.testing.assert_array_equal(one, whole)
-    np.testing.assert_array_equal(sliced, whole)
-    assert one_peak > 8 * budget
-    # the budget plus one slice's worth, which covers the 128 kB of
-    # buffers that numpy's broadcast subtraction takes
-    assert peak < 2 * budget
+def test_feedback_complete_projections_follow_the_tie_rule():
+    """Every (grid point, action, output) projection of the grid chain is
+    the lexicographically first L1-nearest point within TIE_L1; at
+    p = delta = 0.3 many posteriors lie exactly between grid points."""
+    spec = binary_problem(0.3, 0.3)
+    kernel = build_markov_kernel(spec.source, 1)
+    grid = simplex_grid(kernel.codec.size, 4)
+    mdp = build_feedback_complete_discretized(spec, 1, grid)
+    tables = all_maps(kernel.codec.size, 2)
+    off_rule = 0
+    for g, beta in enumerate(np.asarray(grid.points)):
+        for a in range(tables.shape[0]):
+            for y in range(2):
+                try:
+                    post = belief_update_feedback(beta, kernel, spec.channel,
+                                                  tables[a], y)
+                except UnreachableObservationError:
+                    post = beta @ kernel.matrix
+                # window 0 followed by symbol 0 is window 0 again, so the
+                # successor slot (u = 0, y) of state (0, g) is the projection
+                off_rule += mdp.next_states[g, a, y] != nearest(grid, post)
+    assert off_rule == 0
 
 
 def test_feedback_complete_vertex_grid_noiseless():
@@ -327,7 +317,7 @@ def test_nofeedback_transition_matches_memory_belief_oracle():
             vt = codec.shift(v, u)
             belief = belief_update_memory(grid.points[g], kernel, v, vt,
                                           spec.channel, tables[a], mem.table)
-            expected[vt * n_g + project(grid, np.asarray(belief))] += p_u[u]
+            expected[vt * n_g + nearest(grid, belief)] += p_u[u]
         got = np.zeros(codec.size * n_g)
         s = v * n_g + g
         np.add.at(got, core["next_states"][s, a], core["next_probs"][s, a])

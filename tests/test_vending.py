@@ -19,10 +19,9 @@ from rtcode.bayes import (
     belief_update_sideinfo_memory,
 )
 from rtcode.lookahead import build_markov_kernel
-from rtcode.simplex import project
 from rtcode.vending import (_best_pair, build_vending_feedback_finite,
                             build_vending_nofeedback_discretized)
-from conftest import all_maps
+from conftest import all_maps, nearest
 
 TOY = {
     "source": [0.7, 0.3],
@@ -245,7 +244,7 @@ def test_vending_nofeedback_reward_matches_enumeration():
                                               av, tables[a], mem_y.table,
                                               2).p,
                 pn, atol=1e-15)
-            s2 = (vt * n_gm + project(gm, pm)) * n_gn + project(gn, pn)
+            s2 = (vt * n_gm + nearest(gm, pm)) * n_gn + nearest(gn, pn)
             trans[s2] += p_u[u]
         expected = -loss_exp + lam * (budget - cost_exp)
         assert mdp.rewards[s, a] == pytest.approx(expected, abs=1e-12)
