@@ -17,12 +17,17 @@ from typing import Optional
 import numpy as np
 from scipy.optimize import brentq
 
-from .bayes import belief_update_feedback, check_action_map
-from .errors import SpecValidationError, UnreachableObservationError
+# belief_update_feedback, the scalar reference of _posteriors, is not
+# called here; rtbench/hooks.py counts its calls under this name and
+# reports bayes.updates as unmeasured when the name is missing.
+from .bayes import (_posteriors, belief_update_feedback,  # noqa: F401
+                    check_action_map)
+from .errors import SpecValidationError
 from .infotheory import (binary_entropy, channel_capacity,
                          rate_distortion_point, zero_rate_distortion)
 from .lookahead import TupleCodec, _enumerate_maps
 from .models import ProblemSpec, binary_problem
+from .mdp import _chunks
 from .scenarios import _tuple_chain, memory_last_m, solve_feedback_finite
 from .simplex import SimplexGrid
 
@@ -130,47 +135,27 @@ def _as_table(policy, num_symbols: int, num_inputs: int) -> np.ndarray:
     return check_action_map(np.asarray(raw), num_symbols, num_inputs)
 
 
-def _marginals(belief: np.ndarray, comp: np.ndarray, n_u: int) -> np.ndarray:
-    """Per-slot symbol marginals of a belief over tuples, one row per slot."""
-    width = comp.shape[1]
-    out = np.empty((width, n_u))
-    for k in range(width):
-        out[k] = np.bincount(comp[:, k], weights=belief, minlength=n_u)
-    return out
-
-
-def _slot_envelopes(table: np.ndarray, w: np.ndarray, loss: np.ndarray,
-                    marginals: np.ndarray) -> tuple[float, np.ndarray]:
-    """Bayes envelope of the first marginal, and for every later slot the
-    posterior envelopes per output; unreachable outputs contribute zero."""
-    width = marginals.shape[0]
-    n_y = w.shape[1]
-    env = np.zeros((width - 1, n_y))
-    for k in range(1, width):
-        for y in range(n_y):
-            num = marginals[k] * w[table, y]
-            total = num.sum()
-            if total > 0.0:
-                env[k - 1, y] = (num @ loss).min() / total
-    return float((marginals[0] @ loss).min()), env
-
-
-def _h_vector(belief: np.ndarray, comp: np.ndarray, table: np.ndarray,
+def _h_vector(beliefs: np.ndarray, comp: np.ndarray, table: np.ndarray,
               w: np.ndarray, loss: np.ndarray) -> np.ndarray:
     """Closed-form relative value of the symbol policy table at every
-    tuple (rows of comp) for one belief over tuples.
+    tuple (rows of comp), for a (..., V) batch of beliefs over tuples.
 
     Equals minus the Bayes envelope of the belief's first marginal, minus
     the forecast envelopes of each committed-but-unsent symbol: for slot k
     the output law follows the symbol actually held there, while the
     posterior starts from the belief's k-th marginal.  Outputs that the
-    policy cannot produce from a marginal are skipped.
+    policy cannot produce from a marginal contribute zero.
     """
-    marg = _marginals(belief, comp, loss.shape[0])
-    b1, env = _slot_envelopes(table, w, loss, marg)
-    out = np.full(comp.shape[0], -b1)
+    slots = comp[:, :, None] == np.arange(loss.shape[0])       # (V, K, U)
+    marg = np.einsum("...v,vku->...ku", beliefs, slots)        # (..., K, U)
+    num = marg[..., 1:, None, :] * w[table].T                  # (..., K-1, Y, U)
+    totals = num.sum(axis=-1)
+    reached = totals > 0.0
+    env = np.where(reached, (num @ loss).min(axis=-1)
+                   / np.where(reached, totals, 1.0), 0.0)      # (..., K-1, Y)
+    out = -(marg[..., 0, :] @ loss).min(axis=-1)[..., None]
     for k in range(1, comp.shape[1]):
-        out -= w[table[comp[:, k]]] @ env[k - 1]
+        out = out - (w[table[comp[:, k]]] @ env[..., k - 1, :, None])[..., 0]
     return out
 
 
@@ -192,6 +177,10 @@ class SymbolCheckReport:
 
 def _grid_check(spec: ProblemSpec, d: int, belief_grid: SimplexGrid,
                 policy: SymbolPolicy) -> SymbolCheckReport:
+    """The optimality gaps lhs[g, v] - min_a rhs[g, a, v] of one symbol
+    policy, at grid point g and tuple v, with rhs the one-step deviation
+    by encoder map a.  Each chunk of grid points within GATHER_BUDGET_BYTES
+    takes one batched posterior update over every map and output."""
     if d < 1:
         raise SpecValidationError(
             [f"lookahead {d} must be at least 1 for the grid check"]
@@ -202,56 +191,45 @@ def _grid_check(spec: ProblemSpec, d: int, belief_grid: SimplexGrid,
     n_v = n_u ** (d + 1)
     problems = ([] if belief_grid.dim == n_v else
                 [f"belief grid has dimension {belief_grid.dim}, expected {n_v}"])
-    kernel, shift, actions, _ = _tuple_chain(spec, d, 1, problems)
+    kernel, shift, actions, x_sent = _tuple_chain(spec, d, 1, problems)
     comp = kernel.codec.components_table()
     w = np.asarray(spec.channel.rows)
     loss = np.asarray(spec.distortion.loss)
     p_u = np.asarray(spec.source.p)
     n_y = spec.num_channel_outputs
+    wch = w[x_sent]                                            # (A, V, U, Y)
+    n_a = wch.shape[0]
 
     # the symbol policy's index among all encoder maps
     sym_idx = TupleCodec(n_x, n_v).encode(table[comp[:, 0]])
 
-    fresh = 0.0
-    for y in range(n_y):
-        num = p_u * w[table, y]
-        total = num.sum()
-        if total > 0.0:
-            fresh += (num @ loss).min()
+    fresh = ((p_u[:, None] * w[table]).T @ loss).min(axis=1).sum()
 
+    points = belief_grid.points
     gaps = np.empty((belief_grid.size, n_v))
     identity = np.empty(belief_grid.size)
-    for g in range(belief_grid.size):
-        beta = belief_grid.points[g]
-        lhs = fresh - float((_marginals(beta, comp, n_u)[0] @ loss).min()) \
-            - _h_vector(beta, comp, table, w, loss)
-        rhs = np.zeros((actions.shape[0], n_v))
-        for a_idx in range(actions.shape[0]):
-            amap = actions[a_idx]
-            acc = np.zeros(n_v)
-            for y in range(n_y):
-                try:
-                    tilted = belief_update_feedback(beta, kernel,
-                                                    spec.channel, amap, y)
-                except UnreachableObservationError:
-                    continue
-                hv = _h_vector(np.asarray(tilted.p), comp, table, w, loss)
-                acc += (w[amap[shift], y] * hv[shift]) @ p_u
-            rhs[a_idx] = -acc
-        gaps[g] = lhs - rhs.min(axis=0)
-        identity[g] = np.abs(lhs - rhs[sym_idx]).max()
+    # a grid point's posteriors, h values and their temporaries take about
+    # ten (A, Y, V) float tensors
+    for part in _chunks(belief_grid.size, 80 * n_a * n_y * n_v):
+        beta = points[part]
+        env0 = (beta.reshape(len(beta), n_u, -1).sum(axis=2) @ loss).min(axis=1)
+        lhs = fresh - env0[:, None] - _h_vector(beta, comp, table, w, loss)
+        post, reachable = _posteriors(beta, kernel, spec.channel, actions)
+        hv = np.where(reachable[..., None],
+                      _h_vector(post, comp, table, w, loss), 0.0)
+        rhs = np.zeros((len(beta), n_a, n_v))
+        for y in range(n_y):
+            rhs -= (wch[..., y] * hv[:, :, y, shift]) @ p_u
+        gaps[part] = lhs - rhs.min(axis=1)
+        identity[part] = np.abs(lhs - rhs[:, sym_idx]).max(axis=1)
 
+    # the first violation in (tuple, grid point) order
+    hits = np.argwhere(gaps.T > VIOLATION_TOL)
     first: Optional[tuple] = None
-    for v in range(n_v):
-        hits = np.nonzero(gaps[:, v] > VIOLATION_TOL)[0]
-        if hits.size:
-            g = int(hits[0])
-            first = (
-                tuple(int(s) for s in comp[v]),
-                tuple(float(x) for x in belief_grid.points[g]),
-                float(gaps[g, v]),
-            )
-            break
+    if len(hits):
+        v, g = hits[0]
+        first = (tuple(int(s) for s in comp[v]),
+                 tuple(float(x) for x in points[g]), float(gaps[g, v]))
     return SymbolCheckReport(
         holds_on_grid=first is None,
         first_violation=first,

@@ -71,6 +71,24 @@ def belief_update_feedback(belief, kernel: MarkovKernel, channel: StochasticMatr
     return ProbVector(num / total)
 
 
+def _posteriors(beliefs: np.ndarray, kernel: MarkovKernel,
+                channel: StochasticMatrix,
+                maps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """belief_update_feedback for (G, V) beliefs, (A, V) encoder maps and
+    every output at once: the (G, A, Y, V) posteriors and the (G, A, Y)
+    mask of reachable outputs.  An unreachable output keeps the predicted
+    belief, so every row stays a probability vector."""
+    predicted = beliefs @ kernel.matrix                        # (G, V)
+    likel = np.ascontiguousarray(channel.rows[maps].transpose(0, 2, 1))
+    num = predicted[:, None, None, :] * likel[None]            # (G, A, Y, V)
+    totals = num.sum(axis=3)
+    reachable = totals > 0.0
+    post = np.where(reachable[..., None],
+                    num / np.where(reachable, totals, 1.0)[..., None],
+                    predicted[:, None, None, :])
+    return post, reachable
+
+
 def _check_transition(kernel: MarkovKernel, v_prev: int, v_next: int) -> None:
     n = kernel.num_states
     if not (0 <= v_prev < n and 0 <= v_next < n):

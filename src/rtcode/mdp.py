@@ -112,7 +112,6 @@ class SolveResult:
     """Outcome of relative value iteration."""
 
     gain: float
-    bias: np.ndarray
     policy: np.ndarray
     iterations: int
     final_span: float
@@ -158,7 +157,7 @@ def relative_value_iteration(mdp: FiniteMdp,
         h = th - th[0]
         if span < tol:
             policy = q.argmax(axis=1)
-            return SolveResult((lo + hi) / 2.0, h, policy, it, span)
+            return SolveResult((lo + hi) / 2.0, policy, it, span)
     raise NonConvergenceError(
         f"relative value iteration exceeded {MAX_SWEEPS} sweeps "
         f"(span {span:.3e})",
@@ -506,7 +505,7 @@ def lagrangian_mdp(cmdp: ConstrainedMdp, lam: float) -> FiniteMdp:
 
 @dataclass(frozen=True)
 class DualResult:
-    """Outcome of the scalar dual search over the constraint multiplier."""
+    """Outcome of the scalar dual search, with the solve at lambda_star."""
 
     lambda_star: float
     dual_value: float
@@ -514,6 +513,9 @@ class DualResult:
     avg_constraint_cost: float
     bracket_edge: bool
     evaluations: int
+    policy: np.ndarray
+    iterations: int
+    final_span: float
 
 
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
@@ -583,4 +585,5 @@ def constrained_solve(cmdp: ConstrainedMdp, lambda_max: Optional[float] = None,
                          cmdp.mdp.rewards, cmdp.cost)
     _, gain_g, avg_cost = max(stats, key=lambda t: t[0])
     return DualResult(float(lambda_star), float(dual_value), gain_g, avg_cost,
-                      bool(edge), len(cache))
+                      bool(edge), len(cache), best.policy, best.iterations,
+                      best.final_span)

@@ -27,10 +27,11 @@ from typing import Optional
 
 import numpy as np
 
-from .bayes import check_action_map
+from .bayes import _posteriors, check_action_map
 from .errors import SpecValidationError
 from .lookahead import _enumerate_maps, build_markov_kernel
-from .mdp import BatchSolve, FiniteMdp, relative_value_iteration, rvi_batch
+from .mdp import (BatchSolve, FiniteMdp, _chunks, relative_value_iteration,
+                  rvi_batch)
 from .models import ProblemSpec, _check_capacity
 from .simplex import SimplexGrid, project, simplex_grid
 
@@ -372,22 +373,17 @@ def build_feedback_complete_discretized(spec: ProblemSpec, d: int,
                                                  problems)
     n_g, n_a, n_u = grid.size, tables.shape[0], shift.shape[1]
     n_y = spec.num_channel_outputs
-    w = spec.channel.rows
 
-    predicted = grid.points @ kernel.matrix                    # (G, V)
     proj = np.empty((n_g, n_a, n_y), dtype=int)
-    for a in range(n_a):
-        likel = w[tables[a]]                                   # (V, Y)
-        for y in range(n_y):
-            num = predicted * likel[None, :, y]
-            totals = num.sum(axis=1)
-            ok = totals > 0.0
-            beliefs = predicted.copy()
-            beliefs[ok] = num[ok] / totals[ok, None]
-            proj[:, a, y] = project(grid, beliefs)
+    # a grid point's posteriors and project's temporaries take about ten
+    # (A, Y, V) float tensors
+    for part in _chunks(n_g, 80 * n_a * n_y * n_v):
+        post, _ = _posteriors(grid.points[part], kernel, spec.channel, tables)
+        proj[part] = project(grid, post)
     p_u = np.asarray(spec.source.p)
     next_states, probs = _tuple_successors(
-        shift, proj[None, :, :, None, :], p_u[None, None, :, None] * w[x_sent])
+        shift, proj[None, :, :, None, :],
+        p_u[None, None, :, None] * spec.channel.rows[x_sent])
 
     marg1 = grid.points.reshape(n_g, n_u, -1).sum(axis=2)      # (G, U)
     env1 = (marg1 @ np.asarray(spec.distortion.loss)).min(axis=1)

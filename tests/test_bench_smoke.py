@@ -21,3 +21,19 @@ def test_benchmark_short_run_is_correct():
     result = json.loads(run.stdout.strip().splitlines()[-1])
     assert result["correct"] is True
     assert result["failed"] == 0
+
+
+def test_traced_run_reports_every_per_layer_metric():
+    """A traced run measures every layer.  A function that the benchmark
+    wraps by name and that the program no longer has drops its metrics
+    from the result and prints a `missing hook:` line."""
+    run = subprocess.run(
+        [sys.executable, "rtbench/run.py", "--workload", "region", "--seed",
+         "1", "--seconds", "0.1", "--trace", "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=600)
+    assert run.returncode == 0, run.stderr[-2000:]
+    lines = run.stdout.strip().splitlines()
+    assert [line for line in lines if line.startswith("missing hook:")] == []
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
+    metrics = json.loads(lines[-1])["metrics"]
+    assert sorted(metrics) == sorted(m["name"] for m in declared)

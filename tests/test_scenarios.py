@@ -17,6 +17,7 @@ from rtcode import (
     solve_nofeedback,
 )
 from rtcode.bayes import (
+    _posteriors,
     bayes_envelope,
     belief_update_feedback,
     belief_update_memory,
@@ -175,37 +176,50 @@ def test_feedback_report_is_json_ready():
 
 
 def test_feedback_complete_transition_matches_belief_oracle():
-    """Grid chain rows vs posterior update + projection done by hand."""
-    spec = binary_problem(0.3, 0.2)
+    """Grid chain rows vs posterior update + projection done by hand, and
+    the batched posteriors behind them vs the scalar update; the noiseless
+    channel makes some outputs unreachable."""
     d = 1
-    kernel = build_markov_kernel(spec.source, d)
-    codec = kernel.codec
-    grid = simplex_grid(codec.size, 4)
-    mdp = build_feedback_complete_discretized(spec, d, grid)
-    tables = all_maps(codec.size, 2)
-    dense = mdp.dense()
-    p_u = np.asarray(spec.source.p)
-    w = spec.channel.rows
-    n_g = grid.size
     rng = np.random.default_rng(33)
-    for _ in range(25):
-        v = int(rng.integers(0, codec.size))
-        g = int(rng.integers(0, n_g))
-        a = int(rng.integers(0, tables.shape[0]))
-        beta = np.asarray(grid.points)[g]
-        expected = np.zeros(mdp.num_states)
-        for u in range(2):
-            vt = codec.shift(v, u)
-            x = tables[a][vt]
-            for y in range(2):
-                try:
-                    nxt = belief_update_feedback(beta, kernel, spec.channel,
-                                                 tables[a], y)
+    for spec in (binary_problem(0.3, 0.2), binary_problem(0.3, 0.0)):
+        kernel = build_markov_kernel(spec.source, d)
+        codec = kernel.codec
+        grid = simplex_grid(codec.size, 4)
+        mdp = build_feedback_complete_discretized(spec, d, grid)
+        tables = all_maps(codec.size, 2)
+        post, reachable = _posteriors(np.asarray(grid.points), kernel,
+                                      spec.channel, tables)
+        dense = mdp.dense()
+        p_u = np.asarray(spec.source.p)
+        w = spec.channel.rows
+        n_g = grid.size
+        unreachable = 0
+        for _ in range(25):
+            v = int(rng.integers(0, codec.size))
+            g = int(rng.integers(0, n_g))
+            a = int(rng.integers(0, tables.shape[0]))
+            beta = np.asarray(grid.points)[g]
+            expected = np.zeros(mdp.num_states)
+            for u in range(2):
+                vt = codec.shift(v, u)
+                x = tables[a][vt]
+                for y in range(2):
+                    try:
+                        nxt = np.asarray(belief_update_feedback(
+                            beta, kernel, spec.channel, tables[a], y).p)
+                    except UnreachableObservationError:
+                        nxt = beta @ kernel.matrix
+                        unreachable += 1
+                        assert not reachable[g, a, y]
+                    else:
+                        assert reachable[g, a, y]
+                    np.testing.assert_allclose(post[g, a, y], nxt, rtol=0,
+                                               atol=1e-15)
                     g2 = nearest(grid, nxt)
-                except UnreachableObservationError:
-                    g2 = nearest(grid, beta @ kernel.matrix)
-                expected[vt * n_g + g2] += p_u[u] * w[x, y]
-        np.testing.assert_allclose(dense[v * n_g + g, a], expected, atol=1e-14)
+                    expected[vt * n_g + g2] += p_u[u] * w[x, y]
+            np.testing.assert_allclose(dense[v * n_g + g, a], expected,
+                                       atol=1e-14)
+        assert (unreachable > 0) == (spec.channel.rows.min() == 0.0)
 
 
 def test_feedback_complete_reward_is_first_marginal_envelope():

@@ -142,8 +142,8 @@ def test_sim_matches_planner_without_feedback():
 
 def test_sim_vending_nofeedback_matches_base_gain():
     # with last:0 memories both belief grids are single points, so the
-    # open-loop chain is exact; the simulator runs the refit policy,
-    # whose loss is the base gain at the dual minimizer
+    # open-loop chain is exact; the simulator runs the policy solved at
+    # the dual minimizer, whose loss is the base gain there
     spec = with_budget(spec_from_dict(TOY), 0.5)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)

@@ -36,6 +36,9 @@ REFERENCE_ONLY = {
     "bayes.bayes_envelope":
         "test_scenarios.py::"
         "test_feedback_complete_reward_is_first_marginal_envelope",
+    "bayes.belief_update_feedback":
+        "test_scenarios.py::"
+        "test_feedback_complete_transition_matches_belief_oracle",
     "bayes.belief_update_memory":
         "test_scenarios.py::"
         "test_nofeedback_transition_matches_memory_belief_oracle",
