@@ -26,8 +26,8 @@ from .errors import SpecValidationError
 from .infotheory import (binary_entropy, channel_capacity,
                          rate_distortion_point, zero_rate_distortion)
 from .lookahead import TupleCodec, _enumerate_maps
-from .models import ProblemSpec, binary_problem
 from .mdp import _chunks
+from .models import ProblemSpec, binary_problem
 from .scenarios import _tuple_chain, memory_last_m, solve_feedback_finite
 from .simplex import SimplexGrid
 
@@ -154,6 +154,7 @@ def _h_vector(beliefs: np.ndarray, comp: np.ndarray, table: np.ndarray,
     env = np.where(reached, (num @ loss).min(axis=-1)
                    / np.where(reached, totals, 1.0), 0.0)      # (..., K-1, Y)
     out = -(marg[..., 0, :] @ loss).min(axis=-1)[..., None]
+    # per-belief matrix-vector products, rounding as for one belief
     for k in range(1, comp.shape[1]):
         out = out - (w[table[comp[:, k]]] @ env[..., k - 1, :, None])[..., 0]
     return out
@@ -217,6 +218,7 @@ def _grid_check(spec: ProblemSpec, d: int, belief_grid: SimplexGrid,
         post, reachable = _posteriors(beta, kernel, spec.channel, actions)
         hv = np.where(reachable[..., None],
                       _h_vector(post, comp, table, w, loss), 0.0)
+        # summed output by output, the order of the scalar reference
         rhs = np.zeros((len(beta), n_a, n_v))
         for y in range(n_y):
             rhs -= (wch[..., y] * hv[:, :, y, shift]) @ p_u
