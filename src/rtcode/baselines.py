@@ -28,7 +28,8 @@ from .infotheory import (binary_entropy, channel_capacity,
 from .lookahead import TupleCodec, _enumerate_maps
 from .mdp import _chunks
 from .models import ProblemSpec, binary_problem
-from .scenarios import _tuple_chain, memory_last_m, solve_feedback_finite
+from .scenarios import (_tuple_chain, _whole_maps, memory_last_m,
+                        solve_feedback_finite)
 from .simplex import SimplexGrid
 
 VIOLATION_TOL = 1e-9
@@ -192,13 +193,14 @@ def _grid_check(spec: ProblemSpec, d: int, belief_grid: SimplexGrid,
     n_v = n_u ** (d + 1)
     problems = ([] if belief_grid.dim == n_v else
                 [f"belief grid has dimension {belief_grid.dim}, expected {n_v}"])
-    kernel, shift, actions, x_sent = _tuple_chain(spec, d, 1, problems)
+    kernel, shift, _ = _tuple_chain(spec, d, 1, problems)
+    actions = _whole_maps(spec, kernel)
     comp = kernel.codec.components_table()
     w = np.asarray(spec.channel.rows)
     loss = np.asarray(spec.distortion.loss)
     p_u = np.asarray(spec.source.p)
     n_y = spec.num_channel_outputs
-    wch = w[x_sent]                                            # (A, V, U, Y)
+    wch = w[actions[:, shift]]                                 # (A, V, U, Y)
     n_a = wch.shape[0]
 
     # the symbol policy's index among all encoder maps

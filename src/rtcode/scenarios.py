@@ -6,9 +6,16 @@ each decoder choice, keep the best.  The MDP state couples the symbol
 tuple the encoder can see with what the decoder side carries forward:
 the decoder's finite memory (feedback), a grid point for the posterior
 over tuples (feedback with unbounded memory), or a grid point for the
-encoder's belief about the decoder memory (no feedback).  Actions are
-complete encoder maps from tuples to channel inputs, and rewards are
+encoder's belief about the decoder memory (no feedback).  Rewards are
 negated per-symbol losses so the maximizing solver minimizes distortion.
+
+An encoder map sends every tuple to a channel input, but a state reads
+it only at the tuples that can follow its own.  So the finite-memory
+chains take per-successor actions, maps from the fresh symbol to an
+input: n_x^n_u of them, whatever the lookahead.  Reports print each
+state's action as the lowest-index whole map that acts alike.  The
+complete-memory chain keeps whole maps, because the decoder's posterior
+update reads the whole map.
 
 The two finite-memory settings share one decoder-family pipeline: their
 transitions do not depend on the decoder table, so every table is
@@ -219,7 +226,8 @@ def _solve_decoder_family(scenario: str, spec: ProblemSpec, d: int,
     return ScenarioSolveReport(
         scenario=scenario,
         distortion=distortion,
-        encoder_policy=tuple(int(a) for a in sol.policies[best]),
+        encoder_policy=_whole_map_policy(sol.policies[best], core["shift"],
+                                         spec.num_channel_inputs),
         decoder=_nested_tuple(dec_all[best]),
         vending_action_map=None,
         params={
@@ -238,20 +246,58 @@ def _solve_decoder_family(scenario: str, spec: ProblemSpec, d: int,
 
 
 def _tuple_chain(spec: ProblemSpec, d: int, size: int, problems: list):
-    """(kernel, shift, encoder maps, x_sent[a, v, u]) of a chain whose
-    states pair the symbol tuple with one of size companions: memory
-    states or belief grid points.  problems are the caller's validation
-    failures, raised once the tuple kernel builds."""
+    """(kernel, shift, x_sent[a, v, u]) of a chain whose states pair the
+    symbol tuple with one of size companions: memory states or belief
+    grid points.  Action a is the per-successor map from the fresh
+    symbol u to an input, in lexicographic order, so x_sent is the same
+    for every tuple v.  problems are the caller's validation failures,
+    raised once the tuple kernel builds."""
     kernel = build_markov_kernel(spec.source, d)
     if problems:
         raise SpecValidationError(problems)
-    n_v = kernel.codec.size
+    n_v, n_u = kernel.codec.size, kernel.codec.base
     _check_capacity("scenario state space", n_v * size,
                     "reduce lookahead, memory, or grid resolution")
-    tables = _enumerate_maps(n_v, spec.num_channel_inputs, None,
-                             "encoder action set", "reduce the lookahead depth")
-    shift = kernel.codec.shift_table()
-    return kernel, shift, tables, tables[:, shift]
+    maps = _enumerate_maps(n_u, spec.num_channel_inputs, None,
+                           "encoder action set",
+                           "reduce the source or input alphabet")
+    x_sent = np.broadcast_to(maps[:, None, :], (maps.shape[0], n_v, n_u))
+    return kernel, kernel.codec.shift_table(), x_sent
+
+
+def _whole_maps(spec: ProblemSpec, kernel) -> np.ndarray:
+    """Every whole encoder map from tuples to inputs, lexicographic: the
+    actions of the chains whose posterior update reads the whole map."""
+    return _enumerate_maps(kernel.codec.size, spec.num_channel_inputs, None,
+                           "encoder action set", "reduce the lookahead depth")
+
+
+def _map_scales(shift: np.ndarray, num_inputs: int) -> list:
+    """Weight, in whole-map index, of the last successor entry of each
+    tuple: the successors shift[v, :] are consecutive tuple indices."""
+    n_v = shift.shape[0]
+    return [num_inputs ** (n_v - 1 - int(last)) for last in shift[:, -1]]
+
+
+def _whole_map_policy(policy, shift: np.ndarray, num_inputs: int) -> tuple:
+    """Each state's per-successor action, states tuple-major, as the
+    index of the lowest whole map that acts alike, a Python int: the map
+    with the action's inputs at the state's successor tuples and 0
+    everywhere else."""
+    scales = _map_scales(shift, num_inputs)
+    size = len(policy) // shift.shape[0]
+    return tuple(int(a) * scales[s // size] for s, a in enumerate(policy))
+
+
+def _successor_policy(encoder, shift: np.ndarray, num_inputs: int) -> list:
+    """Inverse of _whole_map_policy: each state's per-successor action,
+    read off the digits of its whole-map index at the successor
+    tuples."""
+    scales = _map_scales(shift, num_inputs)
+    size = len(encoder) // shift.shape[0]
+    count = num_inputs ** shift.shape[1]
+    return [int(idx) // scales[s // size] % count
+            for s, idx in enumerate(encoder)]
 
 
 def _tuple_successors(shift: np.ndarray, nxt_c, prob) -> tuple:
@@ -280,7 +326,7 @@ def _feedback_core(spec: ProblemSpec, d: int, memory: MemorySpec):
     Transitions do not depend on the decoder table, which lets a solve
     reuse one structure across every enumerated decoder.
     """
-    kernel, shift, _, x_sent = _tuple_chain(
+    kernel, shift, x_sent = _tuple_chain(
         spec, d, memory.num_states, memory.check(spec.num_channel_outputs))
     first = kernel.codec.components_table()[:, 0]
     wch = spec.channel.rows[x_sent]                            # (A, V, U, Y)
@@ -294,6 +340,7 @@ def _feedback_core(spec: ProblemSpec, d: int, memory: MemorySpec):
         "next_probs": next_probs,
         "wch": wch,
         "p_u": p_u,
+        "shift": shift,
         "loss_first": np.asarray(spec.distortion.loss)[first[shift]],
         "shape": (n_v, memory.num_states, x_sent.shape[0], n_u,
                   spec.num_channel_outputs),
@@ -317,9 +364,10 @@ def build_feedback_finite(spec: ProblemSpec, d: int, memory: MemorySpec,
                           decoder) -> FiniteMdp:
     """MDP for feedback coding with a finite decoder memory.
 
-    States are (tuple, memory) pairs indexed tuple-major; the reward of an
-    encoder map is the negated expected loss of the decoder's response to
-    the upcoming output, charged to the symbol leaving the window.
+    States are (tuple, memory) pairs indexed tuple-major; actions are the
+    per-successor maps of _tuple_chain.  The reward of an action is the
+    negated expected loss of the decoder's response to the upcoming
+    output, charged to the symbol leaving the window.
     """
     core = _feedback_core(spec, d, memory)
     return _decoder_mdp(spec, memory, core, _feedback_rewards, decoder)
@@ -369,8 +417,8 @@ def build_feedback_complete_discretized(spec: ProblemSpec, d: int,
     n_v = spec.num_source_symbols ** (d + 1)
     problems = ([] if grid.dim == n_v else
                 [f"belief grid has dimension {grid.dim}, expected {n_v}"])
-    kernel, shift, tables, x_sent = _tuple_chain(spec, d, grid.size,
-                                                 problems)
+    kernel, shift, _ = _tuple_chain(spec, d, grid.size, problems)
+    tables = _whole_maps(spec, kernel)
     n_g, n_a, n_u = grid.size, tables.shape[0], shift.shape[1]
     n_y = spec.num_channel_outputs
 
@@ -383,7 +431,7 @@ def build_feedback_complete_discretized(spec: ProblemSpec, d: int,
     p_u = np.asarray(spec.source.p)
     next_states, probs = _tuple_successors(
         shift, proj[None, :, :, None, :],
-        p_u[None, None, :, None] * spec.channel.rows[x_sent])
+        p_u[None, None, :, None] * spec.channel.rows[tables[:, shift]])
 
     marg1 = grid.points.reshape(n_g, n_u, -1).sum(axis=2)      # (G, U)
     env1 = (marg1 @ np.asarray(spec.distortion.loss)).min(axis=1)
@@ -423,10 +471,8 @@ def _nofeedback_core(spec: ProblemSpec, d: int, memory: MemorySpec,
         [] if grid.dim == memory.num_states else
         [f"memory belief grid has dimension {grid.dim}, "
          f"expected {memory.num_states}"])
-    kernel, shift, tables, x_sent = _tuple_chain(spec, d, grid.size,
-                                                 problems)
-    n_v, n_u = shift.shape
-    n_a = tables.shape[0]
+    kernel, shift, x_sent = _tuple_chain(spec, d, grid.size, problems)
+    n_a, n_v, n_u = x_sent.shape
     w = spec.channel.rows
     p_u = np.asarray(spec.source.p)
     proj = _project_pushforward(grid, memory.table, w)         # (G, X)

@@ -23,7 +23,8 @@ import numpy as np
 from .errors import SpecValidationError
 from .models import ProblemSpec
 from .scenarios import (MemorySpec, ScenarioSolveReport, _checked_decoder,
-                        _project_pushforward, _tuple_chain)
+                        _project_pushforward, _successor_policy,
+                        _tuple_chain)
 from .simplex import project, simplex_grid
 
 BURN_IN = 1000
@@ -117,12 +118,15 @@ def _fail(msg: str):
     raise SpecValidationError([msg])
 
 
-def _check_encoder(encoder, num_states: int, num_actions: int) -> np.ndarray:
-    enc = np.asarray(encoder, dtype=int)
-    if enc.shape != (num_states,):
-        _fail(f"encoder addresses {enc.shape} states, expected ({num_states},)")
-    if enc.min(initial=0) < 0 or enc.max(initial=0) >= num_actions:
-        _fail(f"encoder actions outside 0..{num_actions - 1}")
+def _check_encoder(encoder, num_states: int, num_maps: int) -> list:
+    """The encoder's whole-map indices as Python ints, which do not
+    overflow however many maps there are."""
+    enc = [int(a) for a in encoder]
+    if len(enc) != num_states:
+        _fail(f"encoder addresses ({len(enc)},) states, "
+              f"expected ({num_states},)")
+    if any(not 0 <= a < num_maps for a in enc):
+        _fail(f"encoder actions outside 0..{num_maps - 1}")
     return enc
 
 
@@ -135,11 +139,11 @@ def _step_table(bundle: PolicyBundle, spec: ProblemSpec, d: int):
     memory mem, c = g * n_mem + mem.  Each entry is (next tuple, output
     CDF row, [(loss, next c) per output], action cost).
     """
-    kernel, shift, atab, _ = _tuple_chain(spec, d, 1, [])
+    kernel, shift_arr, x_sent = _tuple_chain(spec, d, 1, [])
     codec = kernel.codec
     n_v, n_u = codec.size, codec.base
     n_x, n_y = spec.num_channel_inputs, spec.num_channel_outputs
-    atab, shift = atab.tolist(), shift.tolist()
+    loc, shift = x_sent[:, 0].tolist(), shift_arr.tolist()
     first = codec.components_table()[:, 0]
     loss_first = np.asarray(spec.distortion.loss)[first].tolist()  # (V, C)
     first = first.tolist()
@@ -225,17 +229,17 @@ def _step_table(bundle: PolicyBundle, spec: ProblemSpec, d: int):
 
     # with feedback the encoder sees the memory, without it the grid point
     n_seen = n_mem if feedback else n_g
-    enc = _check_encoder(bundle.encoder, n_v * n_seen, len(atab))
-    enc = enc.reshape(n_v, n_seen).tolist()
+    enc = _check_encoder(bundle.encoder, n_v * n_seen, n_x**n_v)
+    enc = _successor_policy(enc, shift_arr, n_x)
     table = [[None] * (n_g * n_mem) for _ in range(n_v)]
     for v in range(n_v):
         for g in range(n_g):
             for mem in range(n_mem):
-                a = enc[v][mem if feedback else g]
+                a = enc[v * n_seen + (mem if feedback else g)]
                 row = []
                 for u in range(n_u):
                     vt = shift[v][u]
-                    x = atab[a][vt]
+                    x = loc[a][u]
                     base = 0 if feedback else grid_step(g, vt, x) * n_mem
                     cdf, cost, outs = outputs(mem, vt, x)
                     row.append((vt, cdf, [(loss, base + nxt)

@@ -36,7 +36,7 @@ from .scenarios import (APPROXIMATE, MemorySpec,
                         ScenarioSolveReport, _checked_decoder,
                         _clamp_distortion, _memory_params, _nested_tuple,
                         _project_pushforward, _tuple_chain, _tuple_successors,
-                        spec_params)
+                        _whole_map_policy, spec_params)
 from .simplex import SimplexGrid, simplex_grid
 
 
@@ -66,7 +66,7 @@ def _vending_prologue(spec: ProblemSpec, d: int, mem_x: MemorySpec,
             problems.append(f"{name} belief grid has dimension "
                             f"{points.shape[1]}, expected {mem.num_states}")
     g_m, g_n = points_m.shape[0], points_n.shape[0]
-    kernel, shift, _, x_sent = _tuple_chain(spec, d, g_m * g_n, problems)
+    kernel, shift, x_sent = _tuple_chain(spec, d, g_m * g_n, problems)
     n_a, n_v, n_u = x_sent.shape
     u_next = kernel.codec.components_table()[:, 0][shift]      # (V, U)
     p_u = np.asarray(spec.source.p)
@@ -277,7 +277,9 @@ def _solve_pairs(scenario: str, spec: ProblemSpec, d: int, mem_x: MemorySpec,
         scenario=scenario,
         distortion=_clamp_distortion(-best.dual_value,
                                      spec.distortion.max_loss),
-        encoder_policy=tuple(int(a) for a in best.policy),
+        # every actuator map's core has the same tuple shift
+        encoder_policy=_whole_map_policy(best.policy, core["shift"],
+                                         spec.num_channel_inputs),
         decoder=_nested_tuple(decs[best_i]),
         vending_action_map=tuple(int(a) for a in avs[best_j]),
         params={

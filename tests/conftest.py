@@ -2,8 +2,12 @@
 import itertools
 
 import numpy as np
+import pytest
 
+from rtcode import (ProblemSpec, ProbVector, StochasticMatrix, hamming,
+                    scenarios, vending)
 from rtcode.mdp import FiniteMdp
+from rtcode.scenarios import _tuple_chain
 
 TIE_L1 = 1e-12
 
@@ -41,8 +45,57 @@ def nearest(grid, beliefs):
                      axis=-1)
 
 
+def random_rows(rng, n_in, n_out, zeros=0.0):
+    """Random stochastic rows; a fraction zeros of the entries is set to
+    0, which makes some outputs unreachable."""
+    raw = rng.random((n_in, n_out)) + 1e-3
+    raw[rng.random((n_in, n_out)) < zeros] = 0.0
+    raw[raw.sum(axis=1) == 0.0, 0] = 1.0
+    return raw / raw.sum(axis=1, keepdims=True)
+
+
+def random_spec(rng, n_u, n_x=2, n_y=2, zeros=0.0):
+    """Random problem under Hamming loss over a random_rows channel."""
+    rows = random_rows(rng, n_x, n_y, zeros)
+    return ProblemSpec(
+        source=ProbVector.make(rng.dirichlet(np.ones(n_u))),
+        channel=StochasticMatrix.make(rows),
+        distortion=hamming(n_u),
+    )
+
+
 def all_maps(domain, num_values):
     """Every map from domain entries to num_values values, one row per map
     in lexicographic order: the enumeration order of the solvers."""
     return np.array(list(itertools.product(range(num_values),
                                            repeat=domain)), dtype=int)
+
+
+def whole_map(codec, v, inputs):
+    """The lowest-index whole encoder map that sends the successor tuple
+    shift(v, u) to inputs[u]: 0 at every other tuple."""
+    table = np.zeros(codec.size, dtype=int)
+    for u, x in enumerate(inputs):
+        table[codec.shift(v, u)] = x
+    return table
+
+
+def whole_map_chain(spec, d, size, problems):
+    """Oracle for scenarios._tuple_chain: the same chain with every whole
+    encoder map, from tuples to inputs, as an action, so that
+    x_sent[a, v, u] = maps[a, shift[v, u]]."""
+    kernel, shift, _ = _tuple_chain(spec, d, size, problems)
+    maps = all_maps(kernel.codec.size, spec.num_channel_inputs)
+    return kernel, shift, maps[:, shift]
+
+
+def solve_with_whole_maps(solve, *args):
+    """solve(*args) with the finite-memory chains acting on whole encoder
+    maps and the report printing the chosen maps' indices as they are."""
+    with pytest.MonkeyPatch.context() as mp:
+        for module in (scenarios, vending):
+            mp.setattr(module, "_tuple_chain", whole_map_chain)
+            mp.setattr(module, "_whole_map_policy",
+                       lambda policy, shift, num_inputs:
+                       tuple(int(a) for a in policy))
+        return solve(*args)

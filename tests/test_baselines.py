@@ -25,7 +25,7 @@ from rtcode.baselines import (SymbolPolicy, _grid_check, _h_vector,
                               binary_shannon_closed_form)
 from rtcode.bayes import belief_update_feedback
 from rtcode.lookahead import build_markov_kernel
-from conftest import all_maps
+from conftest import all_maps, random_spec
 
 
 def test_d0_binary_equals_min_of_bias_and_crossover():
@@ -126,19 +126,6 @@ def _h_oracle(belief, spec, d, table):
                      for tup in codec.components_table()])
 
 
-def _random_spec(rng, n_u, n_x=2, n_y=2, zeros=0.0):
-    """Random problem under Hamming loss; a fraction zeros of the channel
-    entries is set to 0, which makes some outputs unreachable."""
-    raw = rng.random((n_x, n_y)) + 1e-3
-    raw[rng.random((n_x, n_y)) < zeros] = 0.0
-    raw[raw.sum(axis=1) == 0.0, 0] = 1.0
-    return ProblemSpec(
-        source=ProbVector.make(rng.dirichlet(np.ones(n_u))),
-        channel=StochasticMatrix.make(raw / raw.sum(axis=1, keepdims=True)),
-        distortion=hamming(n_u),
-    )
-
-
 def test_h_closed_form_matches_resummation():
     # the certificate's own h function, at every tuple, for one belief
     # and for a batch of them
@@ -146,7 +133,7 @@ def test_h_closed_form_matches_resummation():
     for _ in range(25):
         n_u = int(rng.integers(2, 4))
         d = int(rng.integers(1, 3)) if n_u == 2 else 1
-        spec = _random_spec(rng, n_u)
+        spec = random_spec(rng, n_u)
         table = rng.integers(0, 2, size=n_u)
         beliefs = rng.dirichlet(np.ones(n_u ** (d + 1)), size=(2, 3))
         comp = build_markov_kernel(spec.source, d).codec.components_table()
@@ -212,11 +199,11 @@ def test_symbol_check_matches_scalar_reference():
              (binary_problem(0.2, 0.5), 1, 4),
              (binary_problem(0.3, 0.3), 2, 1)]
     for _ in range(5):
-        cases.append((_random_spec(rng, 2, n_x=int(rng.integers(2, 4)),
+        cases.append((random_spec(rng, 2, n_x=int(rng.integers(2, 4)),
                                    n_y=int(rng.integers(2, 4)), zeros=0.3),
                       1, 3))
-    cases.append((_random_spec(rng, 2, zeros=0.3), 2, 1))
-    cases.append((_random_spec(rng, 3, n_y=3, zeros=0.3), 1, 1))
+    cases.append((random_spec(rng, 2, zeros=0.3), 2, 1))
+    cases.append((random_spec(rng, 3, n_y=3, zeros=0.3), 1, 1))
     violated = 0
     for spec, d, res in cases:
         grid = simplex_grid(spec.num_source_symbols ** (d + 1), res)

@@ -274,3 +274,34 @@ def test_solve_reports_solver_counters(capsys):
     assert diag["rounds_min"] <= diag["rounds_median"] <= diag["rounds_max"]
     assert diag["final_span"] <= 1e-9
     assert diag["optimality_residual"] <= 1e-9
+
+
+def test_finite_memory_solves_past_the_whole_map_guard(capsys):
+    # the finite-memory chains act per successor symbol, so their action
+    # set does not grow with the lookahead
+    rc, out = _run(capsys, ["solve", *SOLVE_ARGS, "--d", "3",
+                            "--memory", "last:1"])
+    assert rc == 0
+    doc = json.loads(out)
+    assert doc["diagnostics"]["fallbacks"] == 0
+    assert doc["distortion"] == pytest.approx(0.252863777090, abs=1e-9)
+    rc, out = _run(capsys, ["solve", *SOLVE_ARGS, "--d", "4",
+                            "--memory", "last:2"])
+    assert rc == 0
+    # whole-map indices of 2**32 maps, as JSON integers
+    policy = json.loads(out)["encoder_policy"]
+    assert len(policy) == 32 * 4 and max(policy) < 2**32
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", *SOLVE_ARGS, "--memory", "complete", "--grid", "2"],
+    ["check-s2s", *SOLVE_ARGS, "--grid", "2"],
+])
+def test_whole_map_chains_keep_the_encoder_guard(capsys, argv):
+    # the complete-memory chain and the certificate update the posterior
+    # with the whole encoder map: 2**32 of them at d = 4
+    rc = main([*argv, "--d", "4"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "error: encoder action set needs 4294967296 entries" in err
+    assert "(reduce the lookahead depth)" in err

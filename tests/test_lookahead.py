@@ -12,6 +12,7 @@ from rtcode import (
     binary_problem,
     d0_distortion,
     memory_last_m,
+    solve_feedback_complete,
     solve_feedback_finite,
     solve_vending_feedback,
     spec_from_dict,
@@ -115,8 +116,8 @@ WIDE_ACTUATOR = {
 CAPPED = {
     "encoder": ("encoder action set", "reduce the lookahead depth", (8, 2),
                 "RTC_MAX_STATES", 100,
-                lambda: solve_feedback_finite(
-                    binary_problem(0.3, 0.3), 2, memory_last_m(0, 2))),
+                lambda: solve_feedback_complete(
+                    binary_problem(0.3, 0.3), 2, 1)),
     "decoder": ("decoder enumeration", "reduce the decoder memory size m",
                 (4, 3), "DEFAULT_DECODER_CAP", 100,
                 lambda: solve_feedback_finite(

@@ -1,6 +1,7 @@
 """Scenario compilers against brute-force one-step oracles."""
 import json
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +16,9 @@ from rtcode import (
     solve_feedback_complete,
     solve_feedback_finite,
     solve_nofeedback,
+    solve_vending_feedback,
+    solve_vending_nofeedback,
+    spec_from_dict,
 )
 from rtcode.bayes import (
     _posteriors,
@@ -28,9 +32,11 @@ from rtcode.mdp import (PI_MAX_ROUNDS, batch_policy_iteration,
                         batch_value_iteration, evaluate_policy)
 from rtcode.scenarios import (_feedback_core, _feedback_rewards,
                               _first_within, _nofeedback_core,
+                              _successor_policy,
                               build_feedback_complete_discretized,
                               build_feedback_finite, build_nofeedback_finite)
-from conftest import all_maps, nearest
+from conftest import (all_maps, nearest, random_rows, random_spec,
+                      solve_with_whole_maps, whole_map)
 
 
 def test_memory_m0_is_singleton():
@@ -89,20 +95,21 @@ def test_feedback_one_step_reward_matches_enumeration():
     rng = np.random.default_rng(31)
     dec = rng.integers(0, 2, size=(2, mem.num_states))
     mdp = build_feedback_finite(spec, d, mem, dec)
-    tables = all_maps(codec.size, 2)
+    maps = all_maps(2, 2)           # per-successor actions: u -> x
     p_u = np.asarray(spec.source.p)
     w = spec.channel.rows
     loss = np.asarray(spec.distortion.loss)
     n_z = mem.num_states
+    assert mdp.num_actions == maps.shape[0]
     for _ in range(40):
         v = int(rng.integers(0, codec.size))
         z = int(rng.integers(0, n_z))
-        a = int(rng.integers(0, tables.shape[0]))
+        a = int(rng.integers(0, maps.shape[0]))
         expected = 0.0
         for u in range(2):
             vt = codec.shift(v, u)
             charged = codec.component(vt, 1)
-            x = tables[a][vt]
+            x = maps[a][u]
             for y in range(2):
                 expected += p_u[u] * w[x, y] * loss[charged, dec[y, z]]
         assert mdp.rewards[v * n_z + z, a] == pytest.approx(-expected, abs=1e-14)
@@ -116,7 +123,7 @@ def test_feedback_one_step_transition_matches_enumeration():
     codec = kernel.codec
     dec = np.zeros((2, mem.num_states), dtype=int)
     mdp = build_feedback_finite(spec, d, mem, dec)
-    tables = all_maps(codec.size, 2)
+    maps = all_maps(2, 2)
     dense = mdp.dense()
     p_u = np.asarray(spec.source.p)
     w = spec.channel.rows
@@ -125,11 +132,11 @@ def test_feedback_one_step_transition_matches_enumeration():
     for _ in range(40):
         v = int(rng.integers(0, codec.size))
         z = int(rng.integers(0, n_z))
-        a = int(rng.integers(0, tables.shape[0]))
+        a = int(rng.integers(0, maps.shape[0]))
         expected = np.zeros(mdp.num_states)
         for u in range(2):
             vt = codec.shift(v, u)
-            x = tables[a][vt]
+            x = maps[a][u]
             for y in range(2):
                 expected[vt * n_z + mem.table[z, y]] += p_u[u] * w[x, y]
         np.testing.assert_allclose(dense[v * n_z + z, a], expected, atol=1e-14)
@@ -286,7 +293,7 @@ def test_nofeedback_one_step_reward_matches_enumeration():
     rng = np.random.default_rng(34)
     dec = rng.integers(0, 2, size=(2, mem.num_states))
     mdp = build_nofeedback_finite(spec, d, mem, dec, grid)
-    tables = all_maps(codec.size, 2)
+    maps = all_maps(2, 2)
     p_u = np.asarray(spec.source.p)
     w = spec.channel.rows
     loss = np.asarray(spec.distortion.loss)
@@ -294,13 +301,13 @@ def test_nofeedback_one_step_reward_matches_enumeration():
     for _ in range(40):
         v = int(rng.integers(0, codec.size))
         g = int(rng.integers(0, n_g))
-        a = int(rng.integers(0, tables.shape[0]))
+        a = int(rng.integers(0, maps.shape[0]))
         beta = np.asarray(grid.points)[g]
         expected = 0.0
         for u in range(2):
             vt = codec.shift(v, u)
             charged = codec.component(vt, 1)
-            x = tables[a][vt]
+            x = maps[a][u]
             for z in range(mem.num_states):
                 for y in range(2):
                     expected += (p_u[u] * beta[z] * w[x, y]
@@ -318,19 +325,21 @@ def test_nofeedback_transition_matches_memory_belief_oracle():
     core = _nofeedback_core(spec, d, mem, grid)
     kernel = build_markov_kernel(spec.source, d)
     codec = kernel.codec
-    tables = all_maps(codec.size, 2)
+    maps = all_maps(2, 2)
     p_u = np.asarray(spec.source.p)
     n_g = grid.size
     rng = np.random.default_rng(36)
     for _ in range(60):
         v = int(rng.integers(0, codec.size))
         g = int(rng.integers(0, n_g))
-        a = int(rng.integers(0, tables.shape[0]))
+        a = int(rng.integers(0, maps.shape[0]))
         expected = np.zeros(codec.size * n_g)
         for u in range(2):
             vt = codec.shift(v, u)
             belief = belief_update_memory(grid.points[g], kernel, v, vt,
-                                          spec.channel, tables[a], mem.table)
+                                          spec.channel,
+                                          whole_map(codec, v, maps[a]),
+                                          mem.table)
             expected[vt * n_g + nearest(grid, belief)] += p_u[u]
         got = np.zeros(codec.size * n_g)
         s = v * n_g + g
@@ -391,7 +400,8 @@ def test_feedback_tie_rule_takes_lowest_index_within_tol(capsys):
     np.testing.assert_array_equal(doc["decoder"], decs[lowest])
     mdp = build_feedback_finite(binary_problem(0.3, 0.3), 1,
                                 memory_last_m(2, 2), doc["decoder"])
-    ev = evaluate_policy(mdp, doc["encoder_policy"])
+    ev = evaluate_policy(mdp, _successor_policy(doc["encoder_policy"],
+                                                core["shift"], 2))
     assert abs(-ev.gain - doc["distortion"]) <= 1e-10
     # the rule itself, on gains whose float maximum is not the first tie
     assert _first_within(np.array([0.1, 0.5 - 1e-12, 0.5]), tol) == 1
@@ -438,7 +448,9 @@ def test_feedback_degenerate_parameters_solve_fast(p, delta):
         assert rep.diagnostics["optimality_residual"] <= 1e-9
         mdp = build_feedback_finite(spec, 1, memory_last_m(m, 2),
                                     rep.decoder)
-        ev = evaluate_policy(mdp, rep.encoder_policy)
+        shift = build_markov_kernel(spec.source, 1).codec.shift_table()
+        ev = evaluate_policy(mdp, _successor_policy(rep.encoder_policy,
+                                                    shift, 2))
         assert abs(-ev.gain - rep.distortion) <= 1e-10
 
 
@@ -455,3 +467,50 @@ def test_feedback_near_noiseless_point_solves(capsys):
     assert diag["final_span"] <= 1e-9
     assert diag["rounds_min"] <= diag["rounds_median"] <= diag["rounds_max"]
     assert diag["fallbacks"] == 0
+
+
+def _oracle_case(chain, seed):
+    """A random small instance of one chain: its solver and arguments."""
+    rng = np.random.default_rng(seed)
+    if chain.startswith("vending"):
+        # two inputs, two paid actions and two side outputs already make
+        # 64 (decoder, actuator) pairs, each with its own dual search
+        p = float(rng.uniform(0.05, 0.5))
+        spec = spec_from_dict({
+            "source": [1.0 - p, p],
+            "channel": random_rows(rng, 2, 2).tolist(),
+            "distortion": [[0.0, 1.0], [1.0, 0.0]],
+            "vending": {"kernel": random_rows(rng, 4, 2, zeros=0.3).tolist(),
+                        "costs": [0.0, 1.0],
+                        "budget": float(rng.uniform(0.2, 0.8))}})
+        mems = (memory_last_m(0, 2), memory_last_m(0, 2))
+        if chain == "vending-feedback":
+            return solve_vending_feedback, (spec, 1, *mems)
+        return solve_vending_nofeedback, (spec, 1, *mems, 2)
+    # (inputs, outputs, lookahead): at most 3^4 or 2^8 whole maps
+    n_x, n_y, d = ((2, 2, 1), (2, 2, 2), (2, 3, 2), (3, 2, 1), (3, 3, 1),
+                   (2, 3, 1))[seed]
+    spec = random_spec(rng, 2, n_x, n_y, zeros=0.3)
+    if chain == "feedback":
+        return solve_feedback_finite, (spec, d, memory_last_m(1, n_y))
+    return solve_nofeedback, (spec, d, memory_last_m(1, n_y), 2)
+
+
+@pytest.mark.parametrize("chain, seed", [
+    *((chain, seed) for chain in ("feedback", "nofeedback")
+      for seed in range(6)),
+    *((chain, seed) for chain in ("vending-feedback", "vending-nofeedback")
+      for seed in range(2))])
+def test_successor_actions_match_whole_map_oracle(chain, seed):
+    """Per-successor actions against the whole-map chain: the same value,
+    tables and printed encoder policy."""
+    solve, args = _oracle_case(chain, seed)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        got = solve(*args)
+        want = solve_with_whole_maps(solve, *args)
+    assert abs(got.distortion - want.distortion) <= 1e-12
+    assert got.decoder == want.decoder
+    assert got.vending_action_map == want.vending_action_map
+    assert got.encoder_policy == want.encoder_policy
+    assert all(type(a) is int for a in got.encoder_policy)

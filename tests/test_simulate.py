@@ -204,3 +204,28 @@ def test_sim_validates_configuration_before_running(solved_d11):
     )
     with pytest.raises(SpecValidationError):
         simulate(wrong_tag, spec, 1, 100, 1, seed=1)
+
+
+def test_sim_runs_whole_map_indices_past_the_map_table():
+    # at d = 4 the 2**32 whole encoder maps cannot be tabulated; each
+    # step reads its input off the printed index
+    spec = binary_problem(0.3, 0.3)
+    report = solve_feedback_finite(spec, 4, memory_last_m(2, 2))
+    bundle = PolicyBundle.from_report(report)
+    assert max(bundle.encoder) >= 2**31
+    out = simulate(bundle, spec, 4, 20000, 10, seed=23)
+    assert _within_band(out, report.distortion)
+
+
+def test_sim_checks_whole_map_indices_without_overflow(solved_d11):
+    # 2**64 overflows a fixed-width integer array
+    spec, _, bundle = solved_d11
+    for index in (16, 2**64):
+        too_big = PolicyBundle(
+            scenario="feedback-finite",
+            encoder=(index,) + bundle.encoder[1:],
+            decoder=bundle.decoder,
+            memory=bundle.memory,
+        )
+        with pytest.raises(SpecValidationError, match=r"outside 0\.\.15"):
+            simulate(too_big, spec, 1, 100, 1, seed=1)

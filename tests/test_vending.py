@@ -21,7 +21,7 @@ from rtcode.bayes import (
 from rtcode.lookahead import build_markov_kernel
 from rtcode.vending import (_best_pair, build_vending_feedback_finite,
                             build_vending_nofeedback_discretized)
-from conftest import all_maps, nearest
+from conftest import all_maps, nearest, whole_map
 
 TOY = {
     "source": [0.7, 0.3],
@@ -87,7 +87,7 @@ def test_vending_feedback_reward_matches_enumeration():
     lam = 0.4
     mdp = build_vending_feedback_finite(spec, d, mem_x, mem_y, dec, av,
                                         lam=lam)
-    tables = all_maps(codec.size, 2)
+    maps = all_maps(2, 2)           # per-successor actions: u -> x
     p_u = np.asarray(spec.source.p)
     loss = np.asarray(spec.distortion.loss)
     vend = spec.vending
@@ -99,14 +99,14 @@ def test_vending_feedback_reward_matches_enumeration():
         v = int(rng.integers(0, codec.size))
         m = int(rng.integers(0, n_m))
         n = int(rng.integers(0, n_n))
-        a = int(rng.integers(0, tables.shape[0]))
+        a = int(rng.integers(0, maps.shape[0]))
         s = (v * n_m + m) * n_n + n
         loss_exp = cost_exp = 0.0
         trans = np.zeros(mdp.num_states)
         for u in range(2):
             vt = codec.shift(v, u)
             u_now = codec.component(vt, 1)
-            x = tables[a][vt]
+            x = maps[a][u]
             act = av[x]
             cost_exp += p_u[u] * costs[act]
             for y in range(2):
@@ -193,7 +193,7 @@ def test_vending_nofeedback_reward_matches_enumeration():
     lam = 0.4
     mdp = build_vending_nofeedback_discretized(spec, d, mem_x, mem_y, dec,
                                                av, gm, gn, lam=lam)
-    tables = all_maps(codec.size, 2)
+    maps = all_maps(2, 2)           # per-successor actions: u -> x
     p_u = np.asarray(spec.source.p)
     loss = np.asarray(spec.distortion.loss)
     vend = spec.vending
@@ -205,7 +205,7 @@ def test_vending_nofeedback_reward_matches_enumeration():
         v = int(rng.integers(0, codec.size))
         im = int(rng.integers(0, n_gm))
         iN = int(rng.integers(0, n_gn))
-        a = int(rng.integers(0, tables.shape[0]))
+        a = int(rng.integers(0, maps.shape[0]))
         s = (v * n_gm + im) * n_gn + iN
         beta_m = np.asarray(gm.points)[im]
         gamma_n = np.asarray(gn.points)[iN]
@@ -214,7 +214,7 @@ def test_vending_nofeedback_reward_matches_enumeration():
         for u in range(2):
             vt = codec.shift(v, u)
             u_now = codec.component(vt, 1)
-            x = tables[a][vt]
+            x = maps[a][u]
             act = av[x]
             cost_exp += p_u[u] * costs[act]
             for y in range(2):
@@ -235,13 +235,14 @@ def test_vending_nofeedback_reward_matches_enumeration():
                     total += wgt
             pn = pn / total if total > 0 else gamma_n
             # the library's belief updates agree with the loops above
+            table = whole_map(codec, v, maps[a])
             np.testing.assert_allclose(
                 belief_update_encoded_memory(beta_m, kernel, v, vt,
-                                             tables[a], mem_x.table, 2).p,
+                                             table, mem_x.table, 2).p,
                 pm, atol=1e-15)
             np.testing.assert_allclose(
                 belief_update_sideinfo_memory(gamma_n, kernel, v, vt, vend,
-                                              av, tables[a], mem_y.table,
+                                              av, table, mem_y.table,
                                               2).p,
                 pn, atol=1e-15)
             s2 = (vt * n_gm + nearest(gm, pm)) * n_gn + nearest(gn, pn)
