@@ -32,6 +32,13 @@ TERNARY = {
     "channel": [[0.9, 0.1], [0.1, 0.9]],
     "distortion": [[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]],
 }
+# Two inputs and three outputs: a chain that mixes up the input and
+# output axes prints other bytes here.
+ASYM = {
+    "source": [0.6, 0.4],
+    "channel": [[0.8, 0.1, 0.1], [0.1, 0.1, 0.8]],
+    "distortion": [[0.0, 1.0], [1.0, 0.0]],
+}
 VENDING = {
     "toy": {"kernel": [[0.5, 0.5], [0.9, 0.1], [0.5, 0.5], [0.2, 0.8]],
             "costs": [0.0, 1.0], "budget": 1.0},
@@ -46,11 +53,17 @@ TOY_ARGS = ["--spec", "{toy}", "--vending", "{toy_vending}", "--d", "1",
             "--memory-y", "last:1"]
 TERNARY_ARGS = ["--spec", "{ternary}", "--vending", "{ternary_vending}",
                 "--d", "0"]
+ASYM_ARGS = ["--spec", "{asym}", "--d", "1", "--memory", "last:1"]
 SIM = ["--horizon", "2000", "--replications", "2", "--seed", "17"]
 
 CASES = {
     "solve_feedback_last2": ["solve", *BINARY, "--d", "1",
                              "--memory", "last:2"],
+    "solve_feedback_d2_last2": ["solve", *BINARY, "--d", "2",
+                                "--memory", "last:2"],
+    "solve_asym_feedback_last1": ["solve", *ASYM_ARGS],
+    "solve_asym_nofeedback_last1_grid10": ["solve", *ASYM_ARGS,
+                                           "--no-feedback", "--grid", "10"],
     "solve_nofeedback_last1_grid10": ["solve", *BINARY, "--d", "1",
                                       "--memory", "last:1", "--no-feedback",
                                       "--grid", "10"],
@@ -83,7 +96,7 @@ CASES = {
 
 def _argv(name: str, where: Path) -> list[str]:
     files = {}
-    for key, data in (("toy", TOY), ("ternary", TERNARY),
+    for key, data in (("toy", TOY), ("ternary", TERNARY), ("asym", ASYM),
                       ("toy_vending", VENDING["toy"]),
                       ("ternary_vending", VENDING["ternary"])):
         files[key] = where / f"{key}.json"
