@@ -17,7 +17,17 @@ state's action as the lowest-index whole map that acts alike.  The
 complete-memory chain keeps whole maps, because the decoder's posterior
 update reads the whole map.
 
-The two finite-memory settings share one decoder-family pipeline: their
+One compiler builds the four finite-memory chains: coding and vending,
+each with and without feedback.  All four pair the symbol tuple with the
+decoder's two memories, one of the inputs it is sent and one of its
+observations, and differ only in the observation law.  A coding chain is
+a vending chain whose x-memory has one state, whose observation is the
+channel output of the sent input, and whose actions cost nothing;
+vending.py adds the actuator's law and the constraint costs.  With
+feedback the encoder sees both memories; without it the chain tracks
+grid beliefs over them.
+
+The two coding chains share one decoder-family pipeline: their
 transitions do not depend on the decoder table, so every table is
 enumerated, the rewards are batched over one transition structure, the
 batch is solved at once, and the first table within the tolerance of
@@ -191,18 +201,19 @@ def _checked_decoder(decoder, shape: tuple, num_symbols: int) -> np.ndarray:
     return check_action_map(dec.ravel(), dec.size, num_symbols).reshape(shape)
 
 
-def _decoder_mdp(spec: ProblemSpec, memory: MemorySpec, core, rewards_fn,
+def _decoder_mdp(spec: ProblemSpec, memory: MemorySpec, core,
                  decoder) -> FiniteMdp:
-    """The chain of one decoder table indexed [y, z] over a shared core."""
+    """The coding chain of one decoder table indexed [y, z]."""
     dec = _checked_decoder(decoder, (spec.num_channel_outputs,
                                      memory.num_states),
                            spec.num_reconstructions)
-    rewards = rewards_fn(core, dec[None, :, :])[0]
+    rewards = _chain_rewards(
+        core, _coding_decoders(dec[None], spec.num_channel_inputs))[0]
     return FiniteMdp(core["next_states"], core["next_probs"], rewards)
 
 
 def _solve_decoder_family(scenario: str, spec: ProblemSpec, d: int,
-                          memory: MemorySpec, core, rewards_fn, tol: float,
+                          memory: MemorySpec, core, tol: float,
                           params=None, diagnostics=None,
                           flags=()) -> ScenarioSolveReport:
     """Minimum distortion over every decoder table indexed [y, z].
@@ -219,7 +230,8 @@ def _solve_decoder_family(scenario: str, spec: ProblemSpec, d: int,
                               "reduce the decoder memory size m"
                               ).reshape(-1, n_y, n_z)
     sol = rvi_batch(core["next_states"], core["next_probs"],
-                    rewards_fn(core, dec_all), tol=tol)
+                    _chain_rewards(core, _coding_decoders(
+                        dec_all, spec.num_channel_inputs)), tol=tol)
     best = _first_within(sol.gains, tol)
     distortion = _clamp_distortion(-float(sol.gains[best]),
                                    spec.distortion.max_loss)
@@ -320,44 +332,134 @@ def _tuple_successors(shift: np.ndarray, nxt_c, prob) -> tuple:
             np.ascontiguousarray(np.broadcast_to(probs, shape).reshape(size)))
 
 
-def _feedback_core(spec: ProblemSpec, d: int, memory: MemorySpec):
-    """Shared transition structure of the feedback finite-memory chain.
+def _chain_prologue(spec: ProblemSpec, d: int, mem_x: MemorySpec,
+                    mem_y: MemorySpec, points_m: np.ndarray,
+                    points_n: np.ndarray, law: tuple):
+    """What the four finite-memory chains compile alike.
 
-    Transitions do not depend on the decoder table, which lets a solve
-    reuse one structure across every enumerated decoder.
+    The decoder keeps a memory mem_x of the inputs x it is sent and a
+    memory mem_y of its observations y.  points_m and points_n are the
+    chain's beliefs over them, one row per state component: the point
+    masses on the memory states with feedback, grid points without it.
+    law = (rows, stride, act) draws y from rows[u * stride + act[x]]
+    when u is the symbol being decoded.  A coding chain has a one-state
+    mem_x and the channel row of x as its law (_coding_law); a vending
+    chain draws from the vending row of (u, av[x]).  Returns the core
+    without its transitions.
     """
-    kernel, shift, x_sent = _tuple_chain(
-        spec, d, memory.num_states, memory.check(spec.num_channel_outputs))
-    first = kernel.codec.components_table()[:, 0]
-    wch = spec.channel.rows[x_sent]                            # (A, V, U, Y)
+    rows, stride, act = law
+    problems = (mem_x.check(spec.num_channel_inputs)
+                + mem_y.check(rows.shape[1]))
+    for name, points, mem in (("memory-x", points_m, mem_x),
+                              ("memory-y", points_n, mem_y)):
+        if points.shape[1] != mem.num_states:
+            problems.append(f"{name} belief grid has dimension "
+                            f"{points.shape[1]}, expected {mem.num_states}")
+    g_m, g_n = points_m.shape[0], points_n.shape[0]
+    kernel, shift, x_sent = _tuple_chain(spec, d, g_m * g_n, problems)
+    n_a, n_v, n_u = x_sent.shape
+    u_next = kernel.codec.components_table()[:, 0][shift]      # (V, U)
+    row = u_next * stride + act[x_sent]                        # (A, V, U)
     p_u = np.asarray(spec.source.p)
-    next_states, next_probs = _tuple_successors(
-        shift, np.asarray(memory.table)[None, :, None, None, :],
-        p_u[None, None, :, None] * wch)
-    n_v, n_u = shift.shape
     return {
-        "next_states": next_states,
-        "next_probs": next_probs,
-        "wch": wch,
-        "p_u": p_u,
+        "points_m": points_m,
+        "points_n": points_n,
+        "rows": rows,
+        "row": row,
         "shift": shift,
-        "loss_first": np.asarray(spec.distortion.loss)[first[shift]],
-        "shape": (n_v, memory.num_states, x_sent.shape[0], n_u,
-                  spec.num_channel_outputs),
+        "x_sent": x_sent,
+        "u_next": u_next,
+        "p_u": p_u,
+        "loss": np.asarray(spec.distortion.loss),
+        "prob": p_u[None, None, :, None] * rows[row],           # (A, V, U, Y)
+        "shape": (n_v, g_m, g_n, n_a, n_u, rows.shape[1],
+                  spec.num_channel_inputs),
     }
 
 
-def _feedback_rewards(core, dec_tables: np.ndarray) -> np.ndarray:
-    """(T, S, A) negated expected losses for a batch of decoder tables."""
-    n_v, n_z, n_a, n_u, n_y = core["shape"]
-    picked = core["loss_first"][
-        np.arange(n_v)[None, :, None, None, None],
-        np.arange(n_u)[None, None, :, None, None],
-        dec_tables[:, None, None, :, :],
-    ]                                                          # (T, V, U, Y, Z)
-    rewards = -np.einsum("avuy,u,tvuyz->tvza", core["wch"], core["p_u"], picked)
-    t = dec_tables.shape[0]
-    return rewards.reshape(t, n_v * n_z, n_a)
+def _feedback_chain(spec: ProblemSpec, d: int, mem_x: MemorySpec,
+                    mem_y: MemorySpec, law: tuple):
+    """The chain whose encoder sees both decoder memories, on states
+    (tuple, x-memory, y-memory).  Its transitions do not depend on the
+    decoder, so one chain serves every decoder of a solve."""
+    core = _chain_prologue(spec, d, mem_x, mem_y, np.eye(mem_x.num_states),
+                           np.eye(mem_y.num_states), law)
+    n_v, n_m, n_n, n_a, n_u, n_y, _ = core["shape"]
+    m_next = np.asarray(mem_x.table)[:, core["x_sent"]]        # (M, A, V, U)
+    nxt_c = (m_next.transpose(2, 0, 1, 3)[:, :, None, :, :, None] * n_n
+             + np.asarray(mem_y.table)[None, None, :, None, None, :])
+    core["next_states"], core["next_probs"] = _tuple_successors(
+        core["shift"], nxt_c.reshape(n_v, n_m * n_n, n_a, n_u, n_y),
+        core["prob"])
+    return core
+
+
+def _open_loop_chain(spec: ProblemSpec, d: int, mem_x: MemorySpec,
+                     mem_y: MemorySpec, law: tuple, grid_m: SimplexGrid,
+                     grid_n: SimplexGrid):
+    """The chain whose encoder sees no observation, on states (tuple,
+    grid point over the x-memory, grid point over the y-memory).  Both
+    beliefs move by deterministic pushforwards projected back to their
+    grids, so the fresh symbol is the only disturbance."""
+    core = _chain_prologue(spec, d, mem_x, mem_y, grid_m.points,
+                           grid_n.points, law)
+    n_v, g_m, g_n, n_a, n_u, _, n_x = core["shape"]
+    # the belief over the x-memory moves with the sent input, the one
+    # over the y-memory with the observation law
+    proj_m = _project_pushforward(grid_m, mem_x.table, np.eye(n_x))
+    proj_n = _project_pushforward(grid_n, mem_y.table, core["rows"])
+    pm = proj_m[:, core["x_sent"]].transpose(2, 0, 1, 3)       # (V, Gm, A, U)
+    pn = proj_n[:, core["row"]].transpose(2, 0, 1, 3)          # (V, Gn, A, U)
+    nxt_c = pm[:, :, None] * g_n + pn[:, None]                 # (V, Gm, Gn, A, U)
+    core["next_states"], core["next_probs"] = _tuple_successors(
+        core["shift"], nxt_c.reshape(n_v, g_m * g_n, n_a, n_u, 1),
+        np.broadcast_to(core["p_u"][None, None, :, None],
+                        (n_a, n_v, n_u, 1)))
+    return core
+
+
+def _chain_rewards(core, decs: np.ndarray) -> np.ndarray:
+    """(T, S, A) negated expected losses for a batch of decoders indexed
+    [t, x, y, m, n], with the decoder memories averaged under the
+    chain's beliefs over them.  Point-mass beliefs return each loss
+    unchanged."""
+    n_v, g_m, g_n, n_a, n_u, n_y, n_x = core["shape"]
+    u_next, x_sent, prob = core["u_next"], core["x_sent"], core["prob"]
+    expected = np.einsum("gm,hn,ctxymn->cxtygh",
+                         core["points_m"], core["points_n"],
+                         core["loss"][:, decs])                # (C, X, T, Y, Gm, Gn)
+    n_t = decs.shape[0]
+    rewards = np.empty((n_t, n_v, g_m, g_n, n_a))
+    for a in range(n_a):
+        gathered = expected[u_next, x_sent[a]]                 # (V, U, T, Y, Gm, Gn)
+        rewards[..., a] = -np.einsum("vuy,vutygh->tvgh", prob[a], gathered)
+    return rewards.reshape(n_t, n_v * g_m * g_n, n_a)
+
+
+def _coding_law(spec: ProblemSpec) -> tuple:
+    """(x-memory, law) that make a coding chain a vending chain: one
+    memory state, and the channel row of the sent input x."""
+    n_x = spec.num_channel_inputs
+    return memory_last_m(0, n_x), (spec.channel.rows, 0, np.arange(n_x))
+
+
+def _coding_chain(spec: ProblemSpec, d: int, memory: MemorySpec,
+                  grid: Optional[SimplexGrid] = None):
+    """The coding chain with decoder memory `memory`, with feedback or,
+    given the grid of beliefs over the memory, without it."""
+    mem_x, law = _coding_law(spec)
+    if grid is None:
+        return _feedback_chain(spec, d, mem_x, memory, law)
+    return _open_loop_chain(spec, d, mem_x, memory, law, simplex_grid(1, 1),
+                            grid)
+
+
+def _coding_decoders(decs: np.ndarray, num_inputs: int) -> np.ndarray:
+    """Coding decoders indexed [t, y, z] as chain decoders indexed
+    [t, x, y, m, n]: blind to the input x, with the one x-memory state."""
+    n_t, n_y, n_z = decs.shape
+    return np.broadcast_to(decs[:, None, :, None, :],
+                           (n_t, num_inputs, n_y, 1, n_z))
 
 
 def build_feedback_finite(spec: ProblemSpec, d: int, memory: MemorySpec,
@@ -369,8 +471,8 @@ def build_feedback_finite(spec: ProblemSpec, d: int, memory: MemorySpec,
     negated expected loss of the decoder's response to the upcoming
     output, charged to the symbol leaving the window.
     """
-    core = _feedback_core(spec, d, memory)
-    return _decoder_mdp(spec, memory, core, _feedback_rewards, decoder)
+    return _decoder_mdp(spec, memory, _coding_chain(spec, d, memory),
+                        decoder)
 
 
 def solve_feedback_finite(spec: ProblemSpec, d: int, memory: MemorySpec,
@@ -382,9 +484,8 @@ def solve_feedback_finite(spec: ProblemSpec, d: int, memory: MemorySpec,
     structure.  Decoder tables whose values lie within tol of the best
     count as tied, and ties keep the lexicographically smallest table.
     """
-    core = _feedback_core(spec, d, memory)
-    return _solve_decoder_family("feedback-finite", spec, d, memory, core,
-                                 _feedback_rewards, tol)
+    return _solve_decoder_family("feedback-finite", spec, d, memory,
+                                 _coding_chain(spec, d, memory), tol)
 
 
 def _project_pushforward(grid: SimplexGrid, table, weights) -> np.ndarray:
@@ -464,57 +565,6 @@ def solve_feedback_complete(spec: ProblemSpec, d: int, resolution: int,
     )
 
 
-def _nofeedback_core(spec: ProblemSpec, d: int, memory: MemorySpec,
-                     grid: SimplexGrid):
-    """Transition structure of the open-loop chain; decoder-independent."""
-    problems = memory.check(spec.num_channel_outputs) or (
-        [] if grid.dim == memory.num_states else
-        [f"memory belief grid has dimension {grid.dim}, "
-         f"expected {memory.num_states}"])
-    kernel, shift, x_sent = _tuple_chain(spec, d, grid.size, problems)
-    n_a, n_v, n_u = x_sent.shape
-    w = spec.channel.rows
-    p_u = np.asarray(spec.source.p)
-    proj = _project_pushforward(grid, memory.table, w)         # (G, X)
-    # proj[g, x_sent[a, v, u]] moved to axes (V, G, A, U)
-    next_states, next_probs = _tuple_successors(
-        shift, proj[:, x_sent].transpose(2, 0, 1, 3)[..., None],
-        np.broadcast_to(p_u[None, None, :, None], (n_a, n_v, n_u, 1)))
-    return {
-        "grid": grid,
-        "next_states": next_states,
-        "next_probs": next_probs,
-        "x_sent": x_sent,
-        "shift": shift,
-        "first": kernel.codec.components_table()[:, 0],
-        "p_u": p_u,
-        "w": w,
-        "loss": np.asarray(spec.distortion.loss),
-        "shape": (n_v, grid.size, n_a, n_u, spec.num_channel_outputs,
-                  memory.num_states, spec.num_channel_inputs),
-    }
-
-
-def _nofeedback_rewards(core, dec_tables: np.ndarray) -> np.ndarray:
-    """(T, S, A) negated losses for open-loop coding, batched over decoder
-    tables indexed [y, z]."""
-    n_v, n_g, n_a, n_u, n_y, n_z, n_x = core["shape"]
-    n_t = dec_tables.shape[0]
-    w, p_u = core["w"], core["p_u"]
-    first, shift, x_sent = core["first"], core["shift"], core["x_sent"]
-    grid = core["grid"]
-    # e[t, x, z, c] = sum_y W(x, y) * loss(c, dec[t, y, z])
-    picked = core["loss"][:, dec_tables]                       # (C, T, Y, Z)
-    e = np.einsum("xy,ctyz->txzc", w, picked)
-    be = np.einsum("gz,txzc->tgxc", grid.points, e)            # (T, G, X, C)
-    fs = first[shift]                                          # (V, U)
-    rewards = np.empty((n_t, n_v, n_g, n_a))
-    for a in range(n_a):
-        gathered = be[:, :, x_sent[a], fs]                     # (T, G, V, U)
-        rewards[:, :, :, a] = -np.einsum("tgvu,u->tvg", gathered, p_u)
-    return rewards.reshape(n_t, n_v * n_g, n_a)
-
-
 def build_nofeedback_finite(spec: ProblemSpec, d: int, memory: MemorySpec,
                             decoder, grid: SimplexGrid) -> FiniteMdp:
     """Grid approximation of open-loop coding with a finite decoder memory.
@@ -523,8 +573,8 @@ def build_nofeedback_finite(spec: ProblemSpec, d: int, memory: MemorySpec,
     grid point for its belief about the decoder memory; the source tuple
     is the only random disturbance.
     """
-    core = _nofeedback_core(spec, d, memory, grid)
-    return _decoder_mdp(spec, memory, core, _nofeedback_rewards, decoder)
+    return _decoder_mdp(spec, memory, _coding_chain(spec, d, memory, grid),
+                        decoder)
 
 
 def solve_nofeedback(spec: ProblemSpec, d: int, memory: MemorySpec,
@@ -533,9 +583,9 @@ def solve_nofeedback(spec: ProblemSpec, d: int, memory: MemorySpec,
     """Approximate minimum distortion for open-loop coding, minimizing
     over all decoder tables with the tie rule of solve_feedback_finite."""
     grid = simplex_grid(memory.num_states, resolution)
-    core = _nofeedback_core(spec, d, memory, grid)
     return _solve_decoder_family(
-        "nofeedback-finite", spec, d, memory, core, _nofeedback_rewards,
-        tol, params={"grid_resolution": resolution},
+        "nofeedback-finite", spec, d, memory,
+        _coding_chain(spec, d, memory, grid), tol,
+        params={"grid_resolution": resolution},
         diagnostics={"grid_points": grid.size}, flags=(APPROXIMATE,),
     )

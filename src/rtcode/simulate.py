@@ -6,9 +6,11 @@ updates, table lookups) with no reference to the solver's transition
 tensors, and reports empirical averages with standard errors.
 
 Every scenario runs through one loop over a step table built from the
-bundle's mechanics: memory tables, the channel or vending kernel, and
-the belief projections of the open-loop grid, which it shares with the
-solvers.
+bundle's mechanics in the terms of the solvers' one chain compiler: two
+decoder memories, an observation law, action costs, and the belief
+projections of the open-loop grid.  A coding bundle is a vending bundle
+whose x-memory has one state, whose law is the channel row of the sent
+input, and whose actions cost nothing.
 
 Replication r of a run seeded s draws from the dedicated stream (s, r),
 so reports are bit-reproducible and replications are independent.
@@ -23,9 +25,10 @@ import numpy as np
 from .errors import SpecValidationError
 from .models import ProblemSpec
 from .scenarios import (MemorySpec, ScenarioSolveReport, _checked_decoder,
-                        _project_pushforward, _successor_policy,
-                        _tuple_chain)
+                        _coding_decoders, _coding_law, _project_pushforward,
+                        _successor_policy, _tuple_chain)
 from .simplex import project, simplex_grid
+from .vending import _vending_law
 
 BURN_IN = 1000
 
@@ -130,15 +133,47 @@ def _check_encoder(encoder, num_states: int, num_maps: int) -> list:
     return enc
 
 
+def _mechanics(bundle: PolicyBundle, spec: ProblemSpec) -> tuple:
+    """The bundle as a vending chain: (x-memory, y-memory, observation law
+    (rows, stride, act) of scenarios._chain_prologue, decoder indexed
+    [x, y, m, n], action cost per input).  A coding bundle has a one-state
+    x-memory, the channel row of x as its law, and zero cost."""
+    n_x, n_y = spec.num_channel_inputs, spec.num_channel_outputs
+    n_r = spec.num_reconstructions
+    if bundle.scenario.startswith("vending"):
+        if bundle.memory_x is None or bundle.memory_y is None:
+            _fail("vending scenarios need both memory specs")
+        if bundle.vending_action_map is None:
+            _fail("vending scenarios need an actuator map")
+        mem_x, mem_y = bundle.memory_x, bundle.memory_y
+        law = _vending_law(spec, bundle.vending_action_map)
+        cost = np.asarray(spec.vending.costs.cost)[law[2]]
+        dec = _checked_decoder(bundle.decoder, (n_x, n_y, mem_x.num_states,
+                                                mem_y.num_states), n_r)
+    else:
+        if bundle.memory is None:
+            _fail("this scenario needs a decoder memory spec")
+        mem_y = bundle.memory
+        mem_x, law = _coding_law(spec)
+        cost = np.zeros(n_x)
+        dec = _coding_decoders(_checked_decoder(
+            bundle.decoder, (n_y, mem_y.num_states), n_r)[None], n_x)[0]
+    if mem_x.check(n_x) or mem_y.check(n_y):
+        _fail("memory tables do not match the alphabets")
+    return mem_x, mem_y, law, dec, cost
+
+
 def _step_table(bundle: PolicyBundle, spec: ProblemSpec, d: int):
     """Per-step mechanics of the bundle as (table, start state).
 
     table[v][c][u] describes one step from tuple v when the fresh symbol
     is u.  c is the joint state of the encoder's belief grid point g (0
-    with feedback, where the encoder sees the memory) and the decoder
-    memory mem, c = g * n_mem + mem.  Each entry is (next tuple, output
-    CDF row, [(loss, next c) per output], action cost).
+    with feedback, where the encoder sees the memories) and the decoder
+    memories (m, n), c = g * n_mem + m * n_n + n.  Each entry is (next
+    tuple, observation CDF row, [(loss, next c) per observation], action
+    cost).
     """
+    mem_x, mem_y, (rows, stride, act), dec, cost = _mechanics(bundle, spec)
     kernel, shift_arr, x_sent = _tuple_chain(spec, d, 1, [])
     codec = kernel.codec
     n_v, n_u = codec.size, codec.base
@@ -146,104 +181,50 @@ def _step_table(bundle: PolicyBundle, spec: ProblemSpec, d: int):
     loc, shift = x_sent[:, 0].tolist(), shift_arr.tolist()
     first = codec.components_table()[:, 0]
     loss_first = np.asarray(spec.distortion.loss)[first].tolist()  # (V, C)
-    first = first.tolist()
+    first, act, cost, dec = (first.tolist(), act.tolist(), cost.tolist(),
+                             dec.tolist())
+    n_m, n_n = mem_x.num_states, mem_y.num_states
+    n_mem = n_m * n_n
+    cdf = _cdf_rows(rows)
+    mx = np.asarray(mem_x.table).tolist()
+    ny = np.asarray(mem_y.table).tolist()
     feedback = "nofeedback" not in bundle.scenario
-    if not feedback and bundle.grid_resolution is None:
-        _fail("the open-loop scenario needs a grid resolution")
-    n_g, g0 = 1, 0                      # with feedback, a single grid point
+    n_g, g0, g_n = 1, 0, 1              # with feedback, a single grid point
+    if not feedback:
+        if bundle.grid_resolution is None:
+            _fail("the open-loop scenario needs a grid resolution")
+        grid_m = simplex_grid(n_m, bundle.grid_resolution)
+        grid_n = simplex_grid(n_n, bundle.grid_resolution)
+        g_n = grid_n.size
+        n_g = grid_m.size * g_n
+        g0 = (project(grid_m, np.eye(n_m)[0]) * g_n
+              + project(grid_n, np.eye(n_n)[0]))
+        proj_m = _project_pushforward(grid_m, mem_x.table,
+                                      np.eye(n_x)).tolist()
+        proj_n = _project_pushforward(grid_n, mem_y.table, rows).tolist()
 
-    if bundle.scenario.startswith("vending"):
-        if spec.vending is None:
-            _fail("vending scenarios need vending data in the problem")
-        if bundle.memory_x is None or bundle.memory_y is None:
-            _fail("vending scenarios need both memory specs")
-        if bundle.vending_action_map is None:
-            _fail("vending scenarios need an actuator map")
-        mem_x, mem_y = bundle.memory_x, bundle.memory_y
-        n_m, n_n = mem_x.num_states, mem_y.num_states
-        n_av = spec.vending.num_actions
-        n_ys = spec.vending.kernel.num_outputs
-        if mem_x.check(n_x) or mem_y.check(n_ys):
-            _fail("vending memory tables do not match the alphabets")
-        av = np.asarray(bundle.vending_action_map, dtype=int)
-        if av.shape != (n_x,) or av.min() < 0 or av.max() >= n_av:
-            _fail(f"actuator map must send {n_x} inputs to 0..{n_av - 1}")
-        dec = _checked_decoder(bundle.decoder, (n_x, n_ys, n_m, n_n),
-                               spec.num_reconstructions).tolist()
-        vk = np.asarray(spec.vending.kernel.rows).reshape(n_u, n_av, n_ys)
-        cdf_vend = [_cdf_rows(vk[u]) for u in range(n_u)]
-        costs = np.asarray(spec.vending.costs.cost).tolist()
-        mx = np.asarray(mem_x.table).tolist()
-        ny = np.asarray(mem_y.table).tolist()
-        av = av.tolist()
-        n_mem = n_m * n_n
-
-        def outputs(mem, vt, x):
-            m, n = divmod(mem, n_n)
-            act = av[x]
-            return cdf_vend[first[vt]][act], costs[act], [
-                (loss_first[vt][dec[x][y][m][n]], mx[m][x] * n_n + ny[n][y])
-                for y in range(n_ys)]
-
-        if not feedback:
-            grid_m = simplex_grid(n_m, bundle.grid_resolution)
-            grid_n = simplex_grid(n_n, bundle.grid_resolution)
-            n_g = grid_m.size * grid_n.size
-            g0 = (project(grid_m, np.eye(n_m)[0]) * grid_n.size
-                  + project(grid_n, np.eye(n_n)[0]))
-            proj_m = _project_pushforward(grid_m, mem_x.table,
-                                          np.eye(n_x)).tolist()
-            # belief over the y-memory advances with weights P(y | u, a_v)
-            proj_n = _project_pushforward(grid_n, mem_y.table,
-                                          vk.reshape(n_u * n_av, n_ys))
-            proj_n = proj_n.reshape(grid_n.size, n_u, n_av).tolist()
-
-            def grid_step(g, vt, x):
-                gm, gn = divmod(g, grid_n.size)
-                return (proj_m[gm][x] * grid_n.size
-                        + proj_n[gn][first[vt]][av[x]])
-    else:
-        if bundle.memory is None:
-            _fail("this scenario needs a decoder memory spec")
-        memory = bundle.memory
-        n_mem = memory.num_states
-        if memory.check(n_y):
-            _fail("memory table does not match the channel outputs")
-        dec = _checked_decoder(bundle.decoder, (n_y, n_mem),
-                               spec.num_reconstructions).tolist()
-        mem_t = np.asarray(memory.table).tolist()
-        cdf_w = _cdf_rows(spec.channel.rows)
-
-        def outputs(z, vt, x):
-            return cdf_w[x], 0.0, [(loss_first[vt][dec[y][z]], mem_t[z][y])
-                                   for y in range(n_y)]
-
-        if not feedback:
-            grid = simplex_grid(n_mem, bundle.grid_resolution)
-            n_g, g0 = grid.size, project(grid, np.eye(n_mem)[0])
-            proj = _project_pushforward(grid, memory.table,
-                                        spec.channel.rows).tolist()
-
-            def grid_step(g, vt, x):
-                return proj[g][x]
-
-    # with feedback the encoder sees the memory, without it the grid point
+    # with feedback the encoder sees the memories, without it the grid point
     n_seen = n_mem if feedback else n_g
     enc = _check_encoder(bundle.encoder, n_v * n_seen, n_x**n_v)
     enc = _successor_policy(enc, shift_arr, n_x)
     table = [[None] * (n_g * n_mem) for _ in range(n_v)]
     for v in range(n_v):
         for g in range(n_g):
+            gm, gn = divmod(g, g_n)
             for mem in range(n_mem):
+                m, n = divmod(mem, n_n)
                 a = enc[v * n_seen + (mem if feedback else g)]
                 row = []
                 for u in range(n_u):
                     vt = shift[v][u]
                     x = loc[a][u]
-                    base = 0 if feedback else grid_step(g, vt, x) * n_mem
-                    cdf, cost, outs = outputs(mem, vt, x)
-                    row.append((vt, cdf, [(loss, base + nxt)
-                                          for loss, nxt in outs], cost))
+                    r = first[vt] * stride + act[x]
+                    base = 0 if feedback else (
+                        proj_m[gm][x] * g_n + proj_n[gn][r]) * n_mem
+                    row.append((vt, cdf[r], [
+                        (loss_first[vt][dec[x][y][m][n]],
+                         base + mx[m][x] * n_n + ny[n][y])
+                        for y in range(n_y)], cost[x]))
                 table[v][g * n_mem + mem] = row
     return table, g0 * n_mem
 

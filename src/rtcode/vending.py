@@ -9,11 +9,12 @@ negated dual value.
 
 With feedback the decoder memories (over x and over y) are part of the
 state.  Without feedback the encoder tracks grid beliefs over both
-memories, and those solves carry the APPROXIMATE flag.  Both chains are
-compiled by one prologue and rewarded by one routine: the feedback chain
-is the grid case whose grids are the point masses on the memory states.
-Both solvers run one pair loop, which gives every (decoder, actuator)
-pair its own dual search and keeps the best pair.
+memories, and those solves carry the APPROXIMATE flag.  The chains
+themselves are compiled and rewarded by scenarios.py, which compiles the
+coding chains alike; this module adds the actuator map's observation law
+and the constraint costs.  Both solvers run one pair loop, which gives
+every (decoder, actuator) pair its own dual search and keeps the best
+pair.
 """
 from __future__ import annotations
 
@@ -32,11 +33,10 @@ from .mdp import (DUAL_TOL, ConstrainedMdp, DualResult, FiniteMdp,
 # when the name is missing.
 from .mdp import relative_value_iteration  # noqa: F401
 from .models import ProblemSpec
-from .scenarios import (APPROXIMATE, MemorySpec,
-                        ScenarioSolveReport, _checked_decoder,
-                        _clamp_distortion, _memory_params, _nested_tuple,
-                        _project_pushforward, _tuple_chain, _tuple_successors,
-                        _whole_map_policy, spec_params)
+from .scenarios import (APPROXIMATE, MemorySpec, ScenarioSolveReport,
+                        _chain_rewards, _checked_decoder, _clamp_distortion,
+                        _feedback_chain, _memory_params, _nested_tuple,
+                        _open_loop_chain, _whole_map_policy, spec_params)
 from .simplex import SimplexGrid, simplex_grid
 
 
@@ -45,115 +45,41 @@ def _require_vending(spec: ProblemSpec) -> None:
         raise SpecValidationError(["this scenario needs vending data"])
 
 
-def _vending_prologue(spec: ProblemSpec, d: int, mem_x: MemorySpec,
-                      mem_y: MemorySpec, av_map, points_m: np.ndarray,
-                      points_n: np.ndarray):
-    """What both vending chains compile alike for one actuator map.
-
-    points_m and points_n are the chain's beliefs over the two decoder
-    memories, one row per state component: grid points without feedback,
-    the identity (point masses) with it.  Returns the core without its
-    transitions; the constraint cost is per (state, action).
-    """
+def _vending_law(spec: ProblemSpec, av_map) -> tuple:
+    """The observation law of scenarios._chain_prologue for one actuator
+    map: the vending row of (u, av[x])."""
     _require_vending(spec)
-    n_x, n_y = spec.num_channel_inputs, spec.num_channel_outputs
-    n_av = spec.vending.num_actions
-    av = check_action_map(np.asarray(av_map, dtype=int), n_x, n_av)
-    problems = mem_x.check(n_x) + mem_y.check(n_y)
-    for name, points, mem in (("memory-x", points_m, mem_x),
-                              ("memory-y", points_n, mem_y)):
-        if points.shape[1] != mem.num_states:
-            problems.append(f"{name} belief grid has dimension "
-                            f"{points.shape[1]}, expected {mem.num_states}")
-    g_m, g_n = points_m.shape[0], points_n.shape[0]
-    kernel, shift, x_sent = _tuple_chain(spec, d, g_m * g_n, problems)
-    n_a, n_v, n_u = x_sent.shape
-    u_next = kernel.codec.components_table()[:, 0][shift]      # (V, U)
-    p_u = np.asarray(spec.source.p)
-    vk = np.asarray(spec.vending.kernel.rows).reshape(n_u, n_av, n_y)
-    av_x = av[x_sent]                                          # (A, V, U)
-    wvend = vk[u_next[None, :, :], av_x]                       # (A, V, U, Y)
-    per_cost = np.asarray(spec.vending.costs.cost)[av_x]       # (A, V, U)
-    cost_va = np.einsum("avu,u->va", per_cost, p_u)
-    cost = np.broadcast_to(
+    av = check_action_map(np.asarray(av_map, dtype=int),
+                          spec.num_channel_inputs, spec.vending.num_actions)
+    return spec.vending.kernel.rows, spec.vending.num_actions, av
+
+
+def _vending_core(spec: ProblemSpec, chain, av_map, d: int,
+                  mem_x: MemorySpec, mem_y: MemorySpec, *grids):
+    """The chain of one actuator map, compiled by scenarios._feedback_chain
+    or _open_loop_chain, with its constraint cost per (state, action):
+    the expected cost of the action that the sent input buys."""
+    law = _vending_law(spec, av_map)
+    core = chain(spec, d, mem_x, mem_y, law, *grids)
+    n_v, g_m, g_n, n_a, _, _, _ = core["shape"]
+    per_cost = np.asarray(spec.vending.costs.cost)[law[2]][core["x_sent"]]
+    cost_va = np.einsum("avu,u->va", per_cost, core["p_u"])
+    core["cost"] = np.ascontiguousarray(np.broadcast_to(
         cost_va[:, None, None, :], (n_v, g_m, g_n, n_a)
-    ).reshape(n_v * g_m * g_n, n_a)
-    return {
-        "cost": np.ascontiguousarray(cost),
-        "points_m": points_m,
-        "points_n": points_n,
-        "vk": vk,
-        "shift": shift,
-        "x_sent": x_sent,
-        "u_next": u_next,
-        "av_x": av_x,
-        "p_u": p_u,
-        "prob": p_u[None, None, :, None] * wvend,              # (A, V, U, Y)
-        "shape": (n_v, g_m, g_n, n_a, n_u, n_y, n_x),
-    }
+    ).reshape(n_v * g_m * g_n, n_a))
+    return core
 
 
 def _vending_feedback_core(spec: ProblemSpec, d: int, mem_x: MemorySpec,
                            mem_y: MemorySpec, av_map):
     """Transitions, constraint costs and reusable tensors for one actuator
     map; decoder tables only change the reward."""
-    core = _vending_prologue(spec, d, mem_x, mem_y, av_map,
-                             np.eye(mem_x.num_states),
-                             np.eye(mem_y.num_states))
-    n_v, n_m, n_n, n_a, n_u, n_y, _ = core["shape"]
-    m_next = np.asarray(mem_x.table)[:, core["x_sent"]]        # (M, A, V, U)
-    nxt_c = (m_next.transpose(2, 0, 1, 3)[:, :, None, :, :, None] * n_n
-             + np.asarray(mem_y.table)[None, None, :, None, None, :])
-    core["next_states"], core["next_probs"] = _tuple_successors(
-        core["shift"], nxt_c.reshape(n_v, n_m * n_n, n_a, n_u, n_y),
-        core["prob"])
-    return core
-
-
-def _vending_nofeedback_core(spec: ProblemSpec, d: int, mem_x: MemorySpec,
-                             mem_y: MemorySpec, grid_m: SimplexGrid,
-                             grid_n: SimplexGrid, av_map):
-    """Open-loop vending transition structure over product belief grids."""
-    core = _vending_prologue(spec, d, mem_x, mem_y, av_map, grid_m.points,
-                             grid_n.points)
-    n_v, g_m, g_n, n_a, n_u, n_y, n_x = core["shape"]
-    # the belief over the x-memory moves with the sent symbol, the one
-    # over the y-memory with the side-observation law P(y | u, action)
-    proj_m = _project_pushforward(grid_m, mem_x.table, np.eye(n_x))
-    proj_n = _project_pushforward(grid_n, mem_y.table,
-                                  core["vk"].reshape(-1, n_y))
-    proj_n = proj_n.reshape(g_n, n_u, -1)                      # (Gn, U, AV)
-    pm = proj_m[:, core["x_sent"]].transpose(2, 0, 1, 3)       # (V, Gm, A, U)
-    pn = proj_n[:, core["u_next"], core["av_x"]].transpose(2, 0, 1, 3)
-    nxt_c = pm[:, :, None] * g_n + pn[:, None]                 # (V, Gm, Gn, A, U)
-    core["next_states"], core["next_probs"] = _tuple_successors(
-        core["shift"], nxt_c.reshape(n_v, g_m * g_n, n_a, n_u, 1),
-        np.broadcast_to(core["p_u"][None, None, :, None],
-                        (n_a, n_v, n_u, 1)))
-    return core
-
-
-def _vending_rewards(core, dec: np.ndarray, loss: np.ndarray) -> np.ndarray:
-    """(S, A) negated expected loss for a decoder indexed [x, y, m, n],
-    with the decoder memories averaged under the chain's beliefs over
-    them.  The feedback chain's beliefs are point masses, for which the
-    average returns each loss unchanged."""
-    n_v, g_m, g_n, n_a, n_u, n_y, n_x = core["shape"]
-    u_next, x_sent, prob = core["u_next"], core["x_sent"], core["prob"]
-    picked_loss = loss[:, dec]                                 # (C, X, Y, M, N)
-    expected = np.einsum("gm,hn,cxymn->cxygh",
-                         core["points_m"], core["points_n"],
-                         picked_loss)                          # (C, X, Y, Gm, Gn)
-    rewards = np.empty((n_v, g_m, g_n, n_a))
-    for a in range(n_a):
-        gathered = expected[u_next, x_sent[a]]                 # (V, U, Y, Gm, Gn)
-        rewards[:, :, :, a] = -np.einsum("vuy,vuygh->vgh", prob[a], gathered)
-    return rewards.reshape(n_v * g_m * g_n, n_a)
+    return _vending_core(spec, _feedback_chain, av_map, d, mem_x, mem_y)
 
 
 # The feedback pair loop calls the rewards under this name, which the
 # layer timing of rtbench/hooks.py wraps.
-_vending_feedback_rewards = _vending_rewards
+_vending_feedback_rewards = _chain_rewards
 
 
 def _pair_cmdp(core, rewards: np.ndarray, spec: ProblemSpec) -> ConstrainedMdp:
@@ -174,7 +100,7 @@ def _lagrangian_build(spec: ProblemSpec, core, decoder, mem_x: MemorySpec,
                       mem_y: MemorySpec, lam: float) -> FiniteMdp:
     dec = _checked_decoder(decoder, _decoder_shape(spec, mem_x, mem_y),
                            spec.num_reconstructions)
-    rewards = _vending_rewards(core, dec, np.asarray(spec.distortion.loss))
+    rewards = _chain_rewards(core, dec[None])[0]
     return lagrangian_mdp(_pair_cmdp(core, rewards, spec), lam)
 
 
@@ -203,8 +129,8 @@ def build_vending_nofeedback_discretized(spec: ProblemSpec, d: int,
     beliefs evolve by deterministic pushforwards projected back to their
     grids, and the only disturbance is the fresh source symbol.
     """
-    core = _vending_nofeedback_core(spec, d, mem_x, mem_y, grid_m, grid_n,
-                                    av_map)
+    core = _vending_core(spec, _open_loop_chain, av_map, d, mem_x, mem_y,
+                         grid_m, grid_n)
     return _lagrangian_build(spec, core, decoder, mem_x, mem_y, lam)
 
 
@@ -237,14 +163,13 @@ def _solve_pairs(scenario: str, spec: ProblemSpec, d: int, mem_x: MemorySpec,
     """The pair loop behind both vending solvers.
 
     compile_core(av) compiles the chain of one actuator map and
-    rewards_fn(core, dec, loss) rewards one decoder on it.  Every pair
+    rewards_fn(core, decs) rewards a batch of decoders on it.  Every pair
     gets its own dual search, and the best pair is kept by _best_pair with
     the encoder policy that its search solved at the dual minimizer.
     params and diagnostics add scenario entries after the common ones.
     """
     _require_vending(spec)
     budget = spec.vending.costs.budget
-    loss = np.asarray(spec.distortion.loss)
     shape = _decoder_shape(spec, mem_x, mem_y)
     cap = scenarios.DEFAULT_DECODER_CAP
     decs = _enumerate_maps(int(np.prod(shape)), spec.num_reconstructions,
@@ -259,7 +184,7 @@ def _solve_pairs(scenario: str, spec: ProblemSpec, d: int, mem_x: MemorySpec,
     for j, av in enumerate(avs):
         core = compile_core(av)
         for i, dec in enumerate(decs):
-            cmdp = _pair_cmdp(core, rewards_fn(core, dec, loss), spec)
+            cmdp = _pair_cmdp(core, rewards_fn(core, dec[None])[0], spec)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
                 res = constrained_solve(cmdp, rvi_tol=rvi_tol)
@@ -336,9 +261,9 @@ def solve_vending_nofeedback(spec: ProblemSpec, d: int, mem_x: MemorySpec,
     grid_n = simplex_grid(mem_y.num_states, resolution)
     return _solve_pairs(
         "vending-nofeedback", spec, d, mem_x, mem_y,
-        lambda av: _vending_nofeedback_core(spec, d, mem_x, mem_y, grid_m,
-                                            grid_n, av),
-        _vending_rewards, rvi_tol, params={"grid_resolution": resolution},
+        lambda av: _vending_core(spec, _open_loop_chain, av, d, mem_x, mem_y,
+                                 grid_m, grid_n),
+        _chain_rewards, rvi_tol, params={"grid_resolution": resolution},
         diagnostics={"grid_points_x": grid_m.size,
                      "grid_points_y": grid_n.size},
         flags=(APPROXIMATE,),

@@ -93,8 +93,9 @@ def solve_with_whole_maps(solve, *args):
     """solve(*args) with the finite-memory chains acting on whole encoder
     maps and the report printing the chosen maps' indices as they are."""
     with pytest.MonkeyPatch.context() as mp:
+        # the one chain prologue, in scenarios, builds all four chains
+        mp.setattr(scenarios, "_tuple_chain", whole_map_chain)
         for module in (scenarios, vending):
-            mp.setattr(module, "_tuple_chain", whole_map_chain)
             mp.setattr(module, "_whole_map_policy",
                        lambda policy, shift, num_inputs:
                        tuple(int(a) for a in policy))

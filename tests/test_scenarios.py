@@ -30,13 +30,22 @@ from rtcode.cli import main
 from rtcode.lookahead import build_markov_kernel
 from rtcode.mdp import (PI_MAX_ROUNDS, batch_policy_iteration,
                         batch_value_iteration, evaluate_policy)
-from rtcode.scenarios import (_feedback_core, _feedback_rewards,
-                              _first_within, _nofeedback_core,
+from rtcode.scenarios import (_chain_rewards, _coding_chain,
+                              _coding_decoders, _first_within,
                               _successor_policy,
                               build_feedback_complete_discretized,
                               build_feedback_finite, build_nofeedback_finite)
 from conftest import (all_maps, nearest, random_rows, random_spec,
                       solve_with_whole_maps, whole_map)
+
+# Binary sources over channels whose input and output alphabets differ,
+# on which a chain that mixes up the two axes builds the wrong tables.
+WIDE = spec_from_dict({"source": [0.6, 0.4],
+                       "channel": [[0.8, 0.1, 0.1], [0.1, 0.1, 0.8]],
+                       "distortion": [[0.0, 1.0], [1.0, 0.0]]})
+TALL = spec_from_dict({"source": [0.6, 0.4],
+                       "channel": [[0.9, 0.1], [0.5, 0.5], [0.2, 0.8]],
+                       "distortion": [[0.0, 1.0], [1.0, 0.0]]})
 
 
 def test_memory_m0_is_singleton():
@@ -86,60 +95,62 @@ def test_feedback_build_rejects_bad_decoder_shape():
 
 
 def test_feedback_one_step_reward_matches_enumeration():
-    """Reward of (state, action) vs the four-outcome joint over (u, y)."""
-    spec = binary_problem(0.3, 0.2)
+    """Reward of (state, action) vs the joint over (u, y)."""
     d = 1
-    mem = memory_last_m(1, 2)
-    kernel = build_markov_kernel(spec.source, d)
-    codec = kernel.codec
     rng = np.random.default_rng(31)
-    dec = rng.integers(0, 2, size=(2, mem.num_states))
-    mdp = build_feedback_finite(spec, d, mem, dec)
-    maps = all_maps(2, 2)           # per-successor actions: u -> x
-    p_u = np.asarray(spec.source.p)
-    w = spec.channel.rows
-    loss = np.asarray(spec.distortion.loss)
-    n_z = mem.num_states
-    assert mdp.num_actions == maps.shape[0]
-    for _ in range(40):
-        v = int(rng.integers(0, codec.size))
-        z = int(rng.integers(0, n_z))
-        a = int(rng.integers(0, maps.shape[0]))
-        expected = 0.0
-        for u in range(2):
-            vt = codec.shift(v, u)
-            charged = codec.component(vt, 1)
-            x = maps[a][u]
-            for y in range(2):
-                expected += p_u[u] * w[x, y] * loss[charged, dec[y, z]]
-        assert mdp.rewards[v * n_z + z, a] == pytest.approx(-expected, abs=1e-14)
+    for spec in (binary_problem(0.3, 0.2), WIDE, TALL):
+        n_x, n_y = spec.num_channel_inputs, spec.num_channel_outputs
+        mem = memory_last_m(1, n_y)
+        codec = build_markov_kernel(spec.source, d).codec
+        dec = rng.integers(0, 2, size=(n_y, mem.num_states))
+        mdp = build_feedback_finite(spec, d, mem, dec)
+        maps = all_maps(2, n_x)         # per-successor actions: u -> x
+        p_u = np.asarray(spec.source.p)
+        w = spec.channel.rows
+        loss = np.asarray(spec.distortion.loss)
+        n_z = mem.num_states
+        assert mdp.num_actions == maps.shape[0]
+        for _ in range(40):
+            v = int(rng.integers(0, codec.size))
+            z = int(rng.integers(0, n_z))
+            a = int(rng.integers(0, maps.shape[0]))
+            expected = 0.0
+            for u in range(2):
+                vt = codec.shift(v, u)
+                charged = codec.component(vt, 1)
+                x = maps[a][u]
+                for y in range(n_y):
+                    expected += p_u[u] * w[x, y] * loss[charged, dec[y, z]]
+            assert mdp.rewards[v * n_z + z, a] == pytest.approx(-expected,
+                                                                abs=1e-14)
 
 
 def test_feedback_one_step_transition_matches_enumeration():
-    spec = binary_problem(0.3, 0.2)
     d = 1
-    mem = memory_last_m(1, 2)
-    kernel = build_markov_kernel(spec.source, d)
-    codec = kernel.codec
-    dec = np.zeros((2, mem.num_states), dtype=int)
-    mdp = build_feedback_finite(spec, d, mem, dec)
-    maps = all_maps(2, 2)
-    dense = mdp.dense()
-    p_u = np.asarray(spec.source.p)
-    w = spec.channel.rows
-    n_z = mem.num_states
     rng = np.random.default_rng(32)
-    for _ in range(40):
-        v = int(rng.integers(0, codec.size))
-        z = int(rng.integers(0, n_z))
-        a = int(rng.integers(0, maps.shape[0]))
-        expected = np.zeros(mdp.num_states)
-        for u in range(2):
-            vt = codec.shift(v, u)
-            x = maps[a][u]
-            for y in range(2):
-                expected[vt * n_z + mem.table[z, y]] += p_u[u] * w[x, y]
-        np.testing.assert_allclose(dense[v * n_z + z, a], expected, atol=1e-14)
+    for spec in (binary_problem(0.3, 0.2), WIDE, TALL):
+        n_x, n_y = spec.num_channel_inputs, spec.num_channel_outputs
+        mem = memory_last_m(1, n_y)
+        codec = build_markov_kernel(spec.source, d).codec
+        dec = np.zeros((n_y, mem.num_states), dtype=int)
+        mdp = build_feedback_finite(spec, d, mem, dec)
+        maps = all_maps(2, n_x)
+        dense = mdp.dense()
+        p_u = np.asarray(spec.source.p)
+        w = spec.channel.rows
+        n_z = mem.num_states
+        for _ in range(40):
+            v = int(rng.integers(0, codec.size))
+            z = int(rng.integers(0, n_z))
+            a = int(rng.integers(0, maps.shape[0]))
+            expected = np.zeros(mdp.num_states)
+            for u in range(2):
+                vt = codec.shift(v, u)
+                x = maps[a][u]
+                for y in range(n_y):
+                    expected[vt * n_z + mem.table[z, y]] += p_u[u] * w[x, y]
+            np.testing.assert_allclose(dense[v * n_z + z, a], expected,
+                                       atol=1e-14)
 
 
 def test_feedback_solve_symbol_by_symbol_floor():
@@ -284,67 +295,68 @@ def test_feedback_complete_sandwich_at_zero_lookahead():
 
 def test_nofeedback_one_step_reward_matches_enumeration():
     """Open-loop reward vs the joint over (memory, fresh symbol, output)."""
-    spec = binary_problem(0.4, 0.3)
     d = 1
-    mem = memory_last_m(1, 2)
-    grid = simplex_grid(mem.num_states, 3)
-    kernel = build_markov_kernel(spec.source, d)
-    codec = kernel.codec
     rng = np.random.default_rng(34)
-    dec = rng.integers(0, 2, size=(2, mem.num_states))
-    mdp = build_nofeedback_finite(spec, d, mem, dec, grid)
-    maps = all_maps(2, 2)
-    p_u = np.asarray(spec.source.p)
-    w = spec.channel.rows
-    loss = np.asarray(spec.distortion.loss)
-    n_g = grid.size
-    for _ in range(40):
-        v = int(rng.integers(0, codec.size))
-        g = int(rng.integers(0, n_g))
-        a = int(rng.integers(0, maps.shape[0]))
-        beta = np.asarray(grid.points)[g]
-        expected = 0.0
-        for u in range(2):
-            vt = codec.shift(v, u)
-            charged = codec.component(vt, 1)
-            x = maps[a][u]
-            for z in range(mem.num_states):
-                for y in range(2):
-                    expected += (p_u[u] * beta[z] * w[x, y]
-                                 * loss[charged, dec[y, z]])
-        assert mdp.rewards[v * n_g + g, a] == pytest.approx(-expected,
-                                                            abs=1e-14)
+    for spec in (binary_problem(0.4, 0.3), WIDE, TALL):
+        n_x, n_y = spec.num_channel_inputs, spec.num_channel_outputs
+        mem = memory_last_m(1, n_y)
+        grid = simplex_grid(mem.num_states, 3)
+        codec = build_markov_kernel(spec.source, d).codec
+        dec = rng.integers(0, 2, size=(n_y, mem.num_states))
+        mdp = build_nofeedback_finite(spec, d, mem, dec, grid)
+        maps = all_maps(2, n_x)
+        p_u = np.asarray(spec.source.p)
+        w = spec.channel.rows
+        loss = np.asarray(spec.distortion.loss)
+        n_g = grid.size
+        for _ in range(40):
+            v = int(rng.integers(0, codec.size))
+            g = int(rng.integers(0, n_g))
+            a = int(rng.integers(0, maps.shape[0]))
+            beta = np.asarray(grid.points)[g]
+            expected = 0.0
+            for u in range(2):
+                vt = codec.shift(v, u)
+                charged = codec.component(vt, 1)
+                x = maps[a][u]
+                for z in range(mem.num_states):
+                    for y in range(n_y):
+                        expected += (p_u[u] * beta[z] * w[x, y]
+                                     * loss[charged, dec[y, z]])
+            assert mdp.rewards[v * n_g + g, a] == pytest.approx(-expected,
+                                                                abs=1e-14)
 
 
 def test_nofeedback_transition_matches_memory_belief_oracle():
     """Open-loop successors vs belief_update_memory plus projection."""
-    spec = binary_problem(0.4, 0.3)
     d = 1
-    mem = memory_last_m(2, 2)
-    grid = simplex_grid(mem.num_states, 3)
-    core = _nofeedback_core(spec, d, mem, grid)
-    kernel = build_markov_kernel(spec.source, d)
-    codec = kernel.codec
-    maps = all_maps(2, 2)
-    p_u = np.asarray(spec.source.p)
-    n_g = grid.size
     rng = np.random.default_rng(36)
-    for _ in range(60):
-        v = int(rng.integers(0, codec.size))
-        g = int(rng.integers(0, n_g))
-        a = int(rng.integers(0, maps.shape[0]))
-        expected = np.zeros(codec.size * n_g)
-        for u in range(2):
-            vt = codec.shift(v, u)
-            belief = belief_update_memory(grid.points[g], kernel, v, vt,
-                                          spec.channel,
-                                          whole_map(codec, v, maps[a]),
-                                          mem.table)
-            expected[vt * n_g + nearest(grid, belief)] += p_u[u]
-        got = np.zeros(codec.size * n_g)
-        s = v * n_g + g
-        np.add.at(got, core["next_states"][s, a], core["next_probs"][s, a])
-        np.testing.assert_allclose(got, expected, atol=1e-14)
+    for spec, m in ((binary_problem(0.4, 0.3), 2), (WIDE, 1), (TALL, 2)):
+        n_x = spec.num_channel_inputs
+        mem = memory_last_m(m, spec.num_channel_outputs)
+        grid = simplex_grid(mem.num_states, 3)
+        core = _coding_chain(spec, d, mem, grid)
+        kernel = build_markov_kernel(spec.source, d)
+        codec = kernel.codec
+        maps = all_maps(2, n_x)
+        p_u = np.asarray(spec.source.p)
+        n_g = grid.size
+        for _ in range(60):
+            v = int(rng.integers(0, codec.size))
+            g = int(rng.integers(0, n_g))
+            a = int(rng.integers(0, maps.shape[0]))
+            expected = np.zeros(codec.size * n_g)
+            for u in range(2):
+                vt = codec.shift(v, u)
+                belief = belief_update_memory(
+                    grid.points[g], kernel, v, vt, spec.channel,
+                    whole_map(codec, v, maps[a]), mem.table)
+                expected[vt * n_g + nearest(grid, belief)] += p_u[u]
+            got = np.zeros(codec.size * n_g)
+            s = v * n_g + g
+            np.add.at(got, core["next_states"][s, a],
+                      core["next_probs"][s, a])
+            np.testing.assert_allclose(got, expected, atol=1e-14)
 
 
 def test_nofeedback_singleton_memory_reduces_to_open_loop():
@@ -377,9 +389,9 @@ def test_nofeedback_never_beats_feedback_badly_nor_d0():
 
 def _feedback_batch(p, delta, m):
     spec = binary_problem(p, delta)
-    core = _feedback_core(spec, 1, memory_last_m(m, 2))
+    core = _coding_chain(spec, 1, memory_last_m(m, 2))
     decs = all_maps(2 * 2**m, 2).reshape(-1, 2, 2**m)
-    return core, decs, _feedback_rewards(core, decs)
+    return core, decs, _chain_rewards(core, _coding_decoders(decs, 2))
 
 
 def test_feedback_tie_rule_takes_lowest_index_within_tol(capsys):
