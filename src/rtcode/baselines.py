@@ -322,7 +322,13 @@ def suboptimality_region(d: int, m: int, p_grid, delta_grid,
     more than margin.
 
     Solver failures are recorded per point and leave the point unflagged.
+    A negative d or m fails every point alike, so it is rejected first.
     """
+    problems = [f"{name} {value} must be nonnegative"
+                for name, value in (("lookahead", d), ("memory length", m))
+                if value < 0]
+    if problems:
+        raise SpecValidationError(problems)
     ps = [float(p) for p in np.asarray(p_grid, dtype=float)]
     deltas = [float(x) for x in np.asarray(delta_grid, dtype=float)]
     tasks = [

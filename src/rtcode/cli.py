@@ -380,6 +380,17 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+def _tolerance(token: str) -> float:
+    """--tol: a positive finite number.  The solvers stop when a span
+    falls below it, which a nonpositive or NaN tolerance never lets
+    happen."""
+    tol = float(token)
+    if not 0.0 < tol < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"tolerance {token} must be a positive finite number")
+    return tol
+
+
 def _add_problem_flags(sp, vending: bool = True) -> None:
     sp.add_argument("--source", help="bernoulli:<p>")
     sp.add_argument("--channel", help="bsc:<delta>")
@@ -404,7 +415,7 @@ def _add_scenario_flags(sp) -> None:
                     help="encoder never sees the channel output")
     sp.add_argument("--grid", type=int,
                     help="belief grid resolution for discretized scenarios")
-    sp.add_argument("--tol", type=float, default=1e-9,
+    sp.add_argument("--tol", type=_tolerance, default=1e-9,
                     help="solver tolerance on the span of T h - h; "
                          "decoder tables this close to the best tie")
 
@@ -440,7 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--p", required=True, help="range start:stop:step")
     sp.add_argument("--delta", required=True, help="range start:stop:step")
     sp.add_argument("--margin", type=float, default=1e-6)
-    sp.add_argument("--tol", type=float, default=1e-9)
+    sp.add_argument("--tol", type=_tolerance, default=1e-9)
     sp.add_argument("--csv", help="write CSV here instead of stdout")
     sp.add_argument("--workers", type=int, default=os.cpu_count() or 1)
     sp.set_defaults(func=cmd_region)

@@ -124,6 +124,14 @@ def _validated(mdp: FiniteMdp) -> FiniteMdp:
     return mdp
 
 
+def _check_tol(tol: float) -> None:
+    """A stopping tolerance must be a positive finite number: no sweep
+    stops on a span below a nonpositive or NaN one."""
+    if not 0.0 < tol < np.inf:
+        raise SpecValidationError(
+            [f"tolerance {tol} must be a positive finite number"])
+
+
 def relative_value_iteration(mdp: FiniteMdp,
                              tol: float = 1e-9) -> SolveResult:
     """Solve for the optimal average reward by span-contracting sweeps.
@@ -141,8 +149,7 @@ def relative_value_iteration(mdp: FiniteMdp,
     such as deterministic cycles.
     """
     _validated(mdp)
-    if tol <= 0:
-        raise SpecValidationError([f"tolerance {tol} must be positive"])
+    _check_tol(tol)
     h = np.zeros(mdp.num_states)
     ns, probs, rewards = mdp.next_states, mdp.next_probs, mdp.rewards
     span = np.inf
@@ -212,6 +219,7 @@ def batch_value_iteration(next_states: np.ndarray, next_probs: np.ndarray,
     GATHER_BUDGET_BYTES.  NonConvergenceError is raised after MAX_SWEEPS
     sweeps.
     """
+    _check_tol(tol)
     b, s, a = rewards.shape
     gains = np.empty(b)
     policies = np.empty((b, s), dtype=int)
@@ -291,6 +299,7 @@ def batch_policy_iteration(next_states: np.ndarray, next_probs: np.ndarray,
     large for dense evaluation: when the (S, A, S) tensor and one
     candidate's (S, S) systems do not fit GATHER_BUDGET_BYTES.
     """
+    _check_tol(tol)
     b, s, a = rewards.shape
     step_bytes = 8 * s * (4 * s + a * next_states.shape[2])
     fits = 8 * s * a * s + step_bytes <= GATHER_BUDGET_BYTES

@@ -1,5 +1,6 @@
 """Command-line interface: schemas, determinism, exit codes."""
 import json
+import time
 import warnings
 
 import pytest
@@ -248,6 +249,31 @@ def test_bad_inputs_exit_2(capsys):
     assert _run(capsys, ["solve", *SOLVE_ARGS, "--memory", "window:3"])[0] == 2
     assert _run(capsys, ["solve", "--spec", "/does/not/exist.json"])[0] == 2
     assert _run(capsys, ["frobnicate"])[0] == 2
+
+
+@pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
+def test_invalid_tolerance_exits_2_at_once(capsys, tol):
+    # no span falls below such a tolerance, so a solve would sweep on
+    for argv in (["solve", *SOLVE_ARGS, "--d", "1", "--memory", "last:2"],
+                 ["sweep", "--fix", "delta=0.3", "--vary", "p=0.3:0.3:0.1",
+                  "--quantities", "Ddm", "--d", "1", "--m", "2",
+                  "--workers", "1"],
+                 ["region", "--p", "0.3:0.3:0.1", "--delta", "0.3:0.3:0.1",
+                  "--workers", "1"],
+                 ["simulate", *SOLVE_ARGS, "--d", "1", "--memory", "last:2",
+                  "--horizon", "10", "--replications", "1", "--seed", "1"]):
+        t0 = time.perf_counter()
+        assert main([*argv, f"--tol={tol}"]) == 2
+        assert time.perf_counter() - t0 < 2.0
+        assert "must be a positive finite number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [["--d", "-1"], ["--m", "-1"]])
+def test_region_rejects_a_negative_window_before_the_scan(capsys, flags):
+    rc, out = _run(capsys, ["region", "--p", "0.1:0.2:0.1", "--delta",
+                            "0.3:0.3:0.1", "--workers", "1", *flags])
+    assert rc == 2
+    assert out == ""
 
 
 @pytest.mark.parametrize("flags, guard", [

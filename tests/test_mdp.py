@@ -154,6 +154,19 @@ def test_invalid_mdp_rejected():
         relative_value_iteration(mdp)
 
 
+@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
+def test_solvers_reject_a_tolerance_no_span_can_meet(tol):
+    # no span falls below a nonpositive or NaN tolerance, so the sweeps
+    # would run on to MAX_SWEEPS
+    mdp = _cycle()
+    with pytest.raises(SpecValidationError, match="positive finite"):
+        relative_value_iteration(mdp, tol=tol)
+    for solver in (batch_policy_iteration, batch_value_iteration):
+        with pytest.raises(SpecValidationError, match="positive finite"):
+            solver(mdp.next_states, mdp.next_probs, mdp.rewards[None],
+                   tol=tol)
+
+
 def _budget_mdp(r_free, r_paid, cost_paid, budget):
     """Single state, two actions: a free one and a costly one."""
     mdp = _single_state([r_free, r_paid])
