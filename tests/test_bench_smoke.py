@@ -9,6 +9,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -23,12 +25,22 @@ def test_benchmark_short_run_is_correct():
     assert result["failed"] == 0
 
 
-def test_traced_run_reports_every_per_layer_metric():
+# Per-layer metrics each workload must read above 0.  A wrapped name that
+# still exists but that the program no longer calls reads 0 and prints no
+# `missing hook:` line.
+WORKED = {
+    "region": ("mdp.rvi_calls", "mdp.sweeps"),
+    "vending": ("vending.compile_s", "vending.pairs", "mdp.dual_evals"),
+}
+
+
+@pytest.mark.parametrize("workload", sorted(WORKED))
+def test_traced_run_reports_every_per_layer_metric(workload):
     """A traced run measures every layer.  A function that the benchmark
     wraps by name and that the program no longer has drops its metrics
     from the result and prints a `missing hook:` line."""
     run = subprocess.run(
-        [sys.executable, "rtbench/run.py", "--workload", "region", "--seed",
+        [sys.executable, "rtbench/run.py", "--workload", workload, "--seed",
          "1", "--seconds", "0.1", "--trace", "1"],
         cwd=ROOT, capture_output=True, text=True, timeout=600)
     assert run.returncode == 0, run.stderr[-2000:]
@@ -37,3 +49,5 @@ def test_traced_run_reports_every_per_layer_metric():
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
     metrics = json.loads(lines[-1])["metrics"]
     assert sorted(metrics) == sorted(m["name"] for m in declared)
+    assert {name: metrics[name]["value"] for name in WORKED[workload]
+            if not metrics[name]["value"] > 0} == {}
