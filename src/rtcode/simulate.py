@@ -28,7 +28,7 @@ from .scenarios import (MemorySpec, ScenarioSolveReport, _checked_decoder,
                         _coding_decoders, _coding_law, _project_pushforward,
                         _successor_policy, _tuple_chain)
 from .simplex import project, simplex_grid
-from .vending import _vending_law
+from .vending import _decoder_shape, _vending_law
 
 BURN_IN = 1000
 
@@ -148,8 +148,8 @@ def _mechanics(bundle: PolicyBundle, spec: ProblemSpec) -> tuple:
         mem_x, mem_y = bundle.memory_x, bundle.memory_y
         law = _vending_law(spec, bundle.vending_action_map)
         cost = np.asarray(spec.vending.costs.cost)[law[2]]
-        dec = _checked_decoder(bundle.decoder, (n_x, n_y, mem_x.num_states,
-                                                mem_y.num_states), n_r)
+        dec = _checked_decoder(bundle.decoder,
+                               _decoder_shape(spec, mem_x, mem_y), n_r)
     else:
         if bundle.memory is None:
             _fail("this scenario needs a decoder memory spec")
