@@ -364,8 +364,8 @@ def _chain_prologue(spec: ProblemSpec, d: int, mem_x: MemorySpec,
     return {
         "points_m": points_m,
         "points_n": points_n,
-        "rows": rows,
-        "row": row,
+        "law": rows,
+        "law_index": row,
         "shift": shift,
         "x_sent": x_sent,
         "u_next": u_next,
@@ -407,9 +407,9 @@ def _open_loop_chain(spec: ProblemSpec, d: int, mem_x: MemorySpec,
     # the belief over the x-memory moves with the sent input, the one
     # over the y-memory with the observation law
     proj_m = _project_pushforward(grid_m, mem_x.table, np.eye(n_x))
-    proj_n = _project_pushforward(grid_n, mem_y.table, core["rows"])
+    proj_n = _project_pushforward(grid_n, mem_y.table, core["law"])
     pm = proj_m[:, core["x_sent"]].transpose(2, 0, 1, 3)       # (V, Gm, A, U)
-    pn = proj_n[:, core["row"]].transpose(2, 0, 1, 3)          # (V, Gn, A, U)
+    pn = proj_n[:, core["law_index"]].transpose(2, 0, 1, 3)          # (V, Gn, A, U)
     nxt_c = pm[:, :, None] * g_n + pn[:, None]                 # (V, Gm, Gn, A, U)
     core["next_states"], core["next_probs"] = _tuple_successors(
         core["shift"], nxt_c.reshape(n_v, g_m * g_n, n_a, n_u, 1),
