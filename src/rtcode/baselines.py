@@ -322,11 +322,15 @@ def suboptimality_region(d: int, m: int, p_grid, delta_grid,
     more than margin.
 
     Solver failures are recorded per point and leave the point unflagged.
-    A negative d or m fails every point alike, so it is rejected first.
+    A negative d or m fails every point alike, so it is rejected first,
+    and so is a margin that is not a finite number >= 0: NaN or inf
+    flags no point, and a negative margin flags points that tie.
     """
     problems = [f"{name} {value} must be nonnegative"
                 for name, value in (("lookahead", d), ("memory length", m))
                 if value < 0]
+    if not 0.0 <= margin < np.inf:
+        problems.append(f"margin {margin} must be a finite number >= 0")
     if problems:
         raise SpecValidationError(problems)
     ps = [float(p) for p in np.asarray(p_grid, dtype=float)]

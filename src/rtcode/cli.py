@@ -22,8 +22,9 @@ from .baselines import (d0_distortion, shannon_limit, suboptimality_region,
                         symbol_by_symbol_check, uncoded_condition_check)
 from .errors import (CapacityError, NonConvergenceError, SpecValidationError,
                      UnreachableObservationError)
-from .models import (ProblemSpec, bernoulli_source, binary_problem, bsc,
-                     hamming, load_spec, spec_from_dict, with_budget)
+from .models import (ProblemSpec, _check_capacity, bernoulli_source,
+                     binary_problem, bsc, hamming, load_spec, spec_from_dict,
+                     with_budget)
 from .scenarios import (memory_last_m, solve_feedback_complete,
                         solve_feedback_finite, solve_nofeedback, spec_params)
 from .simplex import simplex_grid
@@ -185,16 +186,23 @@ def cmd_solve(args) -> int:
 
 
 def _parse_range(token: str) -> list[float]:
+    """A single value or start:stop:step, all finite, with no more points
+    than the capacity guard allows."""
     parts = token.split(":")
-    if len(parts) == 1:
-        return [float(parts[0])]
-    if len(parts) != 3:
+    if len(parts) not in (1, 3):
         _usage(f"bad range {token!r}; expected start:stop:step")
-    a, b, s = (float(v) for v in parts)
+    values = [float(v) for v in parts]
+    if not all(math.isfinite(v) for v in values):
+        _usage(f"range values must be finite in {token!r}")
+    if len(values) == 1:
+        return values
+    a, b, s = values
     if s <= 0:
         _usage(f"range step must be positive in {token!r}")
-    n = int(math.floor((b - a) / s + 1e-9)) + 1
-    return [a + k * s for k in range(max(n, 0))]
+    # (b - a) / s overflows to inf past the float range: clip before floor
+    n = math.floor(min(max((b - a) / s + 1e-9, -1.0), 2.0**62)) + 1
+    _check_capacity("parameter range", n, "use a coarser step")
+    return [a + k * s for k in range(n)]
 
 
 def _parse_assign(token: str, what: str) -> tuple[str, str]:
@@ -240,6 +248,8 @@ def cmd_sweep(args) -> int:
     fixed = float(fix_value)
     varied = _parse_range(vary_range)
     m_list = [int(v) for v in args.m.split(",")] if args.m else [0]
+    mem_x = _parse_last_memory(args.memory_x, "--memory-x")
+    mem_y = _parse_last_memory(args.memory_y, "--memory-y")
     if "Dvend" in quantities and not args.vending:
         _usage("quantity Dvend needs --vending <file>")
     if args.no_feedback and args.grid is None:
@@ -264,8 +274,7 @@ def cmd_sweep(args) -> int:
                 "tol": args.tol, "grid": args.grid,
                 "nofeedback": args.no_feedback,
                 "vending": args.vending, "budget": args.budget,
-                "mem_x": _parse_last_memory(args.memory_x, "--memory-x"),
-                "mem_y": _parse_last_memory(args.memory_y, "--memory-y"),
+                "mem_x": mem_x, "mem_y": mem_y,
             })
     rows.sort(key=lambda r: (
         r["p"], r["delta"],

@@ -31,7 +31,7 @@ The two coding chains share one decoder-family pipeline: their
 transitions do not depend on the decoder table, so every table is
 enumerated, the rewards are batched over one transition structure, the
 batch is solved at once, and the first table within the tolerance of
-the best wins.
+the best wins.  The vending pair loop enumerates and ties alike.
 
 Discretized builds carry an APPROXIMATE flag: projecting beliefs onto a
 grid has no one-sided error bound.
@@ -167,10 +167,19 @@ def _clamp_distortion(value: float, max_loss: float) -> float:
     return float(min(max(value, 0.0), max_loss) + 0.0)
 
 
-def _first_within(gains: np.ndarray, tol: float) -> int:
-    """Lowest candidate index whose gain is within tol of the best: the
+def _decoder_family(spec: ProblemSpec, shape: tuple) -> np.ndarray:
+    """Every decoder table of the given shape, lexicographic, capped by
+    DEFAULT_DECODER_CAP: the candidates of both selection loops."""
+    return _enumerate_maps(int(np.prod(shape)), spec.num_reconstructions,
+                           DEFAULT_DECODER_CAP, "decoder enumeration",
+                           "reduce the decoder memory size m"
+                           ).reshape(-1, *shape)
+
+
+def _first_within(values: np.ndarray, tol: float) -> int:
+    """Flat index of the first value within tol of the least: the
     lexicographic tie rule, blind to solver noise below the tolerance."""
-    return int(np.flatnonzero(gains >= gains.max() - tol)[0])
+    return int(np.flatnonzero(values <= values.min() + tol)[0])
 
 
 def _batch_diagnostics(sol: BatchSolve, best: int) -> dict:
@@ -201,17 +210,6 @@ def _checked_decoder(decoder, shape: tuple, num_symbols: int) -> np.ndarray:
     return check_action_map(dec.ravel(), dec.size, num_symbols).reshape(shape)
 
 
-def _decoder_mdp(spec: ProblemSpec, memory: MemorySpec, core,
-                 decoder) -> FiniteMdp:
-    """The coding chain of one decoder table indexed [y, z]."""
-    dec = _checked_decoder(decoder, (spec.num_channel_outputs,
-                                     memory.num_states),
-                           spec.num_reconstructions)
-    rewards = _chain_rewards(
-        core, _coding_decoders(dec[None], spec.num_channel_inputs))[0]
-    return FiniteMdp(core["next_states"], core["next_probs"], rewards)
-
-
 def _solve_decoder_family(scenario: str, spec: ProblemSpec, d: int,
                           memory: MemorySpec, core, tol: float,
                           params=None, diagnostics=None,
@@ -220,19 +218,16 @@ def _solve_decoder_family(scenario: str, spec: ProblemSpec, d: int,
 
     The tables are enumerated lexicographically, their rewards batched
     over the core's shared transition structure and solved together by
-    rvi_batch.  Tables whose gains lie within tol of the best count as
-    tied, and ties keep the lexicographically smallest table.  params and
+    rvi_batch.  Tables whose distortions lie within tol of the least
+    count as tied, and ties keep the lexicographically smallest table.  params and
     diagnostics add scenario entries after the common ones.
     """
-    n_y, n_z = spec.num_channel_outputs, memory.num_states
-    dec_all = _enumerate_maps(n_y * n_z, spec.num_reconstructions,
-                              DEFAULT_DECODER_CAP, "decoder enumeration",
-                              "reduce the decoder memory size m"
-                              ).reshape(-1, n_y, n_z)
+    dec_all = _decoder_family(spec, (spec.num_channel_outputs,
+                                     memory.num_states))
     sol = rvi_batch(core["next_states"], core["next_probs"],
                     _chain_rewards(core, _coding_decoders(
                         dec_all, spec.num_channel_inputs)), tol=tol)
-    best = _first_within(sol.gains, tol)
+    best = _first_within(-sol.gains, tol)
     distortion = _clamp_distortion(-float(sol.gains[best]),
                                    spec.distortion.max_loss)
     return ScenarioSolveReport(
@@ -462,19 +457,6 @@ def _coding_decoders(decs: np.ndarray, num_inputs: int) -> np.ndarray:
                            (n_t, num_inputs, n_y, 1, n_z))
 
 
-def build_feedback_finite(spec: ProblemSpec, d: int, memory: MemorySpec,
-                          decoder) -> FiniteMdp:
-    """MDP for feedback coding with a finite decoder memory.
-
-    States are (tuple, memory) pairs indexed tuple-major; actions are the
-    per-successor maps of _tuple_chain.  The reward of an action is the
-    negated expected loss of the decoder's response to the upcoming
-    output, charged to the symbol leaving the window.
-    """
-    return _decoder_mdp(spec, memory, _coding_chain(spec, d, memory),
-                        decoder)
-
-
 def solve_feedback_finite(spec: ProblemSpec, d: int, memory: MemorySpec,
                           tol: float = 1e-9) -> ScenarioSolveReport:
     """Minimum distortion over all decoder tables for the feedback chain.
@@ -563,18 +545,6 @@ def solve_feedback_complete(spec: ProblemSpec, d: int, resolution: int,
         },
         flags=(APPROXIMATE,),
     )
-
-
-def build_nofeedback_finite(spec: ProblemSpec, d: int, memory: MemorySpec,
-                            decoder, grid: SimplexGrid) -> FiniteMdp:
-    """Grid approximation of open-loop coding with a finite decoder memory.
-
-    The encoder never observes the channel output, so the chain tracks a
-    grid point for its belief about the decoder memory; the source tuple
-    is the only random disturbance.
-    """
-    return _decoder_mdp(spec, memory, _coding_chain(spec, d, memory, grid),
-                        decoder)
 
 
 def solve_nofeedback(spec: ProblemSpec, d: int, memory: MemorySpec,

@@ -27,17 +27,18 @@ from .bayes import check_action_map
 from .errors import SpecValidationError
 from .lookahead import _enumerate_maps
 from .mdp import (DUAL_TOL, ConstrainedMdp, DualResult, FiniteMdp,
-                  constrained_solve, lagrangian_mdp)
+                  constrained_solve)
 # Only constrained_solve calls relative_value_iteration; rtbench/hooks.py
 # also wraps it under this name and reports the solve layer as unmeasured
 # when the name is missing.
 from .mdp import relative_value_iteration  # noqa: F401
 from .models import ProblemSpec
 from .scenarios import (APPROXIMATE, MemorySpec, ScenarioSolveReport,
-                        _chain_rewards, _checked_decoder, _clamp_distortion,
-                        _feedback_chain, _memory_params, _nested_tuple,
-                        _open_loop_chain, _whole_map_policy, spec_params)
-from .simplex import SimplexGrid, simplex_grid
+                        _chain_rewards, _clamp_distortion, _decoder_family,
+                        _feedback_chain, _first_within, _memory_params,
+                        _nested_tuple, _open_loop_chain, _whole_map_policy,
+                        spec_params)
+from .simplex import simplex_grid
 
 
 def _require_vending(spec: ProblemSpec) -> None:
@@ -96,44 +97,6 @@ def _decoder_shape(spec: ProblemSpec, mem_x: MemorySpec,
             mem_x.num_states, mem_y.num_states)
 
 
-def _lagrangian_build(spec: ProblemSpec, core, decoder, mem_x: MemorySpec,
-                      mem_y: MemorySpec, lam: float) -> FiniteMdp:
-    dec = _checked_decoder(decoder, _decoder_shape(spec, mem_x, mem_y),
-                           spec.num_reconstructions)
-    rewards = _chain_rewards(core, dec[None])[0]
-    return lagrangian_mdp(_pair_cmdp(core, rewards, spec), lam)
-
-
-def build_vending_feedback_finite(spec: ProblemSpec, d: int, mem_x: MemorySpec,
-                                  mem_y: MemorySpec, decoder, av_map,
-                                  lam: float = 0.0) -> FiniteMdp:
-    """MDP for feedback vending with finite memories, at a fixed budget
-    multiplier.
-
-    States are (tuple, memory over x, memory over y); the reward is the
-    negated expected loss plus lam times the budget slack.
-    """
-    core = _vending_feedback_core(spec, d, mem_x, mem_y, av_map)
-    return _lagrangian_build(spec, core, decoder, mem_x, mem_y, lam)
-
-
-def build_vending_nofeedback_discretized(spec: ProblemSpec, d: int,
-                                         mem_x: MemorySpec, mem_y: MemorySpec,
-                                         decoder, av_map,
-                                         grid_m: SimplexGrid,
-                                         grid_n: SimplexGrid,
-                                         lam: float = 0.0) -> FiniteMdp:
-    """Grid approximation of open-loop vending at a fixed multiplier.
-
-    States are (tuple, belief over memory-x, belief over memory-y); both
-    beliefs evolve by deterministic pushforwards projected back to their
-    grids, and the only disturbance is the fresh source symbol.
-    """
-    core = _vending_core(spec, _open_loop_chain, av_map, d, mem_x, mem_y,
-                         grid_m, grid_n)
-    return _lagrangian_build(spec, core, decoder, mem_x, mem_y, lam)
-
-
 def _pair_value(res: DualResult, budget: float) -> float:
     """Dual distortion of one pair, or +inf for a pair that cannot meet
     the budget: its dual search ends at the bracket edge with an average
@@ -145,14 +108,13 @@ def _pair_value(res: DualResult, budget: float) -> float:
 
 def _best_pair(values: np.ndarray, budget: float) -> tuple[int, int]:
     """Lowest (decoder, actuator) index whose value is within DUAL_TOL of
-    the least: the lexicographic tie rule of the decoder family, blind to
-    dual-search noise below the tolerance.  Raise if no pair meets the
-    budget."""
+    the least, by the tie rule of the decoder family.  Raise if no pair
+    meets the budget."""
     if not np.isfinite(values).any():
         raise SpecValidationError(
             [f"no (decoder, actuator) pair meets the budget {budget:g}"])
-    first = np.flatnonzero(values.ravel() <= values.min() + DUAL_TOL)[0]
-    best_i, best_j = np.unravel_index(int(first), values.shape)
+    best_i, best_j = np.unravel_index(_first_within(values, DUAL_TOL),
+                                      values.shape)
     return int(best_i), int(best_j)
 
 
@@ -171,12 +133,9 @@ def _solve_pairs(scenario: str, spec: ProblemSpec, d: int, mem_x: MemorySpec,
     _require_vending(spec)
     budget = spec.vending.costs.budget
     shape = _decoder_shape(spec, mem_x, mem_y)
-    cap = scenarios.DEFAULT_DECODER_CAP
-    decs = _enumerate_maps(int(np.prod(shape)), spec.num_reconstructions,
-                           cap, "decoder enumeration",
-                           "reduce the decoder memory size m"
-                           ).reshape(-1, *shape)
-    avs = _enumerate_maps(shape[0], spec.vending.num_actions, cap,
+    decs = _decoder_family(spec, shape)
+    avs = _enumerate_maps(shape[0], spec.vending.num_actions,
+                          scenarios.DEFAULT_DECODER_CAP,
                           "actuator enumeration",
                           "reduce the channel input alphabet")
     values = np.empty((decs.shape[0], avs.shape[0]))

@@ -6,8 +6,9 @@ import pytest
 
 from rtcode import (ProblemSpec, ProbVector, StochasticMatrix, hamming,
                     scenarios, vending)
-from rtcode.mdp import FiniteMdp
-from rtcode.scenarios import _tuple_chain
+from rtcode.mdp import FiniteMdp, lagrangian_mdp
+from rtcode.scenarios import _chain_rewards, _tuple_chain
+from rtcode.vending import _pair_cmdp
 
 TIE_L1 = 1e-12
 
@@ -100,3 +101,11 @@ def solve_with_whole_maps(solve, *args):
                        lambda policy, shift, num_inputs:
                        tuple(int(a) for a in policy))
         return solve(*args)
+
+
+def pair_lagrangian(spec, core, dec, lam):
+    """The Lagrangian MDP at multiplier lam of one vending decoder indexed
+    [x, y, m, n] on an actuator map's compiled core: the pair loop's
+    constrained MDP of that pair, at a fixed multiplier."""
+    rewards = _chain_rewards(core, np.asarray(dec)[None])[0]
+    return lagrangian_mdp(_pair_cmdp(core, rewards, spec), lam)

@@ -34,8 +34,8 @@ from rtcode.cli import CSV_HEADER, main
 from rtcode.mdp import (evaluate_policy, exhaustive_policy_search,
                         relative_value_iteration)
 from rtcode.simulate import PolicyBundle
-from rtcode.vending import build_vending_feedback_finite
-from conftest import all_maps, random_unichain_mdp
+from rtcode.vending import _vending_feedback_core
+from conftest import all_maps, pair_lagrangian, random_unichain_mdp
 
 GRID21 = [round(0.025 * i, 5) for i in range(21)]
 GRID11 = [round(0.05 * i, 5) for i in range(11)]
@@ -181,13 +181,13 @@ def _dual_once():
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             rep = solve_vending_feedback(spec, 0, mem_x, mem_y)
-        build = lambda lam: build_vending_feedback_finite(
-            spec, 0, mem_x, mem_y, rep.decoder, rep.vending_action_map,
-            lam=lam)
-        m0, m1 = build(0.0), build(1.0)
-        cost = gamma - (m1.rewards - m0.rewards)
+        core = _vending_feedback_core(spec, 0, mem_x, mem_y,
+                                      rep.vending_action_map)
+        build = lambda lam: pair_lagrangian(spec, core, rep.decoder, lam)
+        m0 = build(0.0)
+        cost = core["cost"]
         span = float(m0.rewards.max() - m0.rewards.min())
-        pos = cost[cost > 1e-12]  # drop float noise in the recovered costs
+        pos = cost[cost > 1e-12]  # the paid actions
         lam_max = (span if span > 0 else 1.0) / (float(pos.min())
                                                  if pos.size else 1.0)
         grid_min = min(
@@ -359,9 +359,9 @@ def test_acceptance_7_vending_duals(capsys, dual_runs):
     spec1 = with_budget(spec_from_dict(TOY), 1.0)
     best = -np.inf
     for av in all_maps(1, 2):
+        core = _vending_feedback_core(spec1, 0, mem_x, mem_y, av)
         for dec in all_maps(2, 2).reshape(-1, 1, 2, 1, 1):
-            mdp = build_vending_feedback_finite(spec1, 0, mem_x, mem_y,
-                                                dec, av, lam=0.0)
+            mdp = pair_lagrangian(spec1, core, dec, 0.0)
             best = max(best, relative_value_iteration(mdp, tol=1e-10).gain)
     assert abs(values[-1] - (-best)) <= 1e-8
 

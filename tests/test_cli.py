@@ -1,12 +1,15 @@
 """Command-line interface: schemas, determinism, exit codes."""
+import importlib.util
 import json
 import time
 import warnings
+from pathlib import Path
 
 import pytest
 
-from rtcode.baselines import binary_shannon_closed_form
-from rtcode.cli import CSV_HEADER, main
+from rtcode.baselines import binary_shannon_closed_form, suboptimality_region
+from rtcode.cli import (CSV_HEADER, _parse_assign, _parse_range, build_parser,
+                        main)
 from rtcode.models import state_limit
 
 SOLVE_ARGS = [
@@ -116,6 +119,12 @@ def test_sweep_usage_errors(capsys):
     rc, _ = _run(capsys, [
         "sweep", "--fix", "delta=0.3", "--vary", "p=0.1:0.2:0.1",
         "--quantities", "Dvend", "--workers", "1",
+    ])
+    assert rc == 2
+    # the memories are checked even when the range has no point
+    rc, _ = _run(capsys, [
+        "sweep", "--fix", "delta=0.3", "--vary", "p=1:0:0.1",
+        "--quantities", "D0", "--memory-x", "bogus", "--workers", "1",
     ])
     assert rc == 2
 
@@ -268,12 +277,64 @@ def test_invalid_tolerance_exits_2_at_once(capsys, tol):
         assert "must be a positive finite number" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("flags", [["--d", "-1"], ["--m", "-1"]])
+@pytest.mark.parametrize("flags", [["--d", "-1"], ["--m", "-1"],
+                                   ["--margin", "nan"], ["--margin", "inf"],
+                                   ["--margin", "-1"]])
 def test_region_rejects_a_negative_window_before_the_scan(capsys, flags):
     rc, out = _run(capsys, ["region", "--p", "0.1:0.2:0.1", "--delta",
                             "0.3:0.3:0.1", "--workers", "1", *flags])
     assert rc == 2
     assert out == ""
+
+
+RANGE_COMMANDS = {
+    "region": lambda r: ["region", "--p", r, "--delta", "0.3"],
+    "sweep": lambda r: ["sweep", "--fix", "delta=0.3", "--vary", f"p={r}",
+                        "--quantities", "D0"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(RANGE_COMMANDS))
+@pytest.mark.parametrize("token, error", [
+    ("0:inf:0.1", "range values must be finite"),
+    ("nan:0.5:0.1", "range values must be finite"),
+    ("0:0.5:nan", "range values must be finite"),
+    ("inf", "range values must be finite"),
+    ("0:1:0.01", "parameter range needs 101 entries, over the limit of 10"),
+])
+def test_range_that_cannot_be_enumerated_exits_2_at_once(
+        capsys, monkeypatch, command, token, error):
+    monkeypatch.setenv("RTC_MAX_STATES", "10")
+    t0 = time.perf_counter()
+    rc = main([*RANGE_COMMANDS[command](token), "--workers", "1"])
+    assert time.perf_counter() - t0 < 1.0
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert error in captured.err
+
+
+RECIPES = Path(__file__).parent.parent / "scripts"
+
+
+@pytest.mark.parametrize("name", ["region_scan", "sweep_channel_noise",
+                                  "sweep_source_prob"])
+def test_recipe_arguments_pass_the_cli_checks(name):
+    # the recipe is imported, not run: its ARGS are parsed and checked
+    spec = importlib.util.spec_from_file_location(name,
+                                                  RECIPES / f"{name}.py")
+    recipe = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(recipe)
+    args = build_parser().parse_args(recipe.ARGS)
+    if args.command == "region":
+        ranges = [args.p, args.delta]
+        # empty grids check the window and the margin and scan nothing
+        suboptimality_region(args.d, args.m, [], [], margin=args.margin,
+                             tol=args.tol)
+    else:
+        ranges = [_parse_assign(args.vary, "--vary")[1]]
+    for token in ranges:
+        assert len(_parse_range(token)) > 1
 
 
 @pytest.mark.parametrize("flags, guard", [

@@ -8,7 +8,6 @@ import pytest
 
 from rtcode import (
     CapacityError,
-    SpecValidationError,
     UnreachableObservationError,
     binary_problem,
     memory_last_m,
@@ -28,13 +27,12 @@ from rtcode.bayes import (
 )
 from rtcode.cli import main
 from rtcode.lookahead import build_markov_kernel
-from rtcode.mdp import (PI_MAX_ROUNDS, batch_policy_iteration,
+from rtcode.mdp import (PI_MAX_ROUNDS, FiniteMdp, batch_policy_iteration,
                         batch_value_iteration, evaluate_policy)
 from rtcode.scenarios import (_chain_rewards, _coding_chain,
                               _coding_decoders, _first_within,
                               _successor_policy,
-                              build_feedback_complete_discretized,
-                              build_feedback_finite, build_nofeedback_finite)
+                              build_feedback_complete_discretized)
 from conftest import (all_maps, nearest, random_rows, random_spec,
                       solve_with_whole_maps, whole_map)
 
@@ -46,6 +44,14 @@ WIDE = spec_from_dict({"source": [0.6, 0.4],
 TALL = spec_from_dict({"source": [0.6, 0.4],
                        "channel": [[0.9, 0.1], [0.5, 0.5], [0.2, 0.8]],
                        "distortion": [[0.0, 1.0], [1.0, 0.0]]})
+
+
+def _decoder_mdp(spec, core, dec):
+    """A coding chain under one decoder table indexed [y, z], rewarded as
+    the decoder-family solve rewards its candidates."""
+    rewards = _chain_rewards(core, _coding_decoders(
+        np.asarray(dec)[None], spec.num_channel_inputs))[0]
+    return FiniteMdp(core["next_states"], core["next_probs"], rewards)
 
 
 def test_memory_m0_is_singleton():
@@ -80,18 +86,12 @@ def test_memory_capacity_guard(monkeypatch):
 
 def test_feedback_build_counts_d0_m0():
     spec = binary_problem(0.3, 0.2)
-    mdp = build_feedback_finite(spec, 0, memory_last_m(0, 2),
-                                np.zeros((2, 1), dtype=int))
+    mem = memory_last_m(0, 2)
+    mdp = _decoder_mdp(spec, _coding_chain(spec, 0, mem),
+                       np.zeros((2, 1), dtype=int))
     assert mdp.num_states == 2
     assert mdp.num_actions == 4
     assert mdp.check() == []
-
-
-def test_feedback_build_rejects_bad_decoder_shape():
-    spec = binary_problem(0.3, 0.2)
-    with pytest.raises(SpecValidationError):
-        build_feedback_finite(spec, 0, memory_last_m(0, 2),
-                              np.zeros((2, 2), dtype=int))
 
 
 def test_feedback_one_step_reward_matches_enumeration():
@@ -103,7 +103,7 @@ def test_feedback_one_step_reward_matches_enumeration():
         mem = memory_last_m(1, n_y)
         codec = build_markov_kernel(spec.source, d).codec
         dec = rng.integers(0, 2, size=(n_y, mem.num_states))
-        mdp = build_feedback_finite(spec, d, mem, dec)
+        mdp = _decoder_mdp(spec, _coding_chain(spec, d, mem), dec)
         maps = all_maps(2, n_x)         # per-successor actions: u -> x
         p_u = np.asarray(spec.source.p)
         w = spec.channel.rows
@@ -133,7 +133,7 @@ def test_feedback_one_step_transition_matches_enumeration():
         mem = memory_last_m(1, n_y)
         codec = build_markov_kernel(spec.source, d).codec
         dec = np.zeros((n_y, mem.num_states), dtype=int)
-        mdp = build_feedback_finite(spec, d, mem, dec)
+        mdp = _decoder_mdp(spec, _coding_chain(spec, d, mem), dec)
         maps = all_maps(2, n_x)
         dense = mdp.dense()
         p_u = np.asarray(spec.source.p)
@@ -303,7 +303,7 @@ def test_nofeedback_one_step_reward_matches_enumeration():
         grid = simplex_grid(mem.num_states, 3)
         codec = build_markov_kernel(spec.source, d).codec
         dec = rng.integers(0, 2, size=(n_y, mem.num_states))
-        mdp = build_nofeedback_finite(spec, d, mem, dec, grid)
+        mdp = _decoder_mdp(spec, _coding_chain(spec, d, mem, grid), dec)
         maps = all_maps(2, n_x)
         p_u = np.asarray(spec.source.p)
         w = spec.channel.rows
@@ -364,7 +364,7 @@ def test_nofeedback_singleton_memory_reduces_to_open_loop():
     mem = memory_last_m(0, 2)
     grid = simplex_grid(1, 1)
     dec = np.zeros((2, 1), dtype=int)
-    mdp = build_nofeedback_finite(spec, 0, mem, dec, grid)
+    mdp = _decoder_mdp(spec, _coding_chain(spec, 0, mem, grid), dec)
     assert mdp.num_states == 2
     assert mdp.check() == []
 
@@ -410,13 +410,13 @@ def test_feedback_tie_rule_takes_lowest_index_within_tol(capsys):
                  "--memory", "last:2"]) == 0
     doc = json.loads(capsys.readouterr().out)
     np.testing.assert_array_equal(doc["decoder"], decs[lowest])
-    mdp = build_feedback_finite(binary_problem(0.3, 0.3), 1,
-                                memory_last_m(2, 2), doc["decoder"])
+    mdp = _decoder_mdp(binary_problem(0.3, 0.3), core, doc["decoder"])
     ev = evaluate_policy(mdp, _successor_policy(doc["encoder_policy"],
                                                 core["shift"], 2))
     assert abs(-ev.gain - doc["distortion"]) <= 1e-10
-    # the rule itself, on gains whose float maximum is not the first tie
-    assert _first_within(np.array([0.1, 0.5 - 1e-12, 0.5]), tol) == 1
+    # the rule itself, on distortions whose float minimum is not the
+    # first tie
+    assert _first_within(np.array([0.9, 0.5 + 1e-12, 0.5]), tol) == 1
 
 
 @pytest.mark.parametrize("p, delta", [(0.3, 0.3), (0.05, 0.0), (0.15, 0.3),
@@ -458,8 +458,8 @@ def test_feedback_degenerate_parameters_solve_fast(p, delta):
         assert time.perf_counter() - t0 < 2.0
         assert 0.0 <= rep.distortion <= min(p, delta) + 1e-12
         assert rep.diagnostics["optimality_residual"] <= 1e-9
-        mdp = build_feedback_finite(spec, 1, memory_last_m(m, 2),
-                                    rep.decoder)
+        mem = memory_last_m(m, 2)
+        mdp = _decoder_mdp(spec, _coding_chain(spec, 1, mem), rep.decoder)
         shift = build_markov_kernel(spec.source, 1).codec.shift_table()
         ev = evaluate_policy(mdp, _successor_policy(rep.encoder_policy,
                                                     shift, 2))

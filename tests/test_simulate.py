@@ -204,6 +204,14 @@ def test_sim_validates_configuration_before_running(solved_d11):
     )
     with pytest.raises(SpecValidationError):
         simulate(wrong_tag, spec, 1, 100, 1, seed=1)
+    wrong_decoder_shape = PolicyBundle(
+        scenario="feedback-finite",
+        encoder=bundle.encoder,
+        decoder=((0, 0, 0), (0, 0, 0)),
+        memory=bundle.memory,
+    )
+    with pytest.raises(SpecValidationError, match="decoder has shape"):
+        simulate(wrong_decoder_shape, spec, 1, 100, 1, seed=1)
 
 
 def test_sim_runs_whole_map_indices_past_the_map_table():

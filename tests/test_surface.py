@@ -56,28 +56,14 @@ REFERENCE_ONLY = {
     "mdp.FiniteMdp.from_dense": "conftest.py::random_unichain_mdp",
     "mdp.exhaustive_policy_search":
         "test_mdp.py::test_rvi_matches_exhaustive_search_on_random_instances",
-    "scenarios.build_feedback_finite":
-        "test_scenarios.py::test_feedback_one_step_reward_matches_enumeration",
-    "scenarios.build_nofeedback_finite":
-        "test_scenarios.py::"
-        "test_nofeedback_one_step_reward_matches_enumeration",
-    "vending.build_vending_feedback_finite":
-        "test_acceptance.py::test_acceptance_7_vending_duals",
-    "vending.build_vending_nofeedback_discretized":
-        "test_vending.py::test_vending_nofeedback_reward_matches_enumeration",
 }
 
 
 # The bracket of the dual search, which the bracket-edge tests choose,
-# the multiplier of the two Lagrangian builders, and the argument list of
-# the CLI entry point.
+# and the argument list of the CLI entry point.
 SET_BY_TESTS_ONLY = {
     "mdp.constrained_solve.lambda_max":
         "test_mdp.py::test_constrained_solve_interior_kink",
-    "vending.build_vending_feedback_finite.lam":
-        "test_vending.py::test_vending_feedback_reward_matches_enumeration",
-    "vending.build_vending_nofeedback_discretized.lam":
-        "test_vending.py::test_vending_nofeedback_reward_matches_enumeration",
     "cli.main.argv": "test_cli.py::_run",
 }
 

@@ -19,9 +19,10 @@ from rtcode.bayes import (
     belief_update_sideinfo_memory,
 )
 from rtcode.lookahead import build_markov_kernel
-from rtcode.vending import (_best_pair, build_vending_feedback_finite,
-                            build_vending_nofeedback_discretized)
-from conftest import all_maps, nearest, whole_map
+from rtcode.scenarios import _open_loop_chain
+from rtcode.vending import (_best_pair, _vending_core,
+                            _vending_feedback_core)
+from conftest import all_maps, nearest, pair_lagrangian, whole_map
 
 TOY = {
     "source": [0.7, 0.3],
@@ -51,24 +52,14 @@ def _toy_spec(budget=None):
     return spec if budget is None else with_budget(spec, budget)
 
 
-def test_vending_feedback_build_rejects_negative_multiplier():
-    spec = _toy_spec()
-    mem_x = memory_last_m(0, 1)
-    mem_y = memory_last_m(0, 2)
-    dec = np.zeros((1, 2, 1, 1), dtype=int)
-    with pytest.raises(SpecValidationError):
-        build_vending_feedback_finite(spec, 0, mem_x, mem_y, dec, [0],
-                                      lam=-1.0)
-
-
 def test_vending_feedback_zero_cost_map_reduces_to_distortion():
     """lam=0 with the free action: reward is the plain negated loss."""
     spec = _toy_spec()
     mem_x = memory_last_m(0, 1)
     mem_y = memory_last_m(0, 2)
     dec = np.zeros((1, 2, 1, 1), dtype=int)
-    mdp = build_vending_feedback_finite(spec, 0, mem_x, mem_y, dec, [0],
-                                        lam=0.0)
+    mdp = pair_lagrangian(
+        spec, _vending_feedback_core(spec, 0, mem_x, mem_y, [0]), dec, 0.0)
     # free action is uninformative; constant-0 decoding loses p on symbol 1
     np.testing.assert_allclose(mdp.rewards, -0.3)
 
@@ -85,8 +76,8 @@ def test_vending_feedback_reward_matches_enumeration():
     dec = rng.integers(0, 2, size=(2, 2, 2, 2))
     av = np.array([1, 0])
     lam = 0.4
-    mdp = build_vending_feedback_finite(spec, d, mem_x, mem_y, dec, av,
-                                        lam=lam)
+    mdp = pair_lagrangian(
+        spec, _vending_feedback_core(spec, d, mem_x, mem_y, av), dec, lam)
     maps = all_maps(2, 2)           # per-successor actions: u -> x
     p_u = np.asarray(spec.source.p)
     loss = np.asarray(spec.distortion.loss)
@@ -191,8 +182,9 @@ def test_vending_nofeedback_reward_matches_enumeration():
     dec = rng.integers(0, 2, size=(2, 2, 2, 2))
     av = np.array([1, 0])
     lam = 0.4
-    mdp = build_vending_nofeedback_discretized(spec, d, mem_x, mem_y, dec,
-                                               av, gm, gn, lam=lam)
+    core = _vending_core(spec, _open_loop_chain, av, d, mem_x, mem_y, gm,
+                         gn)
+    mdp = pair_lagrangian(spec, core, dec, lam)
     maps = all_maps(2, 2)           # per-successor actions: u -> x
     p_u = np.asarray(spec.source.p)
     loss = np.asarray(spec.distortion.loss)
@@ -257,8 +249,9 @@ def test_vending_nofeedback_singleton_memories_collapse():
     mem_x = memory_last_m(0, 1)
     mem_y = memory_last_m(0, 2)
     dec = np.zeros((1, 2, 1, 1), dtype=int)
-    mdp = build_vending_nofeedback_discretized(
-        spec, 0, mem_x, mem_y, dec, [0], simplex_grid(1, 1), simplex_grid(1, 1))
+    core = _vending_core(spec, _open_loop_chain, [0], 0, mem_x, mem_y,
+                         simplex_grid(1, 1), simplex_grid(1, 1))
+    mdp = pair_lagrangian(spec, core, dec, 0.0)
     assert mdp.num_states == 2
     assert mdp.check() == []
 
