@@ -135,25 +135,6 @@ def belief_update_memory(belief, kernel: MarkovKernel, v_prev: int, v_next: int,
     return ProbVector(out / total)
 
 
-def belief_update_encoded_memory(belief, kernel: MarkovKernel, v_prev: int,
-                                 v_next: int, action_map, memory_table,
-                                 num_inputs: int) -> ProbVector:
-    """Belief over a decoder memory that records encoder outputs.
-
-    The encoder knows the input it sends for v_next, so the update is the
-    deterministic push of the belief through the memory table at that
-    input column.
-    """
-    _check_transition(kernel, v_prev, v_next)
-    a = check_action_map(action_map, kernel.num_states, num_inputs)
-    num_mem = np.asarray(belief).size
-    table = _memory_table(memory_table, num_mem, num_inputs)
-    b = _belief_array(belief, num_mem)
-    out = np.zeros(num_mem)
-    np.add.at(out, table[:, a[v_next]], b)
-    return ProbVector(out)
-
-
 def belief_update_sideinfo_memory(belief, kernel: MarkovKernel, v_prev: int,
                                   v_next: int, vending: VendingSpec, av_map,
                                   action_map, memory_table,

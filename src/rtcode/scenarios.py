@@ -6,8 +6,9 @@ each decoder choice, keep the best.  The MDP state couples the symbol
 tuple the encoder can see with what the decoder side carries forward:
 the decoder's finite memory (feedback), a grid point for the posterior
 over tuples (feedback with unbounded memory), or a grid point for the
-encoder's belief about the decoder memory (no feedback).  Rewards are
-negated per-symbol losses so the maximizing solver minimizes distortion.
+encoder's belief about the decoder's memory of its observations (no
+feedback).  Rewards are negated per-symbol losses so the maximizing
+solver minimizes distortion.
 
 An encoder map sends every tuple to a channel input, but a state reads
 it only at the tuples that can follow its own.  So the finite-memory
@@ -17,15 +18,16 @@ state's action as the lowest-index whole map that acts alike.  The
 complete-memory chain keeps whole maps, because the decoder's posterior
 update reads the whole map.
 
-One compiler builds the four finite-memory chains: coding and vending,
-each with and without feedback.  All four pair the symbol tuple with the
-decoder's two memories, one of the inputs it is sent and one of its
-observations, and differ only in the observation law.  A coding chain is
-a vending chain whose x-memory has one state, whose observation is the
-channel output of the sent input, and whose actions cost nothing;
-vending.py adds the actuator's law and the constraint costs.  With
-feedback the encoder sees both memories; without it the chain tracks
-grid beliefs over them.
+One builder, _memory_chain, compiles the four finite-memory chains:
+coding and vending, each with and without feedback.  All four pair the
+symbol tuple with the decoder's two memories, one of the inputs x it is
+sent and one of its observations y, and differ only in the observation
+law.  A coding chain is a vending chain whose x-memory has one state,
+whose observation is the channel output of the sent input, and whose
+actions cost nothing; vending.py adds the actuator's law and the
+constraint costs.  The encoder always knows the x-memory, which records
+only its own inputs.  With feedback it sees the y-memory too; without it
+the chain tracks a grid belief over the y-memory.
 
 The two coding chains share one decoder-family pipeline: their
 transitions do not depend on the decoder table, so every table is
@@ -328,15 +330,15 @@ def _tuple_successors(shift: np.ndarray, nxt_c, prob) -> tuple:
 
 
 def _chain_prologue(spec: ProblemSpec, d: int, mem_x: MemorySpec,
-                    mem_y: MemorySpec, points_m: np.ndarray,
-                    points_n: np.ndarray, law: tuple):
+                    mem_y: MemorySpec, points_n: np.ndarray, law: tuple):
     """What the four finite-memory chains compile alike.
 
     The decoder keeps a memory mem_x of the inputs x it is sent and a
-    memory mem_y of its observations y.  points_m and points_n are the
-    chain's beliefs over them, one row per state component: the point
-    masses on the memory states with feedback, grid points without it.
-    law = (rows, stride, act) draws y from rows[u * stride + act[x]]
+    memory mem_y of its observations y.  The encoder always knows the
+    x-memory, which records only its own inputs.  points_n is the
+    chain's belief over the y-memory, one row per state component: the
+    point masses on the memory states with feedback, grid points without
+    it.  law = (rows, stride, act) draws y from rows[u * stride + act[x]]
     when u is the symbol being decoded.  A coding chain has a one-state
     mem_x and the channel row of x as its law (_coding_law); a vending
     chain draws from the vending row of (u, av[x]).  Returns the core
@@ -345,19 +347,16 @@ def _chain_prologue(spec: ProblemSpec, d: int, mem_x: MemorySpec,
     rows, stride, act = law
     problems = (mem_x.check(spec.num_channel_inputs)
                 + mem_y.check(rows.shape[1]))
-    for name, points, mem in (("memory-x", points_m, mem_x),
-                              ("memory-y", points_n, mem_y)):
-        if points.shape[1] != mem.num_states:
-            problems.append(f"{name} belief grid has dimension "
-                            f"{points.shape[1]}, expected {mem.num_states}")
-    g_m, g_n = points_m.shape[0], points_n.shape[0]
-    kernel, shift, x_sent = _tuple_chain(spec, d, g_m * g_n, problems)
+    if points_n.shape[1] != mem_y.num_states:
+        problems.append(f"memory-y belief grid has dimension "
+                        f"{points_n.shape[1]}, expected {mem_y.num_states}")
+    n_m, g_n = mem_x.num_states, points_n.shape[0]
+    kernel, shift, x_sent = _tuple_chain(spec, d, n_m * g_n, problems)
     n_a, n_v, n_u = x_sent.shape
     u_next = kernel.codec.components_table()[:, 0][shift]      # (V, U)
     row = u_next * stride + act[x_sent]                        # (A, V, U)
     p_u = np.asarray(spec.source.p)
     return {
-        "points_m": points_m,
         "points_n": points_n,
         "law": rows,
         "law_index": row,
@@ -367,68 +366,58 @@ def _chain_prologue(spec: ProblemSpec, d: int, mem_x: MemorySpec,
         "p_u": p_u,
         "loss": np.asarray(spec.distortion.loss),
         "prob": p_u[None, None, :, None] * rows[row],           # (A, V, U, Y)
-        "shape": (n_v, g_m, g_n, n_a, n_u, rows.shape[1],
+        "shape": (n_v, n_m, g_n, n_a, n_u, rows.shape[1],
                   spec.num_channel_inputs),
     }
 
 
-def _feedback_chain(spec: ProblemSpec, d: int, mem_x: MemorySpec,
-                    mem_y: MemorySpec, law: tuple):
-    """The chain whose encoder sees both decoder memories, on states
-    (tuple, x-memory, y-memory).  Its transitions do not depend on the
-    decoder, so one chain serves every decoder of a solve."""
-    core = _chain_prologue(spec, d, mem_x, mem_y, np.eye(mem_x.num_states),
-                           np.eye(mem_y.num_states), law)
-    n_v, n_m, n_n, n_a, n_u, n_y, _ = core["shape"]
+def _memory_chain(spec: ProblemSpec, d: int, mem_x: MemorySpec,
+                  mem_y: MemorySpec, law: tuple,
+                  grid: Optional[SimplexGrid] = None):
+    """The chain on states (tuple, x-memory, y-part).
+
+    The x-memory moves with the sent input.  With feedback (no grid) the
+    y-part is the y-memory, which moves with the observation.  Without
+    it the y-part is a grid point of the encoder's belief over the
+    y-memory, moved by the pushforward through the observation law and
+    projected back to the grid, so the fresh symbol is the only
+    disturbance.  The transitions do not depend on the decoder, so one
+    chain serves every decoder of a solve.
+    """
+    points = np.eye(mem_y.num_states) if grid is None else grid.points
+    core = _chain_prologue(spec, d, mem_x, mem_y, points, law)
+    n_v, n_m, g_n, n_a, n_u, _, _ = core["shape"]
     m_next = np.asarray(mem_x.table)[:, core["x_sent"]]        # (M, A, V, U)
-    nxt_c = (m_next.transpose(2, 0, 1, 3)[:, :, None, :, :, None] * n_n
-             + np.asarray(mem_y.table)[None, None, :, None, None, :])
+    if grid is None:
+        n_next = np.asarray(mem_y.table)[None, :, None, None, :]   # (1, N, 1, 1, Y)
+        prob = core["prob"]
+    else:
+        # an open-loop chain's encoder sees no output: one output branch
+        proj = _project_pushforward(grid, mem_y.table, core["law"])
+        n_next = proj[:, core["law_index"]].transpose(2, 0, 1, 3)[..., None]
+        prob = np.broadcast_to(core["p_u"][None, None, :, None],
+                               (n_a, n_v, n_u, 1))
+    nxt_c = (m_next.transpose(2, 0, 1, 3)[:, :, None, :, :, None] * g_n
+             + n_next[:, None])                                 # (V, M, Gn, A, U, Y)
     core["next_states"], core["next_probs"] = _tuple_successors(
-        core["shift"], nxt_c.reshape(n_v, n_m * n_n, n_a, n_u, n_y),
-        core["prob"])
-    return core
-
-
-def _open_loop_chain(spec: ProblemSpec, d: int, mem_x: MemorySpec,
-                     mem_y: MemorySpec, law: tuple, grid_m: SimplexGrid,
-                     grid_n: SimplexGrid):
-    """The chain whose encoder sees no observation, on states (tuple,
-    grid point over the x-memory, grid point over the y-memory).  Both
-    beliefs move by deterministic pushforwards projected back to their
-    grids, so the fresh symbol is the only disturbance."""
-    core = _chain_prologue(spec, d, mem_x, mem_y, grid_m.points,
-                           grid_n.points, law)
-    n_v, g_m, g_n, n_a, n_u, _, n_x = core["shape"]
-    # the belief over the x-memory moves with the sent input, the one
-    # over the y-memory with the observation law
-    proj_m = _project_pushforward(grid_m, mem_x.table, np.eye(n_x))
-    proj_n = _project_pushforward(grid_n, mem_y.table, core["law"])
-    pm = proj_m[:, core["x_sent"]].transpose(2, 0, 1, 3)       # (V, Gm, A, U)
-    pn = proj_n[:, core["law_index"]].transpose(2, 0, 1, 3)          # (V, Gn, A, U)
-    nxt_c = pm[:, :, None] * g_n + pn[:, None]                 # (V, Gm, Gn, A, U)
-    core["next_states"], core["next_probs"] = _tuple_successors(
-        core["shift"], nxt_c.reshape(n_v, g_m * g_n, n_a, n_u, 1),
-        np.broadcast_to(core["p_u"][None, None, :, None],
-                        (n_a, n_v, n_u, 1)))
+        core["shift"], nxt_c.reshape(n_v, n_m * g_n, n_a, n_u, -1), prob)
     return core
 
 
 def _chain_rewards(core, decs: np.ndarray) -> np.ndarray:
     """(T, S, A) negated expected losses for a batch of decoders indexed
-    [t, x, y, m, n], with the decoder memories averaged under the
-    chain's beliefs over them.  Point-mass beliefs return each loss
-    unchanged."""
-    n_v, g_m, g_n, n_a, n_u, n_y, n_x = core["shape"]
+    [t, x, y, m, n], with the y-memory averaged under the chain's belief
+    over it.  Point-mass beliefs return each loss unchanged."""
+    n_v, n_m, g_n, n_a, n_u, n_y, n_x = core["shape"]
     u_next, x_sent, prob = core["u_next"], core["x_sent"], core["prob"]
-    expected = np.einsum("gm,hn,ctxymn->cxtygh",
-                         core["points_m"], core["points_n"],
-                         core["loss"][:, decs])                # (C, X, T, Y, Gm, Gn)
+    expected = np.einsum("hn,ctxymn->cxtymh", core["points_n"],
+                         core["loss"][:, decs])                # (C, X, T, Y, M, Gn)
     n_t = decs.shape[0]
-    rewards = np.empty((n_t, n_v, g_m, g_n, n_a))
+    rewards = np.empty((n_t, n_v, n_m, g_n, n_a))
     for a in range(n_a):
-        gathered = expected[u_next, x_sent[a]]                 # (V, U, T, Y, Gm, Gn)
-        rewards[..., a] = -np.einsum("vuy,vutygh->tvgh", prob[a], gathered)
-    return rewards.reshape(n_t, n_v * g_m * g_n, n_a)
+        gathered = expected[u_next, x_sent[a]]                 # (V, U, T, Y, M, Gn)
+        rewards[..., a] = -np.einsum("vuy,vutymh->tvmh", prob[a], gathered)
+    return rewards.reshape(n_t, n_v * n_m * g_n, n_a)
 
 
 def _coding_law(spec: ProblemSpec) -> tuple:
@@ -443,10 +432,7 @@ def _coding_chain(spec: ProblemSpec, d: int, memory: MemorySpec,
     """The coding chain with decoder memory `memory`, with feedback or,
     given the grid of beliefs over the memory, without it."""
     mem_x, law = _coding_law(spec)
-    if grid is None:
-        return _feedback_chain(spec, d, mem_x, memory, law)
-    return _open_loop_chain(spec, d, mem_x, memory, law, simplex_grid(1, 1),
-                            grid)
+    return _memory_chain(spec, d, mem_x, memory, law, grid)
 
 
 def _coding_decoders(decs: np.ndarray, num_inputs: int) -> np.ndarray:

@@ -7,10 +7,11 @@ tensors, and reports empirical averages with standard errors.
 
 Every scenario runs through one loop over a step table built from the
 bundle's mechanics in the terms of the solvers' one chain compiler: two
-decoder memories, an observation law, action costs, and the belief
-projections of the open-loop grid.  A coding bundle is a vending bundle
-whose x-memory has one state, whose law is the channel row of the sent
-input, and whose actions cost nothing.
+decoder memories, an observation law, action costs, and, for the
+open-loop bundles, the projections of the encoder's grid belief over the
+y-memory; the encoder always knows the x-memory.  A coding bundle is a
+vending bundle whose x-memory has one state, whose law is the channel
+row of the sent input, and whose actions cost nothing.
 
 Replication r of a run seeded s draws from the dedicated stream (s, r),
 so reports are bit-reproducible and replications are independent.
@@ -167,11 +168,12 @@ def _step_table(bundle: PolicyBundle, spec: ProblemSpec, d: int):
     """Per-step mechanics of the bundle as (table, start state).
 
     table[v][c][u] describes one step from tuple v when the fresh symbol
-    is u.  c is the joint state of the encoder's belief grid point g (0
-    with feedback, where the encoder sees the memories) and the decoder
-    memories (m, n), c = g * n_mem + m * n_n + n.  Each entry is (next
-    tuple, observation CDF row, [(loss, next c) per observation], action
-    cost).
+    is u.  c is the joint state of the decoder's x-memory m, the
+    encoder's grid point g over the y-memory (0 with feedback) and the
+    decoder's y-memory n, c = (m * n_g + g) * n_n + n.  The encoder sees
+    m, and n with feedback or g without it, as the chain compiler does.
+    Each entry is (next tuple, observation CDF row, [(loss, next c) per
+    observation], action cost).
     """
     mem_x, mem_y, (rows, stride, act), dec, cost = _mechanics(bundle, spec)
     kernel, shift_arr, x_sent = _tuple_chain(spec, d, 1, [])
@@ -184,49 +186,39 @@ def _step_table(bundle: PolicyBundle, spec: ProblemSpec, d: int):
     first, act, cost, dec = (first.tolist(), act.tolist(), cost.tolist(),
                              dec.tolist())
     n_m, n_n = mem_x.num_states, mem_y.num_states
-    n_mem = n_m * n_n
     cdf = _cdf_rows(rows)
     mx = np.asarray(mem_x.table).tolist()
     ny = np.asarray(mem_y.table).tolist()
     feedback = "nofeedback" not in bundle.scenario
-    n_g, g0, g_n = 1, 0, 1              # with feedback, a single grid point
+    n_g, g0 = 1, 0                      # with feedback, a single grid point
     if not feedback:
         if bundle.grid_resolution is None:
             _fail("the open-loop scenario needs a grid resolution")
-        grid_m = simplex_grid(n_m, bundle.grid_resolution)
-        grid_n = simplex_grid(n_n, bundle.grid_resolution)
-        g_n = grid_n.size
-        n_g = grid_m.size * g_n
-        g0 = (project(grid_m, np.eye(n_m)[0]) * g_n
-              + project(grid_n, np.eye(n_n)[0]))
-        proj_m = _project_pushforward(grid_m, mem_x.table,
-                                      np.eye(n_x)).tolist()
-        proj_n = _project_pushforward(grid_n, mem_y.table, rows).tolist()
+        grid = simplex_grid(n_n, bundle.grid_resolution)
+        n_g, g0 = grid.size, project(grid, np.eye(n_n)[0])
+        proj = _project_pushforward(grid, mem_y.table, rows).tolist()
 
-    # with feedback the encoder sees the memories, without it the grid point
-    n_seen = n_mem if feedback else n_g
-    enc = _check_encoder(bundle.encoder, n_v * n_seen, n_x**n_v)
+    n_seen = n_n if feedback else n_g
+    enc = _check_encoder(bundle.encoder, n_v * n_m * n_seen, n_x**n_v)
     enc = _successor_policy(enc, shift_arr, n_x)
-    table = [[None] * (n_g * n_mem) for _ in range(n_v)]
+    table = [[None] * (n_m * n_g * n_n) for _ in range(n_v)]
     for v in range(n_v):
-        for g in range(n_g):
-            gm, gn = divmod(g, g_n)
-            for mem in range(n_mem):
-                m, n = divmod(mem, n_n)
-                a = enc[v * n_seen + (mem if feedback else g)]
-                row = []
-                for u in range(n_u):
-                    vt = shift[v][u]
-                    x = loc[a][u]
-                    r = first[vt] * stride + act[x]
-                    base = 0 if feedback else (
-                        proj_m[gm][x] * g_n + proj_n[gn][r]) * n_mem
-                    row.append((vt, cdf[r], [
-                        (loss_first[vt][dec[x][y][m][n]],
-                         base + mx[m][x] * n_n + ny[n][y])
-                        for y in range(n_y)], cost[x]))
-                table[v][g * n_mem + mem] = row
-    return table, g0 * n_mem
+        for m in range(n_m):
+            for g in range(n_g):
+                for n in range(n_n):
+                    a = enc[(v * n_m + m) * n_seen + (n if feedback else g)]
+                    row = []
+                    for u in range(n_u):
+                        vt = shift[v][u]
+                        x = loc[a][u]
+                        r = first[vt] * stride + act[x]
+                        base = (mx[m][x] * n_g
+                                + (0 if feedback else proj[g][r])) * n_n
+                        row.append((vt, cdf[r], [
+                            (loss_first[vt][dec[x][y][m][n]], base + ny[n][y])
+                            for y in range(n_y)], cost[x]))
+                    table[v][(m * n_g + g) * n_n + n] = row
+    return table, g0 * n_n
 
 
 def simulate(bundle: PolicyBundle, spec: ProblemSpec, d: int, horizon: int,

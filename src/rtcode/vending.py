@@ -7,10 +7,13 @@ that action.  Budgeted action cost makes each instance a constrained MDP,
 solved through its scalar Lagrangian dual; the reported distortion is the
 negated dual value.
 
-With feedback the decoder memories (over x and over y) are part of the
-state.  Without feedback the encoder tracks grid beliefs over both
-memories, and those solves carry the APPROXIMATE flag.  The chains
-themselves are compiled and rewarded by scenarios.py, which compiles the
+The decoder keeps a memory of the inputs x it is sent and one of its
+side observations y.  The encoder always knows the x-memory, since x
+reaches the decoder without noise, so that memory is part of the state
+in both variants.  With feedback the y-memory is part of the state too.
+Without feedback the encoder tracks a grid belief over the y-memory, and
+those solves carry the APPROXIMATE flag.  The chains themselves are
+compiled and rewarded by scenarios._memory_chain, which compiles the
 coding chains alike; this module adds the actuator map's observation law
 and the constraint costs.  Both solvers run one pair loop, which gives
 every (decoder, actuator) pair its own dual search and keeps the best
@@ -19,6 +22,7 @@ pair.
 from __future__ import annotations
 
 import warnings
+from typing import Optional
 
 import numpy as np
 
@@ -35,10 +39,9 @@ from .mdp import relative_value_iteration  # noqa: F401
 from .models import ProblemSpec
 from .scenarios import (APPROXIMATE, MemorySpec, ScenarioSolveReport,
                         _chain_rewards, _clamp_distortion, _decoder_family,
-                        _feedback_chain, _first_within, _memory_params,
-                        _nested_tuple, _open_loop_chain, _whole_map_policy,
-                        spec_params)
-from .simplex import simplex_grid
+                        _first_within, _memory_chain, _memory_params,
+                        _nested_tuple, _whole_map_policy, spec_params)
+from .simplex import SimplexGrid, simplex_grid
 
 
 def _require_vending(spec: ProblemSpec) -> None:
@@ -55,19 +58,20 @@ def _vending_law(spec: ProblemSpec, av_map) -> tuple:
     return spec.vending.kernel.rows, spec.vending.num_actions, av
 
 
-def _vending_core(spec: ProblemSpec, chain, av_map, d: int,
-                  mem_x: MemorySpec, mem_y: MemorySpec, *grids):
-    """The chain of one actuator map, compiled by scenarios._feedback_chain
-    or _open_loop_chain, with its constraint cost per (state, action):
-    the expected cost of the action that the sent input buys."""
+def _vending_core(spec: ProblemSpec, av_map, d: int, mem_x: MemorySpec,
+                  mem_y: MemorySpec, grid: Optional[SimplexGrid] = None):
+    """The chain of one actuator map, compiled by scenarios._memory_chain
+    (open-loop given the grid over the y-memory), with its constraint
+    cost per (state, action): the expected cost of the action that the
+    sent input buys."""
     law = _vending_law(spec, av_map)
-    core = chain(spec, d, mem_x, mem_y, law, *grids)
-    n_v, g_m, g_n, n_a, _, _, _ = core["shape"]
+    core = _memory_chain(spec, d, mem_x, mem_y, law, grid)
+    n_v, n_m, g_n, n_a, _, _, _ = core["shape"]
     per_cost = np.asarray(spec.vending.costs.cost)[law[2]][core["x_sent"]]
     cost_va = np.einsum("avu,u->va", per_cost, core["p_u"])
     core["cost"] = np.ascontiguousarray(np.broadcast_to(
-        cost_va[:, None, None, :], (n_v, g_m, g_n, n_a)
-    ).reshape(n_v * g_m * g_n, n_a))
+        cost_va[:, None, None, :], (n_v, n_m, g_n, n_a)
+    ).reshape(n_v * n_m * g_n, n_a))
     return core
 
 
@@ -75,7 +79,7 @@ def _vending_feedback_core(spec: ProblemSpec, d: int, mem_x: MemorySpec,
                            mem_y: MemorySpec, av_map):
     """Transitions, constraint costs and reusable tensors for one actuator
     map; decoder tables only change the reward."""
-    return _vending_core(spec, _feedback_chain, av_map, d, mem_x, mem_y)
+    return _vending_core(spec, av_map, d, mem_x, mem_y)
 
 
 # The feedback pair loop calls the rewards under this name, which the
@@ -216,14 +220,10 @@ def solve_vending_nofeedback(spec: ProblemSpec, d: int, mem_x: MemorySpec,
                              rvi_tol: float = 1e-10) -> ScenarioSolveReport:
     """Approximate minimum dual distortion for open-loop vending; pairs
     are scored as in solve_vending_feedback."""
-    grid_m = simplex_grid(mem_x.num_states, resolution)
-    grid_n = simplex_grid(mem_y.num_states, resolution)
+    grid = simplex_grid(mem_y.num_states, resolution)
     return _solve_pairs(
         "vending-nofeedback", spec, d, mem_x, mem_y,
-        lambda av: _vending_core(spec, _open_loop_chain, av, d, mem_x, mem_y,
-                                 grid_m, grid_n),
+        lambda av: _vending_core(spec, av, d, mem_x, mem_y, grid),
         _chain_rewards, rvi_tol, params={"grid_resolution": resolution},
-        diagnostics={"grid_points_x": grid_m.size,
-                     "grid_points_y": grid_n.size},
-        flags=(APPROXIMATE,),
+        diagnostics={"grid_points_y": grid.size}, flags=(APPROXIMATE,),
     )

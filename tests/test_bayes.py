@@ -18,7 +18,6 @@ from rtcode import (
 )
 from rtcode.bayes import (
     bayes_envelope,
-    belief_update_encoded_memory,
     belief_update_feedback,
     belief_update_memory,
     belief_update_sideinfo_memory,
@@ -149,31 +148,6 @@ TOY = {
         "budget": 1.0,
     },
 }
-
-
-def test_encoded_memory_update_is_deterministic_push():
-    rng = np.random.default_rng(3)
-    kernel = build_markov_kernel(bernoulli_source(0.3), 0)
-    mem = memory_last_m(1, 2)
-    for _ in range(10):
-        beta = random_belief(rng, 2)
-        amap = rng.integers(0, 2, size=2)
-        v_next = int(rng.integers(0, 2))
-        x = amap[v_next]
-        expected = np.zeros(2)
-        for m in range(2):
-            expected[mem.table[m, x]] += beta[m]
-        out = belief_update_encoded_memory(beta, kernel, 0, v_next, amap,
-                                           mem.table, 2)
-        np.testing.assert_allclose(out.p, expected, atol=1e-12)
-
-
-def test_encoded_memory_update_singleton():
-    kernel = build_markov_kernel(bernoulli_source(0.3), 0)
-    mem = memory_last_m(0, 1)
-    out = belief_update_encoded_memory([1.0], kernel, 0, 1, [0, 0],
-                                       mem.table, 1)
-    np.testing.assert_allclose(out.p, [1.0])
 
 
 def test_sideinfo_memory_update_deterministic_side_channel():

@@ -30,6 +30,7 @@ def test_benchmark_short_run_is_correct():
 # `missing hook:` line.
 WORKED = {
     "region": ("mdp.rvi_calls", "mdp.sweeps"),
+    "simulate": ("simulate.steps", "scenarios.compile_s"),
     "vending": ("vending.compile_s", "vending.pairs", "mdp.dual_evals"),
 }
 

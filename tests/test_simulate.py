@@ -15,9 +15,13 @@ from rtcode import (
     solve_nofeedback,
     solve_vending_feedback,
     solve_vending_nofeedback,
+    simplex_grid,
     spec_from_dict,
     with_budget,
 )
+from rtcode.scenarios import _coding_chain, _whole_map_policy
+from rtcode.simulate import _step_table
+from rtcode.vending import _vending_core
 
 TOY = {
     "source": [0.7, 0.3],
@@ -237,3 +241,97 @@ def test_sim_checks_whole_map_indices_without_overflow(solved_d11):
         )
         with pytest.raises(SpecValidationError, match=r"outside 0\.\.15"):
             simulate(too_big, spec, 1, 100, 1, seed=1)
+
+
+RICH = {
+    "source": [0.6, 0.4],
+    "channel": [[0.8, 0.2], [0.2, 0.8]],
+    "distortion": [[0.0, 1.0], [1.0, 0.0]],
+    "vending": {
+        "kernel": [[0.9, 0.1], [1.0, 0.0], [0.3, 0.7], [0.0, 1.0]],
+        "costs": [0.0, 1.0],
+        "budget": 0.5,
+    },
+}
+WIDE = {"source": [0.6, 0.4],
+        "channel": [[0.8, 0.1, 0.1], [0.1, 0.1, 0.8]],
+        "distortion": [[0.0, 1.0], [1.0, 0.0]]}
+
+
+def _hand_bundle(kind, rng):
+    """(spec, d, compiled chain, random per-successor policy, bundle) of
+    one scenario kind, with random encoder and decoder tables and no
+    solve.  Both vending kinds keep the x-memory last:1."""
+    d, resolution = 1, 3
+    if kind.startswith("vending"):
+        spec = spec_from_dict(RICH)
+        mem_x, mem_y = memory_last_m(1, 2), memory_last_m(1, 2)
+        grid = (None if kind == "vending-feedback" else
+                simplex_grid(mem_y.num_states, resolution))
+        av = (1, 0)
+        core = _vending_core(spec, av, d, mem_x, mem_y, grid)
+        dec = rng.integers(0, 2, size=(2, 2, 2, 2))
+        memories = {"memory_x": mem_x, "memory_y": mem_y,
+                    "vending_action_map": av}
+    else:
+        spec = spec_from_dict(WIDE)
+        memory = memory_last_m(1, 3)
+        grid = (None if kind == "feedback-finite" else
+                simplex_grid(memory.num_states, resolution))
+        core = _coding_chain(spec, d, memory, grid)
+        dec = rng.integers(0, 2, size=(3, 3))
+        memories = {"memory": memory}
+    n_s, n_a = core["next_states"].shape[:2]
+    policy = rng.integers(0, n_a, size=n_s)
+    bundle = PolicyBundle(
+        scenario=kind,
+        encoder=_whole_map_policy(policy, core["shift"],
+                                  spec.num_channel_inputs),
+        decoder=dec.tolist(),
+        grid_resolution=None if grid is None else resolution,
+        **memories,
+    )
+    return spec, d, core, policy, bundle
+
+
+@pytest.mark.parametrize("kind", ["feedback-finite", "nofeedback",
+                                  "vending-feedback", "vending-nofeedback"])
+def test_step_table_moves_as_the_compiled_chain(kind):
+    """Every step of the simulator's table lands, with the chain's
+    probability, on the chain state that the compiler moves to under the
+    same action.  The simulator tracks the decoder memories (m, n) and,
+    without feedback, the encoder's grid point g; the encoder sees m and
+    n, or m and g."""
+    rng = np.random.default_rng(61)
+    spec, d, core, policy, bundle = _hand_bundle(kind, rng)
+    table, _ = _step_table(bundle, spec, d)
+    n_v, n_m, n_seen = core["shape"][:3]
+    n_s = core["next_states"].shape[0]
+    feedback = "nofeedback" not in kind
+    n_n = core["points_n"].shape[1]
+    n_g = 1 if feedback else n_seen
+    p_u = np.asarray(spec.source.p)
+
+    def chain_state(v, c):
+        m, rest = divmod(c, n_g * n_n)
+        g, n = divmod(rest, n_n)
+        return (v * n_m + m) * n_seen + (n if feedback else g)
+
+    for v in range(n_v):
+        assert len(table[v]) == n_m * n_g * n_n
+        for c, row in enumerate(table[v]):
+            s = chain_state(v, c)
+            a = policy[s]
+            expected = np.zeros(n_s)
+            np.add.at(expected, core["next_states"][s, a],
+                      core["next_probs"][s, a])
+            got = np.zeros(n_s)
+            spent = 0.0
+            for u, (vt, cdf, outs, cost) in enumerate(row):
+                p_y = np.diff(np.concatenate([[0.0], cdf]))
+                for y, (_, c_next) in enumerate(outs):
+                    got[chain_state(vt, c_next)] += p_u[u] * p_y[y]
+                spent += p_u[u] * cost
+            np.testing.assert_allclose(got, expected, atol=1e-12)
+            assert spent == pytest.approx(
+                core["cost"][s, a] if "cost" in core else 0.0, abs=1e-12)

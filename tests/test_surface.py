@@ -42,8 +42,6 @@ REFERENCE_ONLY = {
     "bayes.belief_update_memory":
         "test_scenarios.py::"
         "test_nofeedback_transition_matches_memory_belief_oracle",
-    "bayes.belief_update_encoded_memory":
-        "test_vending.py::test_vending_nofeedback_reward_matches_enumeration",
     "bayes.belief_update_sideinfo_memory":
         "test_vending.py::test_vending_nofeedback_reward_matches_enumeration",
     "lookahead.TupleCodec.decode":

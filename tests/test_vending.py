@@ -14,12 +14,10 @@ from rtcode import (
     spec_from_dict,
     with_budget,
 )
-from rtcode.bayes import (
-    belief_update_encoded_memory,
-    belief_update_sideinfo_memory,
-)
+from rtcode.bayes import belief_update_sideinfo_memory
 from rtcode.lookahead import build_markov_kernel
-from rtcode.scenarios import _open_loop_chain
+from rtcode.mdp import FiniteMdp
+from rtcode.scenarios import _chain_rewards
 from rtcode.vending import (_best_pair, _vending_core,
                             _vending_feedback_core)
 from conftest import all_maps, nearest, pair_lagrangian, whole_map
@@ -169,12 +167,12 @@ def test_vending_feedback_report_diagnostics():
 
 
 def test_vending_nofeedback_reward_matches_enumeration():
-    """Spot rewards vs the joint over memories and step outcomes."""
+    """Spot rewards vs the joint over the y-memory and step outcomes; the
+    encoder knows the x-memory, which records its own inputs."""
     spec = spec_from_dict(RICH)
     d = 1
     mem_x = memory_last_m(1, 2)
     mem_y = memory_last_m(1, 2)
-    gm = simplex_grid(2, 3)
     gn = simplex_grid(2, 3)
     kernel = build_markov_kernel(spec.source, d)
     codec = kernel.codec
@@ -182,8 +180,7 @@ def test_vending_nofeedback_reward_matches_enumeration():
     dec = rng.integers(0, 2, size=(2, 2, 2, 2))
     av = np.array([1, 0])
     lam = 0.4
-    core = _vending_core(spec, _open_loop_chain, av, d, mem_x, mem_y, gm,
-                         gn)
+    core = _vending_core(spec, av, d, mem_x, mem_y, gn)
     mdp = pair_lagrangian(spec, core, dec, lam)
     maps = all_maps(2, 2)           # per-successor actions: u -> x
     p_u = np.asarray(spec.source.p)
@@ -191,15 +188,14 @@ def test_vending_nofeedback_reward_matches_enumeration():
     vend = spec.vending
     costs = np.asarray(vend.costs.cost)
     budget = vend.costs.budget
-    n_gm, n_gn = gm.size, gn.size
+    n_m, n_gn = mem_x.num_states, gn.size
     dense = mdp.dense()
     for _ in range(30):
         v = int(rng.integers(0, codec.size))
-        im = int(rng.integers(0, n_gm))
+        m = int(rng.integers(0, n_m))
         iN = int(rng.integers(0, n_gn))
         a = int(rng.integers(0, maps.shape[0]))
-        s = (v * n_gm + im) * n_gn + iN
-        beta_m = np.asarray(gm.points)[im]
+        s = (v * n_m + m) * n_gn + iN
         gamma_n = np.asarray(gn.points)[iN]
         loss_exp = cost_exp = 0.0
         trans = np.zeros(mdp.num_states)
@@ -211,13 +207,10 @@ def test_vending_nofeedback_reward_matches_enumeration():
             cost_exp += p_u[u] * costs[act]
             for y in range(2):
                 py = vend.row(u_now, act)[y]
-                for m in range(2):
-                    for n in range(2):
-                        loss_exp += (p_u[u] * py * beta_m[m] * gamma_n[n]
-                                     * loss[u_now, dec[x, y, m, n]])
-            pm = np.zeros(2)
-            for m in range(2):
-                pm[mem_x.table[m, x]] += beta_m[m]
+                for n in range(2):
+                    loss_exp += (p_u[u] * py * gamma_n[n]
+                                 * loss[u_now, dec[x, y, m, n]])
+            pm = mem_x.table[m, x]
             pn = np.zeros(2)
             total = 0.0
             for n in range(2):
@@ -226,18 +219,14 @@ def test_vending_nofeedback_reward_matches_enumeration():
                     pn[mem_y.table[n, y]] += wgt
                     total += wgt
             pn = pn / total if total > 0 else gamma_n
-            # the library's belief updates agree with the loops above
+            # the library's belief update agrees with the loop above
             table = whole_map(codec, v, maps[a])
-            np.testing.assert_allclose(
-                belief_update_encoded_memory(beta_m, kernel, v, vt,
-                                             table, mem_x.table, 2).p,
-                pm, atol=1e-15)
             np.testing.assert_allclose(
                 belief_update_sideinfo_memory(gamma_n, kernel, v, vt, vend,
                                               av, table, mem_y.table,
                                               2).p,
                 pn, atol=1e-15)
-            s2 = (vt * n_gm + nearest(gm, pm)) * n_gn + nearest(gn, pn)
+            s2 = (vt * n_m + pm) * n_gn + nearest(gn, pn)
             trans[s2] += p_u[u]
         expected = -loss_exp + lam * (budget - cost_exp)
         assert mdp.rewards[s, a] == pytest.approx(expected, abs=1e-12)
@@ -249,11 +238,48 @@ def test_vending_nofeedback_singleton_memories_collapse():
     mem_x = memory_last_m(0, 1)
     mem_y = memory_last_m(0, 2)
     dec = np.zeros((1, 2, 1, 1), dtype=int)
-    core = _vending_core(spec, _open_loop_chain, [0], 0, mem_x, mem_y,
-                         simplex_grid(1, 1), simplex_grid(1, 1))
+    core = _vending_core(spec, [0], 0, mem_x, mem_y, simplex_grid(1, 1))
     mdp = pair_lagrangian(spec, core, dec, 0.0)
     assert mdp.num_states == 2
     assert mdp.check() == []
+
+
+# RICH with dyadic probabilities: every product and sum below is exact
+# in floating point, so equal chains compare equal bit for bit.
+DYADIC = {
+    "source": [0.625, 0.375],
+    "channel": [[0.75, 0.25], [0.25, 0.75]],
+    "distortion": [[0.0, 1.0], [1.0, 0.0]],
+    "vending": {
+        "kernel": [[0.875, 0.125], [1.0, 0.0], [0.25, 0.75], [0.0, 1.0]],
+        "costs": [0.0, 1.0],
+        "budget": 0.5,
+    },
+}
+
+
+@pytest.mark.parametrize("d", [0, 1])
+@pytest.mark.parametrize("m", [1, 2])
+def test_vending_open_loop_chain_is_feedback_chain_without_y_memory(d, m):
+    """With a one-state y-memory the encoder knows every decoder memory,
+    since the x-memory records only its own inputs, so the open-loop
+    chain is the feedback chain: same states, transitions, costs and
+    rewards."""
+    spec = spec_from_dict(DYADIC)
+    mem_x, mem_y = memory_last_m(m, 2), memory_last_m(0, 2)
+    rng = np.random.default_rng(70 + 2 * d + m)
+    decs = rng.integers(0, 2, size=(5, 2, 2, mem_x.num_states, 1))
+    for av in ([0, 1], [1, 0], [1, 1]):
+        fb = _vending_feedback_core(spec, d, mem_x, mem_y, av)
+        ol = _vending_core(spec, av, d, mem_x, mem_y, simplex_grid(1, 4))
+        dense = [FiniteMdp(core["next_states"], core["next_probs"],
+                           np.zeros(core["cost"].shape)).dense()
+                 for core in (fb, ol)]
+        assert dense[0].shape == dense[1].shape
+        assert np.array_equal(dense[0], dense[1])
+        assert np.array_equal(fb["cost"], ol["cost"])
+        assert np.array_equal(_chain_rewards(fb, decs),
+                              _chain_rewards(ol, decs))
 
 
 def test_vending_nofeedback_solve_flags_approximate():
