@@ -10,6 +10,7 @@ flags where memoryful coding strictly beats the best symbol map.
 """
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
@@ -340,6 +341,8 @@ def suboptimality_region(d: int, m: int, p_grid, delta_grid,
         for i, p in enumerate(ps)
         for j, delta in enumerate(deltas)
     ]
+    # the pool starts all its workers at once: no more than can be busy
+    workers = min(workers, len(tasks), os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_region_point, tasks, chunksize=4))

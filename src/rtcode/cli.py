@@ -80,8 +80,11 @@ def _parse_distortion(token: str):
     _usage(f"unknown distortion {token!r}; expected hamming[:n]")
 
 
-def _parse_memory(token: str):
-    """Returns ('last', m) or ('complete', None)."""
+def _parse_memory(token):
+    """Returns ('last', m) or ('complete', None); an absent flag (None)
+    is last:0."""
+    if token is None:
+        return "last", 0
     if token == "complete":
         return "complete", None
     kind, _, arg = token.partition(":")
@@ -155,25 +158,46 @@ def _solve_finite(spec: ProblemSpec, d: int, nofeedback: bool, grid, tol,
     return solve_feedback_finite(spec, d, memory, tol=tol)
 
 
+def _refuse_unread_flags(args, vending: bool, complete: bool) -> None:
+    """Refuse each given scenario flag that the requested scenario does
+    not read, before anything is solved."""
+    for flag, unread, why in (
+        ("--memory", vending and args.memory is not None,
+         "a vending solve takes --memory-x and --memory-y"),
+        ("--memory-x", not vending and args.memory_x is not None,
+         "only a vending solve (--vending) reads it"),
+        ("--memory-y", not vending and args.memory_y is not None,
+         "only a vending solve (--vending) reads it"),
+        ("--no-feedback", complete and args.no_feedback,
+         "--memory complete is a feedback scenario; "
+         "drop --no-feedback or use --memory last:<m>"),
+        ("--grid", not (complete or args.no_feedback)
+         and args.grid is not None,
+         "a feedback last:<m> solve has no belief grid"),
+    ):
+        if unread:
+            _usage(f"{flag} does not apply here: {why}")
+
+
 def _solve_report(args):
     """Shared solve dispatch; returns (report, spec)."""
     spec = _build_spec(args)
     d = args.d
     if d < 0:
         _usage(f"lookahead {d} must be nonnegative")
+    vending = spec.vending is not None
+    complete = not vending and args.memory == "complete"
+    _refuse_unread_flags(args, vending, complete)
+    if complete:
+        report = solve_feedback_complete(spec, d, _need_grid(args),
+                                         tol=args.tol)
+        return report, spec
     m = mem_x = mem_y = 0
-    if spec.vending is not None:
+    if vending:
         mem_x = _parse_last_memory(args.memory_x, "--memory-x")
         mem_y = _parse_last_memory(args.memory_y, "--memory-y")
     else:
-        kind, m = _parse_memory(args.memory)
-        if kind == "complete":
-            if args.no_feedback:
-                _usage("--memory complete is a feedback scenario; "
-                       "drop --no-feedback or use --memory last:<m>")
-            report = solve_feedback_complete(spec, d, _need_grid(args),
-                                             tol=args.tol)
-            return report, spec
+        _, m = _parse_memory(args.memory)
     grid = _need_grid(args) if args.no_feedback else None
     return _solve_finite(spec, d, args.no_feedback, grid, args.tol, m,
                          mem_x, mem_y), spec
@@ -283,8 +307,10 @@ def cmd_sweep(args) -> int:
         r["quantity"],
     ))
 
-    if args.workers > 1 and rows:
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
+    # the pool starts all its workers at once: no more than can be busy
+    workers = min(args.workers, len(rows), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_task, rows))
     else:
         results = [_sweep_task(r) for r in rows]
@@ -400,25 +426,39 @@ def _tolerance(token: str) -> float:
     return tol
 
 
-def _add_problem_flags(sp, vending: bool = True) -> None:
+def _at_least(low: int):
+    """An argparse type: an integer no smaller than low."""
+    def parse(token: str) -> int:
+        value = int(token)
+        if value < low:
+            raise argparse.ArgumentTypeError(
+                f"{token} must be at least {low}")
+        return value
+    parse.__name__ = "int"      # argparse names the type in its errors
+    return parse
+
+
+def _add_problem_flags(sp) -> None:
     sp.add_argument("--source", help="bernoulli:<p>")
     sp.add_argument("--channel", help="bsc:<delta>")
     sp.add_argument("--distortion", help="hamming or hamming:<n>")
     sp.add_argument("--spec", help="problem description JSON file")
-    if vending:
-        sp.add_argument("--vending",
-                        help="vending block JSON file (kernel, costs, budget)")
-        sp.add_argument("--budget", type=float,
-                        help="override the vending budget")
+
+
+def _add_vending_flags(sp) -> None:
+    sp.add_argument("--vending",
+                    help="vending block JSON file (kernel, costs, budget)")
+    sp.add_argument("--budget", type=float,
+                    help="override the vending budget")
 
 
 def _add_scenario_flags(sp) -> None:
+    """The flags of a finite-memory solve.  An absent memory flag is
+    last:0."""
     sp.add_argument("--d", type=int, default=0, help="encoder lookahead")
-    sp.add_argument("--memory", default="last:0",
-                    help="decoder memory: last:<m> or complete")
-    sp.add_argument("--memory-x", default="last:0", dest="memory_x",
+    sp.add_argument("--memory-x", dest="memory_x",
                     help="vending decoder memory over sent symbols")
-    sp.add_argument("--memory-y", default="last:0", dest="memory_y",
+    sp.add_argument("--memory-y", dest="memory_y",
                     help="vending decoder memory over side observations")
     sp.add_argument("--no-feedback", action="store_true", dest="no_feedback",
                     help="encoder never sees the channel output")
@@ -429,6 +469,18 @@ def _add_scenario_flags(sp) -> None:
                          "decoder tables this close to the best tie")
 
 
+def _add_solve_parser(sub, name: str, description: str):
+    """A subcommand that solves one scenario of a problem: every problem,
+    vending and scenario flag, and the coding decoder's --memory."""
+    sp = sub.add_parser(name, help=description)
+    _add_problem_flags(sp)
+    _add_vending_flags(sp)
+    _add_scenario_flags(sp)
+    sp.add_argument("--memory",
+                    help="coding decoder memory: last:<m> or complete")
+    return sp
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rtcode",
@@ -437,20 +489,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("solve", help="solve one scenario, print JSON")
-    _add_problem_flags(sp)
-    _add_scenario_flags(sp)
+    sp = _add_solve_parser(sub, "solve", "solve one scenario, print JSON")
     sp.set_defaults(func=cmd_solve)
 
-    sp = sub.add_parser("sweep", help="CSV sweep over one parameter")
-    _add_problem_flags(sp, vending=True)
+    sp = sub.add_parser("sweep", help="CSV sweep of the binary problem "
+                                      "over p or delta")
+    _add_vending_flags(sp)
     _add_scenario_flags(sp)
     sp.add_argument("--fix", required=True, help="e.g. delta=0.3")
     sp.add_argument("--vary", required=True, help="e.g. p=0:0.5:0.025")
     sp.add_argument("--quantities", required=True,
                     help="comma list from D0,Dinf,Ddm,Dvend")
     sp.add_argument("--m", default="0", help="comma list of memory sizes")
-    sp.add_argument("--workers", type=int, default=os.cpu_count() or 1)
+    sp.add_argument("--workers", type=_at_least(1),
+                    default=os.cpu_count() or 1)
     sp.set_defaults(func=cmd_sweep)
 
     sp = sub.add_parser("region",
@@ -462,12 +514,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--margin", type=float, default=1e-6)
     sp.add_argument("--tol", type=_tolerance, default=1e-9)
     sp.add_argument("--csv", help="write CSV here instead of stdout")
-    sp.add_argument("--workers", type=int, default=os.cpu_count() or 1)
+    sp.add_argument("--workers", type=_at_least(1),
+                    default=os.cpu_count() or 1)
     sp.set_defaults(func=cmd_region)
 
     sp = sub.add_parser("check-s2s",
                         help="symbol-by-symbol optimality check on a grid")
-    _add_problem_flags(sp, vending=False)
+    _add_problem_flags(sp)
     sp.add_argument("--d", type=int, default=1)
     sp.add_argument("--grid", type=int, help="belief grid resolution")
     sp.add_argument("--uncoded", action="store_true",
@@ -475,15 +528,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_check_s2s)
 
     sp = sub.add_parser("shannon", help="unlimited-lookahead distortion")
-    _add_problem_flags(sp, vending=False)
+    _add_problem_flags(sp)
     sp.set_defaults(func=cmd_shannon)
 
-    sp = sub.add_parser("simulate", help="solve, then simulate the policy")
-    _add_problem_flags(sp)
-    _add_scenario_flags(sp)
-    sp.add_argument("--horizon", type=int, default=100000)
-    sp.add_argument("--replications", type=int, default=10)
-    sp.add_argument("--seed", type=int, required=True)
+    sp = _add_solve_parser(sub, "simulate",
+                           "solve, then simulate the policy")
+    sp.add_argument("--horizon", type=_at_least(1), default=100000)
+    sp.add_argument("--replications", type=_at_least(1), default=10)
+    sp.add_argument("--seed", type=_at_least(0), required=True)
     sp.set_defaults(func=cmd_simulate)
 
     return parser

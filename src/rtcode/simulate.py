@@ -14,7 +14,9 @@ vending bundle whose x-memory has one state, whose law is the channel
 row of the sent input, and whose actions cost nothing.
 
 Replication r of a run seeded s draws from the dedicated stream (s, r),
-so reports are bit-reproducible and replications are independent.
+so reports are bit-reproducible and replications are independent.  The
+draws come in blocks of DRAW_BLOCK steps, so a run's memory does not grow
+with its horizon.
 """
 from __future__ import annotations
 
@@ -32,6 +34,9 @@ from .simplex import project, simplex_grid
 from .vending import _decoder_shape, _vending_law
 
 BURN_IN = 1000
+# Steps per block of random draws: a run holds one block of each stream,
+# however long its horizon.
+DRAW_BLOCK = 1 << 16
 
 _SCENARIO_TAGS = {
     "feedback-finite": "feedback-finite",
@@ -238,21 +243,27 @@ def simulate(bundle: PolicyBundle, spec: ProblemSpec, d: int, horizon: int,
     table, start = _step_table(bundle, spec, d)
     cdf_u = np.cumsum(np.asarray(spec.source.p)).tolist()
 
+    steps = horizon + BURN_IN
     loss_means = []
     cost_means = []
     for rep in range(replications):
-        rng = np.random.default_rng([seed, rep])
-        ru = rng.random(horizon + BURN_IN).tolist()
-        ry = rng.random(horizon + BURN_IN).tolist()
+        # the stream (seed, rep) gives the steps' source draws, then their
+        # observation draws: a second generator starts where the first ends
+        draw_u = np.random.default_rng([seed, rep])
+        draw_y = np.random.default_rng([seed, rep])
+        draw_y.bit_generator.advance(steps)
         v, c = 0, start
-        tot = 0.0
-        cost_tot = 0.0
-        for t in range(horizon + BURN_IN):
-            v, cdf, outs, cost = table[v][c][_pick(cdf_u, ru[t])]
-            loss, c = outs[_pick(cdf, ry[t])]
-            if t >= BURN_IN:
-                tot += loss
-                cost_tot += cost
+        # the burn-in, then the averaged steps, in blocks of draws
+        for first, stop in ((0, BURN_IN), (BURN_IN, steps)):
+            tot = cost_tot = 0.0
+            for lo in range(first, stop, DRAW_BLOCK):
+                k = min(DRAW_BLOCK, stop - lo)
+                for ru, ry in zip(draw_u.random(k).tolist(),
+                                  draw_y.random(k).tolist()):
+                    v, cdf, outs, cost = table[v][c][_pick(cdf_u, ru)]
+                    loss, c = outs[_pick(cdf, ry)]
+                    tot += loss
+                    cost_tot += cost
         loss_means.append(tot / horizon)
         cost_means.append(cost_tot / horizon)
 

@@ -1,6 +1,8 @@
 """Command-line interface: schemas, determinism, exit codes."""
 import importlib.util
 import json
+import os
+import shlex
 import time
 import warnings
 from pathlib import Path
@@ -8,8 +10,10 @@ from pathlib import Path
 import pytest
 
 from rtcode.baselines import binary_shannon_closed_form, suboptimality_region
-from rtcode.cli import (CSV_HEADER, _parse_assign, _parse_range, build_parser,
-                        main)
+import rtcode.baselines as baselines_module
+import rtcode.cli as cli_module
+from rtcode.cli import (CSV_HEADER, _build_spec, _parse_assign, _parse_range,
+                        build_parser, main)
 from rtcode.models import state_limit
 
 SOLVE_ARGS = [
@@ -392,3 +396,171 @@ def test_whole_map_chains_keep_the_encoder_guard(capsys, argv):
     assert rc == 2
     assert "error: encoder action set needs 4294967296 entries" in err
     assert "(reduce the lookahead depth)" in err
+
+
+@pytest.mark.parametrize("flag", [
+    ["--source", "bernoulli:0.1"], ["--channel", "bsc:0.1"],
+    ["--distortion", "hamming:3"], ["--spec", "problem.json"],
+    ["--memory", "last:2"],
+])
+def test_sweep_refuses_the_flags_it_never_read(capsys, flag):
+    # sweep solves the binary (p, delta) problem with the --m memories
+    rc, out = _run(capsys, ["sweep", "--fix", "delta=0.3", "--vary", "p=0.2",
+                            "--quantities", "D0,Ddm", "--d", "1",
+                            "--workers", "1", *flag])
+    assert rc == 2
+    assert out == ""
+
+
+SOLVERS = ("solve_feedback_finite", "solve_feedback_complete",
+           "solve_nofeedback", "solve_vending_feedback",
+           "solve_vending_nofeedback", "simulate")
+
+
+@pytest.fixture
+def no_solver(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a refused command reached a solver")
+    for name in SOLVERS:
+        monkeypatch.setattr(cli_module, name, refuse)
+
+
+@pytest.fixture
+def vending_args(tmp_path):
+    spec_file = tmp_path / "problem.json"
+    spec_file.write_text(json.dumps({
+        "source": [0.7, 0.3],
+        "channel": [[0.5, 0.5]],
+        "distortion": [[0.0, 1.0], [1.0, 0.0]],
+    }))
+    vend_file = tmp_path / "vending.json"
+    vend_file.write_text(json.dumps({
+        "kernel": [[0.5, 0.5], [1.0, 0.0], [0.5, 0.5], [0.0, 1.0]],
+        "costs": [0.0, 1.0],
+        "budget": 0.5,
+    }))
+    return ["--spec", str(spec_file), "--vending", str(vend_file)]
+
+
+@pytest.mark.parametrize("command", [
+    ["solve"],
+    ["simulate", "--horizon", "10", "--replications", "1", "--seed", "1"],
+])
+@pytest.mark.parametrize("vending, flags, named", [
+    (True, ["--memory", "last:2"], "--memory"),
+    (True, ["--memory", "complete", "--grid", "3"], "--memory"),
+    (False, ["--memory-y", "last:2", "--grid", "7"], "--memory-y"),
+    (False, ["--memory-x", "last:1"], "--memory-x"),
+    (False, ["--memory", "last:1", "--grid", "3"], "--grid"),
+    (True, ["--grid", "3"], "--grid"),
+    (False, ["--memory", "complete", "--grid", "3", "--no-feedback"],
+     "--no-feedback"),
+])
+def test_solve_refuses_scenario_flags_it_does_not_read(
+        capsys, no_solver, vending_args, command, vending, flags, named):
+    problem = vending_args if vending else SOLVE_ARGS
+    t0 = time.perf_counter()
+    rc = main([*command, *problem, "--d", "1", *flags])
+    assert time.perf_counter() - t0 < 1.0
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert f"error: {named} does not apply here" in captured.err
+
+
+@pytest.mark.parametrize("flags, named", [
+    (["--horizon", "0"], "--horizon"),
+    (["--replications", "0"], "--replications"),
+    (["--seed", "-1"], "--seed"),
+])
+def test_simulate_checks_its_run_flags_before_solving(capsys, no_solver,
+                                                      flags, named):
+    rc = main(["simulate", *SOLVE_ARGS, "--d", "1", "--seed", "1", *flags])
+    assert rc == 2
+    assert f"argument {named}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [
+    ["sweep", "--fix", "delta=0.3", "--vary", "p=0.2", "--quantities", "D0"],
+    ["region", "--p", "0.3", "--delta", "0.3"],
+])
+@pytest.mark.parametrize("workers", ["0", "-1"])
+def test_workers_below_one_exit_2(capsys, command, workers):
+    rc, out = _run(capsys, [*command, "--workers", workers])
+    assert rc == 2
+    assert out == ""
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers and maps in
+    this process."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items, chunksize=1):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize("command", [
+    ["sweep", "--fix", "delta=0.3", "--quantities", "D0", "--vary"],
+    ["region", "--d", "0", "--m", "0", "--delta", "0.3", "--p"],
+])
+@pytest.mark.parametrize("values, workers, pool", [
+    ("0.1", "5000", []),              # one task: no pool at all
+    ("0.1:0.4:0.1", "5000", [3]),     # no more workers than CPUs
+    ("0.1:0.4:0.1", "2", [2]),
+    ("0.1:0.2:0.1", "5000", [2]),     # no more workers than tasks
+    ("0.1:0.4:0.1", "1", []),
+])
+def test_pool_starts_no_more_workers_than_can_be_busy(
+        capsys, monkeypatch, command, values, workers, pool):
+    # the pool forks all its workers on the first task
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    monkeypatch.setattr(cli_module, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(baselines_module, "ProcessPoolExecutor",
+                        _RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    if command[0] == "sweep":
+        values = "p=" + values
+    rc, _ = _run(capsys, [*command, values, "--workers", workers])
+    assert rc == 0
+    assert _RecordingPool.sizes == pool
+
+
+README = Path(__file__).parent.parent / "README.md"
+
+
+def _readme_commands() -> list[list[str]]:
+    """The rtcode commands of the README's command-line block, with
+    backslash continuations joined."""
+    text = README.read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```", 2)[1]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines
+            if line.startswith("rtcode ")]
+
+
+def test_readme_commands_pass_the_cli_checks():
+    commands = _readme_commands()
+    assert len(commands) == 6
+    for argv in commands:
+        args = build_parser().parse_args(argv)
+        if args.command in ("solve", "simulate", "check-s2s", "shannon"):
+            _build_spec(args)
+        if args.command == "region":
+            ranges = [args.p, args.delta]
+        elif args.command == "sweep":
+            ranges = [_parse_assign(args.vary, "--vary")[1]]
+        else:
+            ranges = []
+        for token in ranges:
+            assert len(_parse_range(token)) > 1

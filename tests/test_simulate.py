@@ -1,4 +1,6 @@
 """Monte Carlo cross-checks of solved policies on the true system."""
+import importlib
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -20,8 +22,11 @@ from rtcode import (
     with_budget,
 )
 from rtcode.scenarios import _coding_chain, _whole_map_policy
-from rtcode.simulate import _step_table
+from rtcode.simulate import BURN_IN, SimReport, _pick, _step_table
 from rtcode.vending import _vending_core
+
+# the package exports the function simulate under the module's name
+simulate_module = importlib.import_module("rtcode.simulate")
 
 TOY = {
     "source": [0.7, 0.3],
@@ -335,3 +340,64 @@ def test_step_table_moves_as_the_compiled_chain(kind):
             np.testing.assert_allclose(got, expected, atol=1e-12)
             assert spent == pytest.approx(
                 core["cost"][s, a] if "cost" in core else 0.0, abs=1e-12)
+
+
+def _whole_stream_report(bundle, spec, d, horizon, replications, seed):
+    """The simulator's report with each replication's two streams drawn
+    whole: the first and the second horizon + burn-in draws of the
+    generator seeded (seed, rep)."""
+    table, start = _step_table(bundle, spec, d)
+    cdf_u = np.cumsum(spec.source.p).tolist()
+    loss_means, cost_means = [], []
+    for rep in range(replications):
+        rng = np.random.default_rng([seed, rep])
+        ru = rng.random(horizon + BURN_IN).tolist()
+        ry = rng.random(horizon + BURN_IN).tolist()
+        v, c = 0, start
+        tot = cost_tot = 0.0
+        for t in range(horizon + BURN_IN):
+            v, cdf, outs, cost = table[v][c][_pick(cdf_u, ru[t])]
+            loss, c = outs[_pick(cdf, ry[t])]
+            if t >= BURN_IN:
+                tot += loss
+                cost_tot += cost
+        loss_means.append(tot / horizon)
+        cost_means.append(cost_tot / horizon)
+    return SimReport(
+        horizon=horizon, replications=replications,
+        mean_distortion=float(np.mean(loss_means)),
+        std_error=float(np.std(loss_means, ddof=1) / np.sqrt(replications)),
+        mean_action_cost=(float(np.mean(cost_means))
+                          if bundle.scenario.startswith("vending") else None),
+        seed=seed,
+    )
+
+
+@pytest.mark.parametrize("kind", ["feedback-finite", "nofeedback",
+                                  "vending-feedback", "vending-nofeedback"])
+def test_block_draws_replay_the_whole_streams(kind, monkeypatch):
+    # blocks of 7 split the burn-in (1000 = 142 * 7 + 6) and the horizon
+    spec, d, _, _, bundle = _hand_bundle(kind, np.random.default_rng(62))
+    default = simulate(bundle, spec, d, 53, 3, seed=9)
+    monkeypatch.setattr(simulate_module, "DRAW_BLOCK", 7)
+    assert simulate(bundle, spec, d, 53, 3, seed=9) == default
+    assert default == _whole_stream_report(bundle, spec, d, 53, 3, 9)
+
+
+def test_simulator_memory_stays_flat_past_one_block(solved_d11,
+                                                     monkeypatch):
+    spec, _, bundle = solved_d11
+    monkeypatch.setattr(simulate_module, "DRAW_BLOCK", 1000)
+
+    def peak(horizon):
+        tracemalloc.start()
+        try:
+            simulate(bundle, spec, 1, horizon, 1, seed=3)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(1000)                            # first-call caches
+    short, long = peak(2_000), peak(40_000)
+    # two whole streams of 41,000 draws as lists take over 2.5 MB
+    assert long - short < 100_000
