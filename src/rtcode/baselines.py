@@ -303,6 +303,17 @@ class RegionReport:
     errors: tuple
 
 
+def _map_tasks(fn, tasks: list, workers: int, chunksize: int = 1) -> list:
+    """fn over tasks in order, on a process pool when two or more of the
+    workers can be busy.  The pool starts all its workers at once, so it
+    gets no more than there are tasks or CPUs."""
+    workers = min(workers, len(tasks), os.cpu_count() or 1)
+    if workers < 2:
+        return [fn(t) for t in tasks]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, tasks, chunksize=chunksize))
+
+
 def _region_point(args) -> tuple[int, int, float, float, str]:
     i, j, p, delta, d, m, tol = args
     spec = binary_problem(p, delta)
@@ -341,13 +352,7 @@ def suboptimality_region(d: int, m: int, p_grid, delta_grid,
         for i, p in enumerate(ps)
         for j, delta in enumerate(deltas)
     ]
-    # the pool starts all its workers at once: no more than can be busy
-    workers = min(workers, len(tasks), os.cpu_count() or 1)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_region_point, tasks, chunksize=4))
-    else:
-        rows = [_region_point(t) for t in tasks]
+    rows = _map_tasks(_region_point, tasks, workers, chunksize=4)
     d0 = np.empty((len(ps), len(deltas)))
     ddm = np.empty((len(ps), len(deltas)))
     errors = []

@@ -16,10 +16,10 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
-from .baselines import (d0_distortion, shannon_limit, suboptimality_region,
-                        symbol_by_symbol_check, uncoded_condition_check)
+from .baselines import (_map_tasks, d0_distortion, shannon_limit,
+                        suboptimality_region, symbol_by_symbol_check,
+                        uncoded_condition_check)
 from .errors import (CapacityError, NonConvergenceError, SpecValidationError,
                      UnreachableObservationError)
 from .models import (ProblemSpec, _check_capacity, bernoulli_source,
@@ -103,28 +103,42 @@ def _parse_last_memory(token: str, what: str) -> int:
     return m
 
 
-def _attach_vending(spec: ProblemSpec, path: str) -> ProblemSpec:
+def _refuse(rules) -> None:
+    """Exit 2 on the first rule (flag, unread, why) whose flag is unread."""
+    for flag, unread, why in rules:
+        if unread:
+            _usage(f"{flag} does not apply here: {why}")
+
+
+def _read_vending(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        block = json.load(fh)
-    return spec_from_dict({**spec_params(spec), "vending": block})
+        return json.load(fh)
+
+
+def _attach_vending(spec: ProblemSpec, block: dict, budget=None):
+    """spec with the vending block and, when one is given, the budget."""
+    spec = spec_from_dict({**spec_params(spec), "vending": block})
+    return spec if budget is None else with_budget(spec, budget)
 
 
 def _build_spec(args) -> ProblemSpec:
+    flags = {f"--{name}": getattr(args, name)
+             for name in ("source", "channel", "distortion")}
     if args.spec:
+        _refuse((flag, value is not None, "the problem comes from --spec")
+                for flag, value in flags.items())
         spec = load_spec(args.spec)
     else:
-        missing = [name for name in ("source", "channel", "distortion")
-                   if getattr(args, name) is None]
+        missing = [flag for flag, value in flags.items() if value is None]
         if missing:
-            _usage("missing " + ", ".join(f"--{m}" for m in missing)
-                   + " (or use --spec)")
+            _usage("missing " + ", ".join(missing) + " (or use --spec)")
         spec = ProblemSpec(
             _parse_source(args.source),
             _parse_channel(args.channel),
             _parse_distortion(args.distortion),
         )
     if getattr(args, "vending", None):
-        spec = _attach_vending(spec, args.vending)
+        spec = _attach_vending(spec, _read_vending(args.vending))
     if getattr(args, "budget", None) is not None:
         spec = with_budget(spec, args.budget)
     problems = spec.check()
@@ -158,10 +172,15 @@ def _solve_finite(spec: ProblemSpec, d: int, nofeedback: bool, grid, tol,
     return solve_feedback_finite(spec, d, memory, tol=tol)
 
 
-def _refuse_unread_flags(args, vending: bool, complete: bool) -> None:
-    """Refuse each given scenario flag that the requested scenario does
-    not read, before anything is solved."""
-    for flag, unread, why in (
+def _solve_report(args):
+    """Shared solve dispatch; returns (report, spec)."""
+    spec = _build_spec(args)
+    d = args.d
+    if d < 0:
+        _usage(f"lookahead {d} must be nonnegative")
+    vending = spec.vending is not None
+    complete = not vending and args.memory == "complete"
+    _refuse((
         ("--memory", vending and args.memory is not None,
          "a vending solve takes --memory-x and --memory-y"),
         ("--memory-x", not vending and args.memory_x is not None,
@@ -174,20 +193,7 @@ def _refuse_unread_flags(args, vending: bool, complete: bool) -> None:
         ("--grid", not (complete or args.no_feedback)
          and args.grid is not None,
          "a feedback last:<m> solve has no belief grid"),
-    ):
-        if unread:
-            _usage(f"{flag} does not apply here: {why}")
-
-
-def _solve_report(args):
-    """Shared solve dispatch; returns (report, spec)."""
-    spec = _build_spec(args)
-    d = args.d
-    if d < 0:
-        _usage(f"lookahead {d} must be nonnegative")
-    vending = spec.vending is not None
-    complete = not vending and args.memory == "complete"
-    _refuse_unread_flags(args, vending, complete)
+    ))
     if complete:
         report = solve_feedback_complete(spec, d, _need_grid(args),
                                          tol=args.tol)
@@ -248,9 +254,7 @@ def _sweep_task(task: dict):
         if quantity == "Dinf":
             return shannon_limit(spec), ()
         if quantity == "Dvend":
-            spec = _attach_vending(spec, task["vending"])
-            if task["budget"] is not None:
-                spec = with_budget(spec, task["budget"])
+            spec = _attach_vending(spec, task["vending"], task["budget"])
         report = _solve_finite(spec, task["d"], task["nofeedback"],
                                task["grid"], task["tol"], task["m"],
                                task["mem_x"], task["mem_y"])
@@ -271,11 +275,33 @@ def cmd_sweep(args) -> int:
         _usage("--fix and --vary must name different parameters")
     fixed = float(fix_value)
     varied = _parse_range(vary_range)
-    m_list = [int(v) for v in args.m.split(",")] if args.m else [0]
+    vend, ddm = "Dvend" in quantities, "Ddm" in quantities
+    _refuse((flag, given and not read, f"only {readers} reads it")
+            for flag, given, read, readers in (
+        ("--vending", args.vending is not None, vend, "Dvend"),
+        ("--budget", args.budget is not None, vend, "Dvend"),
+        ("--memory-x", args.memory_x is not None, vend, "Dvend"),
+        ("--memory-y", args.memory_y is not None, vend, "Dvend"),
+        ("--m", args.m is not None, ddm, "Ddm"),
+        ("--d", args.d is not None, ddm or vend, "Ddm or Dvend"),
+        ("--tol", args.tol is not None, ddm or vend, "Ddm or Dvend"),
+        ("--no-feedback", args.no_feedback, ddm or vend, "Ddm or Dvend"),
+        ("--grid", args.grid is not None, args.no_feedback, "--no-feedback"),
+    ))
+    d, tol = args.d or 0, args.tol or 1e-9
+    m_list = {int(v) for v in (args.m or "0").split(",")}
+    if min(d, *m_list) < 0:
+        _usage(f"lookahead {d} and memory lengths {sorted(m_list)} "
+               "must be nonnegative")
     mem_x = _parse_last_memory(args.memory_x, "--memory-x")
     mem_y = _parse_last_memory(args.memory_y, "--memory-y")
-    if "Dvend" in quantities and not args.vending:
-        _usage("quantity Dvend needs --vending <file>")
+    block = None
+    if vend:
+        if not args.vending:
+            _usage("quantity Dvend needs --vending <file>")
+        block = _read_vending(args.vending)
+        # the check reads the alphabets and the budget, not p or delta
+        _attach_vending(binary_problem(0.5, 0.5), block, args.budget)
     if args.no_feedback and args.grid is None:
         _usage("--no-feedback needs --grid <resolution>")
 
@@ -284,9 +310,9 @@ def cmd_sweep(args) -> int:
         if q == "D0" or q == "Dinf":
             cells.append((q, None, None))
         elif q == "Ddm":
-            cells.extend((q, args.d, m) for m in m_list)
+            cells.extend((q, d, m) for m in m_list)
         else:
-            cells.append((q, args.d, None))
+            cells.append((q, d, None))
 
     rows = []
     for value in varied:
@@ -295,9 +321,9 @@ def cmd_sweep(args) -> int:
         for q, d, m in cells:
             rows.append({
                 "quantity": q, "p": p, "delta": delta, "d": d, "m": m,
-                "tol": args.tol, "grid": args.grid,
+                "tol": tol, "grid": args.grid,
                 "nofeedback": args.no_feedback,
-                "vending": args.vending, "budget": args.budget,
+                "vending": block, "budget": args.budget,
                 "mem_x": mem_x, "mem_y": mem_y,
             })
     rows.sort(key=lambda r: (
@@ -307,14 +333,7 @@ def cmd_sweep(args) -> int:
         r["quantity"],
     ))
 
-    # the pool starts all its workers at once: no more than can be busy
-    workers = min(args.workers, len(rows), os.cpu_count() or 1)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_sweep_task, rows))
-    else:
-        results = [_sweep_task(r) for r in rows]
-
+    results = _map_tasks(_sweep_task, rows, args.workers)
     sys.stdout.write(CSV_HEADER + "\n")
     nonconverged = False
     for row, (value, flags) in zip(rows, results):
@@ -500,10 +519,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--vary", required=True, help="e.g. p=0:0.5:0.025")
     sp.add_argument("--quantities", required=True,
                     help="comma list from D0,Dinf,Ddm,Dvend")
-    sp.add_argument("--m", default="0", help="comma list of memory sizes")
+    sp.add_argument("--m", help="comma list of memory sizes")
     sp.add_argument("--workers", type=_at_least(1),
                     default=os.cpu_count() or 1)
-    sp.set_defaults(func=cmd_sweep)
+    # None tells a given flag from an absent one
+    sp.set_defaults(func=cmd_sweep, d=None, tol=None)
 
     sp = sub.add_parser("region",
                         help="scan where memoryful coding beats symbol maps")

@@ -48,7 +48,7 @@ import numpy as np
 
 from .bayes import _posteriors, check_action_map
 from .errors import SpecValidationError
-from .lookahead import _enumerate_maps, build_markov_kernel
+from .lookahead import TupleCodec, _enumerate_maps, build_markov_kernel
 from .mdp import (BatchSolve, FiniteMdp, _chunks, relative_value_iteration,
                   rvi_batch)
 from .models import ProblemSpec, _check_capacity
@@ -95,12 +95,8 @@ def memory_last_m(m: int, num_observations: int) -> MemorySpec:
         raise SpecValidationError(["memory needs at least one observation symbol"])
     size = num_observations**m
     _check_capacity("decoder memory", size, "reduce the memory length m")
-    if m == 0:
-        table = np.zeros((1, num_observations), dtype=int)
-    else:
-        z = np.arange(size)
-        tail = (z % num_observations ** (m - 1)) * num_observations
-        table = tail[:, None] + np.arange(num_observations)[None, :]
+    table = (np.zeros((1, num_observations), dtype=int) if m == 0
+             else TupleCodec(num_observations, m).shift_table())
     return MemorySpec(size, table)
 
 
@@ -329,22 +325,28 @@ def _tuple_successors(shift: np.ndarray, nxt_c, prob) -> tuple:
             np.ascontiguousarray(np.broadcast_to(probs, shape).reshape(size)))
 
 
-def _chain_prologue(spec: ProblemSpec, d: int, mem_x: MemorySpec,
-                    mem_y: MemorySpec, points_n: np.ndarray, law: tuple):
-    """What the four finite-memory chains compile alike.
+def _memory_chain(spec: ProblemSpec, d: int, mem_x: MemorySpec,
+                  mem_y: MemorySpec, law: tuple,
+                  grid: Optional[SimplexGrid] = None):
+    """The chain on states (tuple, x-memory, y-part) that the four
+    finite-memory chains share.
 
     The decoder keeps a memory mem_x of the inputs x it is sent and a
-    memory mem_y of its observations y.  The encoder always knows the
-    x-memory, which records only its own inputs.  points_n is the
-    chain's belief over the y-memory, one row per state component: the
-    point masses on the memory states with feedback, grid points without
-    it.  law = (rows, stride, act) draws y from rows[u * stride + act[x]]
-    when u is the symbol being decoded.  A coding chain has a one-state
-    mem_x and the channel row of x as its law (_coding_law); a vending
-    chain draws from the vending row of (u, av[x]).  Returns the core
-    without its transitions.
+    memory mem_y of its observations y.  law = (rows, stride, act) draws
+    y from rows[u * stride + act[x]] when u is the symbol being decoded.
+    A coding chain has a one-state mem_x and the channel row of x as its
+    law (_coding_law); a vending chain draws from the vending row of
+    (u, av[x]).  The x-memory moves with the sent input, which the
+    encoder always knows.  With feedback (no grid) the y-part is the
+    y-memory, which moves with the observation.  Without it the y-part
+    is a grid point of the encoder's belief over the y-memory, moved by
+    the pushforward through the observation law and projected back to
+    the grid, so the fresh symbol is the only disturbance.  The
+    transitions do not depend on the decoder, so one chain serves every
+    decoder of a solve.
     """
     rows, stride, act = law
+    points_n = np.eye(mem_y.num_states) if grid is None else grid.points
     problems = (mem_x.check(spec.num_channel_inputs)
                 + mem_y.check(rows.shape[1]))
     if points_n.shape[1] != mem_y.num_states:
@@ -356,10 +358,8 @@ def _chain_prologue(spec: ProblemSpec, d: int, mem_x: MemorySpec,
     u_next = kernel.codec.components_table()[:, 0][shift]      # (V, U)
     row = u_next * stride + act[x_sent]                        # (A, V, U)
     p_u = np.asarray(spec.source.p)
-    return {
+    core = {
         "points_n": points_n,
-        "law": rows,
-        "law_index": row,
         "shift": shift,
         "x_sent": x_sent,
         "u_next": u_next,
@@ -369,38 +369,19 @@ def _chain_prologue(spec: ProblemSpec, d: int, mem_x: MemorySpec,
         "shape": (n_v, n_m, g_n, n_a, n_u, rows.shape[1],
                   spec.num_channel_inputs),
     }
-
-
-def _memory_chain(spec: ProblemSpec, d: int, mem_x: MemorySpec,
-                  mem_y: MemorySpec, law: tuple,
-                  grid: Optional[SimplexGrid] = None):
-    """The chain on states (tuple, x-memory, y-part).
-
-    The x-memory moves with the sent input.  With feedback (no grid) the
-    y-part is the y-memory, which moves with the observation.  Without
-    it the y-part is a grid point of the encoder's belief over the
-    y-memory, moved by the pushforward through the observation law and
-    projected back to the grid, so the fresh symbol is the only
-    disturbance.  The transitions do not depend on the decoder, so one
-    chain serves every decoder of a solve.
-    """
-    points = np.eye(mem_y.num_states) if grid is None else grid.points
-    core = _chain_prologue(spec, d, mem_x, mem_y, points, law)
-    n_v, n_m, g_n, n_a, n_u, _, _ = core["shape"]
-    m_next = np.asarray(mem_x.table)[:, core["x_sent"]]        # (M, A, V, U)
+    m_next = np.asarray(mem_x.table)[:, x_sent]                # (M, A, V, U)
     if grid is None:
         n_next = np.asarray(mem_y.table)[None, :, None, None, :]   # (1, N, 1, 1, Y)
         prob = core["prob"]
     else:
         # an open-loop chain's encoder sees no output: one output branch
-        proj = _project_pushforward(grid, mem_y.table, core["law"])
-        n_next = proj[:, core["law_index"]].transpose(2, 0, 1, 3)[..., None]
-        prob = np.broadcast_to(core["p_u"][None, None, :, None],
-                               (n_a, n_v, n_u, 1))
+        proj = _project_pushforward(grid, mem_y.table, rows)
+        n_next = proj[:, row].transpose(2, 0, 1, 3)[..., None]
+        prob = np.broadcast_to(p_u[None, None, :, None], (n_a, n_v, n_u, 1))
     nxt_c = (m_next.transpose(2, 0, 1, 3)[:, :, None, :, :, None] * g_n
              + n_next[:, None])                                 # (V, M, Gn, A, U, Y)
     core["next_states"], core["next_probs"] = _tuple_successors(
-        core["shift"], nxt_c.reshape(n_v, n_m * g_n, n_a, n_u, -1), prob)
+        shift, nxt_c.reshape(n_v, n_m * g_n, n_a, n_u, -1), prob)
     return core
 
 

@@ -141,7 +141,7 @@ def _check_encoder(encoder, num_states: int, num_maps: int) -> list:
 
 def _mechanics(bundle: PolicyBundle, spec: ProblemSpec) -> tuple:
     """The bundle as a vending chain: (x-memory, y-memory, observation law
-    (rows, stride, act) of scenarios._chain_prologue, decoder indexed
+    (rows, stride, act) of scenarios._memory_chain, decoder indexed
     [x, y, m, n], action cost per input).  A coding bundle has a one-state
     x-memory, the channel row of x as its law, and zero cost."""
     n_x, n_y = spec.num_channel_inputs, spec.num_channel_outputs

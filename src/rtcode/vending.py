@@ -50,7 +50,7 @@ def _require_vending(spec: ProblemSpec) -> None:
 
 
 def _vending_law(spec: ProblemSpec, av_map) -> tuple:
-    """The observation law of scenarios._chain_prologue for one actuator
+    """The observation law of scenarios._memory_chain for one actuator
     map: the vending row of (u, av[x])."""
     _require_vending(spec)
     av = check_action_map(np.asarray(av_map, dtype=int),
@@ -58,12 +58,14 @@ def _vending_law(spec: ProblemSpec, av_map) -> tuple:
     return spec.vending.kernel.rows, spec.vending.num_actions, av
 
 
-def _vending_core(spec: ProblemSpec, av_map, d: int, mem_x: MemorySpec,
-                  mem_y: MemorySpec, grid: Optional[SimplexGrid] = None):
+# The pair loop compiles and rewards under names that rtbench/hooks.py wraps.
+def _vending_feedback_core(spec: ProblemSpec, d: int, mem_x: MemorySpec,
+                           mem_y: MemorySpec, av_map,
+                           grid: Optional[SimplexGrid] = None):
     """The chain of one actuator map, compiled by scenarios._memory_chain
     (open-loop given the grid over the y-memory), with its constraint
     cost per (state, action): the expected cost of the action that the
-    sent input buys."""
+    sent input buys.  Decoder tables only change the reward."""
     law = _vending_law(spec, av_map)
     core = _memory_chain(spec, d, mem_x, mem_y, law, grid)
     n_v, n_m, g_n, n_a, _, _, _ = core["shape"]
@@ -75,16 +77,11 @@ def _vending_core(spec: ProblemSpec, av_map, d: int, mem_x: MemorySpec,
     return core
 
 
-def _vending_feedback_core(spec: ProblemSpec, d: int, mem_x: MemorySpec,
-                           mem_y: MemorySpec, av_map):
-    """Transitions, constraint costs and reusable tensors for one actuator
-    map; decoder tables only change the reward."""
-    return _vending_core(spec, av_map, d, mem_x, mem_y)
-
-
-# The feedback pair loop calls the rewards under this name, which the
-# layer timing of rtbench/hooks.py wraps.
-_vending_feedback_rewards = _chain_rewards
+def _vending_feedback_rewards(core, decs: np.ndarray) -> list:
+    """Each decoder's rewards on one actuator map's chain, one at a time:
+    a batched contraction sums in another order, which moves rewards by
+    up to 1.1e-16 and with them the number of dual evaluations."""
+    return [_chain_rewards(core, dec[None])[0] for dec in decs]
 
 
 def _pair_cmdp(core, rewards: np.ndarray, spec: ProblemSpec) -> ConstrainedMdp:
@@ -123,15 +120,15 @@ def _best_pair(values: np.ndarray, budget: float) -> tuple[int, int]:
 
 
 def _solve_pairs(scenario: str, spec: ProblemSpec, d: int, mem_x: MemorySpec,
-                 mem_y: MemorySpec, compile_core, rewards_fn, rvi_tol: float,
-                 params=None, diagnostics=None,
+                 mem_y: MemorySpec, grid: Optional[SimplexGrid],
+                 rvi_tol: float, params=None, diagnostics=None,
                  flags=()) -> ScenarioSolveReport:
-    """The pair loop behind both vending solvers.
+    """The pair loop behind both vending solvers, open-loop given the grid.
 
-    compile_core(av) compiles the chain of one actuator map and
-    rewards_fn(core, decs) rewards a batch of decoders on it.  Every pair
-    gets its own dual search, and the best pair is kept by _best_pair with
-    the encoder policy that its search solved at the dual minimizer.
+    Each actuator map's chain is compiled once and rewarded for the whole
+    decoder family in one call.  Every pair gets its own dual search, and
+    the best pair is kept by _best_pair with the encoder policy that its
+    search solved at the dual minimizer.
     params and diagnostics add scenario entries after the common ones.
     """
     _require_vending(spec)
@@ -145,9 +142,9 @@ def _solve_pairs(scenario: str, spec: ProblemSpec, d: int, mem_x: MemorySpec,
     values = np.empty((decs.shape[0], avs.shape[0]))
     results: dict[tuple[int, int], DualResult] = {}
     for j, av in enumerate(avs):
-        core = compile_core(av)
-        for i, dec in enumerate(decs):
-            cmdp = _pair_cmdp(core, rewards_fn(core, dec[None])[0], spec)
+        core = _vending_feedback_core(spec, d, mem_x, mem_y, av, grid)
+        for i, rewards in enumerate(_vending_feedback_rewards(core, decs)):
+            cmdp = _pair_cmdp(core, rewards, spec)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
                 res = constrained_solve(cmdp, rvi_tol=rvi_tol)
@@ -208,11 +205,8 @@ def solve_vending_feedback(spec: ProblemSpec, d: int, mem_x: MemorySpec,
     smallest (decoder, actuator) pair.  A bracket warning is re-raised
     only for the winning pair.
     """
-    return _solve_pairs(
-        "vending-feedback", spec, d, mem_x, mem_y,
-        lambda av: _vending_feedback_core(spec, d, mem_x, mem_y, av),
-        _vending_feedback_rewards, rvi_tol,
-    )
+    return _solve_pairs("vending-feedback", spec, d, mem_x, mem_y, None,
+                        rvi_tol)
 
 
 def solve_vending_nofeedback(spec: ProblemSpec, d: int, mem_x: MemorySpec,
@@ -222,8 +216,7 @@ def solve_vending_nofeedback(spec: ProblemSpec, d: int, mem_x: MemorySpec,
     are scored as in solve_vending_feedback."""
     grid = simplex_grid(mem_y.num_states, resolution)
     return _solve_pairs(
-        "vending-nofeedback", spec, d, mem_x, mem_y,
-        lambda av: _vending_core(spec, av, d, mem_x, mem_y, grid),
-        _chain_rewards, rvi_tol, params={"grid_resolution": resolution},
+        "vending-nofeedback", spec, d, mem_x, mem_y, grid, rvi_tol,
+        params={"grid_resolution": resolution},
         diagnostics={"grid_points_y": grid.size}, flags=(APPROXIMATE,),
     )

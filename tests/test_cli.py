@@ -414,7 +414,10 @@ def test_sweep_refuses_the_flags_it_never_read(capsys, flag):
 
 SOLVERS = ("solve_feedback_finite", "solve_feedback_complete",
            "solve_nofeedback", "solve_vending_feedback",
-           "solve_vending_nofeedback", "simulate")
+           "solve_vending_nofeedback", "simulate", "d0_distortion",
+           "shannon_limit", "symbol_by_symbol_check",
+           "uncoded_condition_check")
+INPUTS = Path(__file__).parent.parent / "rtbench" / "inputs"
 
 
 @pytest.fixture
@@ -466,6 +469,80 @@ def test_solve_refuses_scenario_flags_it_does_not_read(
     assert rc == 2
     assert captured.out == ""
     assert f"error: {named} does not apply here" in captured.err
+
+
+SWEEP = ["sweep", "--fix", "delta=0.3", "--vary", "p=0:0.5:0.05",
+         "--workers", "1"]
+
+
+@pytest.mark.parametrize("quantities, flags, named", [
+    ("D0,Ddm", ["--vending", "/nonexistent.json"], "--vending"),
+    ("D0,Ddm", ["--budget", "0.3"], "--budget"),
+    ("Ddm", ["--memory-x", "last:1"], "--memory-x"),
+    ("Ddm", ["--memory-y", "last:1"], "--memory-y"),
+    ("D0,Dinf", ["--m", "1"], "--m"),
+    ("D0,Dinf", ["--d", "0"], "--d"),
+    ("D0", ["--tol", "1e-8"], "--tol"),
+    ("D0,Dinf", ["--no-feedback", "--grid", "3"], "--no-feedback"),
+    ("D0,Ddm", ["--grid", "5"], "--grid"),
+])
+def test_sweep_refuses_flags_its_quantities_do_not_read(
+        capsys, no_solver, quantities, flags, named):
+    rc = main([*SWEEP, "--quantities", quantities, *flags])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert f"error: {named} does not apply here" in captured.err
+
+
+@pytest.mark.parametrize("flags", [
+    ["--quantities", "D0,Ddm", "--d", "1", "--m", "2,-1"],
+    ["--quantities", "Ddm", "--d", "-1"],
+    # a vending block for three source symbols on the binary problem
+    ["--quantities", "Dvend", "--vending",
+     str(INPUTS / "ternary_vending.json")],
+])
+def test_sweep_checks_its_cells_before_any_solve(capsys, no_solver, flags):
+    rc = main([*SWEEP, *flags])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+def test_sweep_solves_a_repeated_memory_length_once(capsys, monkeypatch):
+    solve, calls = cli_module.solve_feedback_finite, []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+    monkeypatch.setattr(cli_module, "solve_feedback_finite", counted)
+    rc, out = _run(capsys, ["sweep", "--fix", "delta=0.3",
+                            "--vary", "p=0.1:0.3:0.1", "--quantities", "Ddm",
+                            "--m", "1,1", "--workers", "1"])
+    assert rc == 0
+    rows = out.splitlines()[1:]
+    assert [row.split(",")[:5] for row in rows] == [
+        [p, "0.3", "0", "1", "Ddm"] for p in ("0.1", "0.2", "0.3")]
+    assert len(calls) == 3
+
+
+@pytest.mark.parametrize("command", [
+    ["solve"],
+    ["simulate", "--seed", "1"],
+    ["check-s2s", "--grid", "3"],
+    ["shannon"],
+])
+@pytest.mark.parametrize("flag", [
+    ["--source", "bernoulli:0.1"], ["--channel", "bsc:0.1"],
+    ["--distortion", "hamming"],
+])
+def test_spec_refuses_the_problem_flags(capsys, no_solver, command, flag):
+    rc = main([*command, "--spec", str(INPUTS / "binary.json"), *flag])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert f"error: {flag[0]} does not apply here" in captured.err
 
 
 @pytest.mark.parametrize("flags, named", [
@@ -525,7 +602,6 @@ def test_pool_starts_no_more_workers_than_can_be_busy(
         capsys, monkeypatch, command, values, workers, pool):
     # the pool forks all its workers on the first task
     monkeypatch.setattr(_RecordingPool, "sizes", [])
-    monkeypatch.setattr(cli_module, "ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(baselines_module, "ProcessPoolExecutor",
                         _RecordingPool)
     monkeypatch.setattr(os, "cpu_count", lambda: 3)

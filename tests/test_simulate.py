@@ -23,7 +23,7 @@ from rtcode import (
 )
 from rtcode.scenarios import _coding_chain, _whole_map_policy
 from rtcode.simulate import BURN_IN, SimReport, _pick, _step_table
-from rtcode.vending import _vending_core
+from rtcode.vending import _vending_feedback_core
 
 # the package exports the function simulate under the module's name
 simulate_module = importlib.import_module("rtcode.simulate")
@@ -274,7 +274,7 @@ def _hand_bundle(kind, rng):
         grid = (None if kind == "vending-feedback" else
                 simplex_grid(mem_y.num_states, resolution))
         av = (1, 0)
-        core = _vending_core(spec, av, d, mem_x, mem_y, grid)
+        core = _vending_feedback_core(spec, d, mem_x, mem_y, av, grid)
         dec = rng.integers(0, 2, size=(2, 2, 2, 2))
         memories = {"memory_x": mem_x, "memory_y": mem_y,
                     "vending_action_map": av}

@@ -18,8 +18,7 @@ from rtcode.bayes import belief_update_sideinfo_memory
 from rtcode.lookahead import build_markov_kernel
 from rtcode.mdp import FiniteMdp
 from rtcode.scenarios import _chain_rewards
-from rtcode.vending import (_best_pair, _vending_core,
-                            _vending_feedback_core)
+from rtcode.vending import _best_pair, _vending_feedback_core
 from conftest import all_maps, nearest, pair_lagrangian, whole_map
 
 TOY = {
@@ -180,7 +179,7 @@ def test_vending_nofeedback_reward_matches_enumeration():
     dec = rng.integers(0, 2, size=(2, 2, 2, 2))
     av = np.array([1, 0])
     lam = 0.4
-    core = _vending_core(spec, av, d, mem_x, mem_y, gn)
+    core = _vending_feedback_core(spec, d, mem_x, mem_y, av, gn)
     mdp = pair_lagrangian(spec, core, dec, lam)
     maps = all_maps(2, 2)           # per-successor actions: u -> x
     p_u = np.asarray(spec.source.p)
@@ -238,7 +237,8 @@ def test_vending_nofeedback_singleton_memories_collapse():
     mem_x = memory_last_m(0, 1)
     mem_y = memory_last_m(0, 2)
     dec = np.zeros((1, 2, 1, 1), dtype=int)
-    core = _vending_core(spec, [0], 0, mem_x, mem_y, simplex_grid(1, 1))
+    core = _vending_feedback_core(spec, 0, mem_x, mem_y, [0],
+                                  simplex_grid(1, 1))
     mdp = pair_lagrangian(spec, core, dec, 0.0)
     assert mdp.num_states == 2
     assert mdp.check() == []
@@ -271,7 +271,8 @@ def test_vending_open_loop_chain_is_feedback_chain_without_y_memory(d, m):
     decs = rng.integers(0, 2, size=(5, 2, 2, mem_x.num_states, 1))
     for av in ([0, 1], [1, 0], [1, 1]):
         fb = _vending_feedback_core(spec, d, mem_x, mem_y, av)
-        ol = _vending_core(spec, av, d, mem_x, mem_y, simplex_grid(1, 4))
+        ol = _vending_feedback_core(spec, d, mem_x, mem_y, av,
+                                    simplex_grid(1, 4))
         dense = [FiniteMdp(core["next_states"], core["next_probs"],
                            np.zeros(core["cost"].shape)).dense()
                  for core in (fb, ol)]
