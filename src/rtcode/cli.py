@@ -172,8 +172,9 @@ def _solve_finite(spec: ProblemSpec, d: int, nofeedback: bool, grid, tol,
     return solve_feedback_finite(spec, d, memory, tol=tol)
 
 
-def _solve_report(args):
-    """Shared solve dispatch; returns (report, spec)."""
+def _solve_report(args, simulated=False):
+    """Shared solve dispatch; returns (report, spec).  simulated refuses,
+    before the solve, a scenario that the simulator cannot run."""
     spec = _build_spec(args)
     d = args.d
     if d < 0:
@@ -193,6 +194,8 @@ def _solve_report(args):
         ("--grid", not (complete or args.no_feedback)
          and args.grid is not None,
          "a feedback last:<m> solve has no belief grid"),
+        ("--memory", simulated and complete,
+         "there is no simulator for --memory complete"),
     ))
     if complete:
         report = solve_feedback_complete(spec, d, _need_grid(args),
@@ -394,6 +397,8 @@ def cmd_region(args) -> int:
 
 def cmd_check_s2s(args) -> int:
     spec = _build_spec(args)
+    if args.d < 1:
+        _usage(f"lookahead {args.d} must be at least 1 for the grid check")
     n_states = spec.num_source_symbols ** (args.d + 1)
     grid = simplex_grid(n_states, _need_grid(args))
     checker = uncoded_condition_check if args.uncoded else symbol_by_symbol_check
@@ -426,7 +431,7 @@ def cmd_shannon(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    report, spec = _solve_report(args)
+    report, spec = _solve_report(args, simulated=True)
     bundle = PolicyBundle.from_report(report)
     sim = simulate(bundle, spec, args.d, args.horizon, args.replications,
                    args.seed)

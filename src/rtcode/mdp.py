@@ -8,6 +8,10 @@ chains is tiny compared to the state count.
 
 The solver maximizes average reward.  Callers encode distortion as a
 negated reward and flip the sign of the reported gain.
+
+batch_value_iteration holds the one value-iteration sweep loop.
+relative_value_iteration is a batch of one, batch_policy_iteration's
+fallback calls it, and so does each lockstep step of constrained_solve.
 """
 from __future__ import annotations
 
@@ -48,7 +52,8 @@ class FiniteMdp:
     """Average-reward MDP with successor-list transitions.
 
     next_states and next_probs have shape (S, A, K); rewards has shape
-    (S, A).  For each (s, a) the probabilities over the K slots sum to 1.
+    (S, A), or (B, S, A) for the batch of tables that constrained_solve
+    takes.  For each (s, a) the probabilities over the K slots sum to 1.
     """
 
     next_states: np.ndarray
@@ -57,11 +62,11 @@ class FiniteMdp:
 
     @property
     def num_states(self) -> int:
-        return self.rewards.shape[0]
+        return self.next_states.shape[0]
 
     @property
     def num_actions(self) -> int:
-        return self.rewards.shape[1]
+        return self.next_states.shape[1]
 
     @classmethod
     def from_dense(cls, transition, rewards) -> "FiniteMdp":
@@ -77,9 +82,9 @@ class FiniteMdp:
     def check(self) -> list[str]:
         out = []
         ns, p, r = self.next_states, self.next_probs, self.rewards
-        if r.ndim != 2:
-            return ["rewards must have shape (S, A)"]
-        if ns.shape != p.shape or ns.shape[:2] != r.shape:
+        if r.ndim not in (2, 3):
+            return ["rewards must have shape (S, A) or (B, S, A)"]
+        if ns.shape != p.shape or ns.shape[:2] != r.shape[-2:]:
             return ["transition arrays inconsistent with rewards shape"]
         if not np.all(np.isfinite(p)) or not np.all(np.isfinite(r)):
             out.append("non-finite transition probability or reward")
@@ -118,7 +123,9 @@ class SolveResult:
 
 
 def _validated(mdp: FiniteMdp) -> FiniteMdp:
-    problems = mdp.check()
+    """mdp, if it is valid and has one reward table."""
+    problems = mdp.check() or (
+        [] if mdp.rewards.ndim == 2 else ["rewards must have shape (S, A)"])
     if problems:
         raise SpecValidationError(problems)
     return mdp
@@ -134,7 +141,8 @@ def _check_tol(tol: float) -> None:
 
 def relative_value_iteration(mdp: FiniteMdp,
                              tol: float = 1e-9) -> SolveResult:
-    """Solve for the optimal average reward by span-contracting sweeps.
+    """Solve for the optimal average reward by span-contracting sweeps:
+    batch_value_iteration on a batch of one.
 
     Each sweep applies the Bellman operator, measures the span of the
     one-step improvement, and renormalizes the bias at state 0.  For a
@@ -149,27 +157,8 @@ def relative_value_iteration(mdp: FiniteMdp,
     such as deterministic cycles.
     """
     _validated(mdp)
-    _check_tol(tol)
-    h = np.zeros(mdp.num_states)
-    ns, probs, rewards = mdp.next_states, mdp.next_probs, mdp.rewards
-    span = np.inf
-    lo = hi = np.nan
-    for it in range(1, MAX_SWEEPS + 1):
-        q = rewards + DAMPING * (probs * h[ns]).sum(axis=2)
-        th = (1.0 - DAMPING) * h + q.max(axis=1)
-        diff = th - h
-        lo = float(diff.min())
-        hi = float(diff.max())
-        span = hi - lo
-        h = th - th[0]
-        if span < tol:
-            policy = q.argmax(axis=1)
-            return SolveResult((lo + hi) / 2.0, policy, it, span)
-    raise NonConvergenceError(
-        f"relative value iteration exceeded {MAX_SWEEPS} sweeps "
-        f"(span {span:.3e})",
-        span=span, gain_bracket=(lo, hi),
-    )
+    return batch_value_iteration(mdp.next_states, mdp.next_probs,
+                                 mdp.rewards[None], tol=tol).result(0)
 
 
 class BatchSolve(tuple):
@@ -199,6 +188,11 @@ class BatchSolve(tuple):
     steps = property(lambda self: self[2])
     spans = property(lambda self: self[3])
 
+    def result(self, k: int) -> SolveResult:
+        """Candidate k's answer, as relative_value_iteration reports it."""
+        return SolveResult(float(self.gains[k]), self.policies[k],
+                           int(self.rounds[k]), float(self.spans[k]))
+
 
 def _chunks(count: int, bytes_each: int):
     """Slices of range(count) whose members take at most
@@ -207,19 +201,33 @@ def _chunks(count: int, bytes_each: int):
     return [slice(i, min(count, i + step)) for i in range(0, count, step)]
 
 
+def _successor_means(h, next_states, next_probs) -> np.ndarray:
+    """(B, S, A) expected next bias of each row of h.  The gather is
+    C-ordered, so each (b, s, a) sums its K contiguous slots alone, as
+    one table's (S, A, K) array does, and a candidate's bits do not
+    depend on its batch.  h[:, next_states] puts the batch axis
+    innermost, and from 8 slots on its sum and einsum's then add in an
+    order that depends on the batch size."""
+    ev = h.take(next_states, axis=1)
+    ev *= next_probs
+    return np.add.reduce(ev, axis=3)
+
+
 def batch_value_iteration(next_states: np.ndarray, next_probs: np.ndarray,
                           rewards: np.ndarray,
                           tol: float = 1e-9) -> BatchSolve:
     """Relative value iteration over a batch of reward tables.
 
-    Sweeps apply the same self-loop damping as relative_value_iteration.
-    A candidate retires on the sweep its span falls below tol, so its
+    Sweeps are those of relative_value_iteration, damping included.  A
+    candidate retires on the sweep its span falls below tol, so its
     answer does not depend on the rest of the batch, and the batch is
     swept in chunks whose successor gathers stay within
     GATHER_BUDGET_BYTES.  NonConvergenceError is raised after MAX_SWEEPS
     sweeps.
     """
     _check_tol(tol)
+    # np.take copies an index array that is read-only on every call
+    next_states = np.require(next_states, np.intp, ["C", "W"])
     b, s, a = rewards.shape
     gains = np.empty(b)
     policies = np.empty((b, s), dtype=int)
@@ -227,32 +235,34 @@ def batch_value_iteration(next_states: np.ndarray, next_probs: np.ndarray,
     sweeps = np.zeros(b, dtype=int)
     for part in _chunks(b, s * a * next_states.shape[2] * 8):
         active = np.arange(part.start, part.stop)
+        r = rewards[part]
         h = np.zeros((active.size, s))
+        # ufunc reductions: the array methods' Python wrappers cost more
+        # than a sweep of a small chain
         for it in range(1, MAX_SWEEPS + 1):
-            ev = np.einsum("sak,bsak->bsa", next_probs, h[:, next_states])
-            q = rewards[active] + DAMPING * ev
-            th = (1.0 - DAMPING) * h + q.max(axis=2)
+            q = r + DAMPING * _successor_means(h, next_states, next_probs)
+            th = (1.0 - DAMPING) * h + np.maximum.reduce(q, axis=2)
             diff = th - h
-            lo = diff.min(axis=1)
-            hi = diff.max(axis=1)
+            lo = np.minimum.reduce(diff, axis=1)
+            hi = np.maximum.reduce(diff, axis=1)
             span = hi - lo
-            done = span < tol
-            if done.any():
+            if np.minimum.reduce(span) < tol:
+                done = span < tol
                 ids = active[done]
                 gains[ids] = (lo[done] + hi[done]) / 2.0
                 policies[ids] = q[done].argmax(axis=2)
                 spans[ids] = span[done]
                 sweeps[ids] = it
-                active, th = active[~done], th[~done]
+                active, th, r = active[~done], th[~done], r[~done]
                 lo, hi, span = lo[~done], hi[~done], span[~done]
                 if active.size == 0:
                     break
-            h = th - th[:, 0][:, None]
+            h = th - th[:, :1]
         else:
             worst = int(span.argmax())
             raise NonConvergenceError(
-                f"batched value iteration exceeded {MAX_SWEEPS} sweeps "
-                f"(worst span {span[worst]:.3e})",
+                f"relative value iteration exceeded {MAX_SWEEPS} sweeps "
+                f"(span {span[worst]:.3e})",
                 span=float(span[worst]),
                 gain_bracket=(float(lo[worst]), float(hi[worst])),
             )
@@ -492,7 +502,7 @@ class ConstrainedMdp:
     def check(self) -> list[str]:
         out = self.mdp.check()
         cost = np.asarray(self.cost)
-        if cost.shape != self.mdp.rewards.shape:
+        if cost.shape != self.mdp.rewards.shape[-2:]:
             out.append("constraint cost table must match the reward shape")
             return out
         if not np.all(np.isfinite(cost)) or np.any(cost < 0):
@@ -502,19 +512,21 @@ class ConstrainedMdp:
         return out
 
 
-def lagrangian_mdp(cmdp: ConstrainedMdp, lam: float) -> FiniteMdp:
+def lagrangian_mdp(cmdp: ConstrainedMdp, lam) -> FiniteMdp:
     """Unconstrained MDP whose reward absorbs the budget constraint at
-    multiplier lam: reward + lam * (budget - cost)."""
-    if lam < 0:
+    multiplier lam: reward + lam * (budget - cost).  For a batch of
+    reward tables lam may hold one multiplier per table."""
+    lam = np.asarray(lam, dtype=float)
+    if np.any(lam < 0):
         raise SpecValidationError([f"multiplier {lam} must be nonnegative"])
     base = cmdp.mdp
-    rewards = base.rewards + lam * (cmdp.budget - cmdp.cost)
+    rewards = base.rewards + lam[..., None, None] * (cmdp.budget - cmdp.cost)
     return FiniteMdp(base.next_states, base.next_probs, rewards)
 
 
 @dataclass(frozen=True)
 class DualResult:
-    """Outcome of the scalar dual search, with the solve at lambda_star."""
+    """Outcome of one table's dual search, with the solve at lambda_star."""
 
     lambda_star: float
     dual_value: float
@@ -527,72 +539,106 @@ class DualResult:
     final_span: float
 
 
+class DualBatch(tuple):
+    """What constrained_solve returns for a batch of reward tables: one
+    DualResult per table, with the total of their dual evaluations."""
+
+    evaluations = property(lambda self: sum(r.evaluations for r in self))
+
+
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
 
-def constrained_solve(cmdp: ConstrainedMdp, lambda_max: Optional[float] = None,
-                      rvi_tol: float = 1e-10) -> DualResult:
-    """Minimize the Lagrangian dual of a budget-constrained MDP.
+def _golden_section(lambda_max: float, slope: float):
+    """One table's golden-section search over [0, lambda_max], stopped
+    once the bracket width times slope, the largest dual slope, is below
+    DUAL_TOL.  It yields each multiplier it has not solved, is sent its
+    SolveResult, and returns the solves by multiplier and the width of
+    the final bracket."""
+    cache: dict[float, SolveResult] = {}
 
-    The dual value d(lam) is the optimal gain of the Lagrangian MDP; it is
-    convex in lam, so a golden-section search over [0, lambda_max] finds
-    its minimum.  The search stops once the bracket width times the
-    largest possible dual slope is below DUAL_TOL.  A positive minimizer
-    pinned at lambda_max usually signals an infeasible instance or a
-    bracket chosen too small, and is flagged.
-    """
-    problems = cmdp.check()
-    if problems:
-        raise SpecValidationError(problems)
-    if lambda_max is None:
-        rng = float(cmdp.mdp.rewards.max() - cmdp.mdp.rewards.min())
-        pos = cmdp.cost[cmdp.cost > 0]
-        lambda_max = (rng if rng > 0 else 1.0) / (float(pos.min()) if pos.size else 1.0)
-    if lambda_max <= 0:
-        raise SpecValidationError([f"lambda_max {lambda_max} must be positive"])
-    slack = np.abs(cmdp.budget - cmdp.cost)
-    slope = float(slack.max()) if slack.size else 1.0
-    cache: dict[float, tuple[float, SolveResult]] = {}
-
-    def dual(lam: float) -> float:
+    def dual(lam):
         if lam not in cache:
-            res = relative_value_iteration(lagrangian_mdp(cmdp, lam),
-                                           tol=rvi_tol)
-            cache[lam] = (res.gain, res)
-        return cache[lam][0]
+            cache[lam] = yield lam
+        return cache[lam].gain
 
-    a, b = 0.0, float(lambda_max)
-    dual(a)
-    dual(b)
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = dual(c), dual(d)
+    a, b = 0.0, lambda_max
+    c, d = b - _GOLDEN * b, _GOLDEN * b
+    for lam in (a, b):
+        yield from dual(lam)
+    fc = yield from dual(c)
+    fd = yield from dual(d)
     for _ in range(200):
         if slope * (b - a) <= DUAL_TOL or (b - a) <= 1e-14:
             break
         if fc <= fd:
             b, d, fd = d, c, fc
             c = b - _GOLDEN * (b - a)
-            fc = dual(c)
+            fc = yield from dual(c)
         else:
             a, c, fc = c, d, fd
             d = a + _GOLDEN * (b - a)
-            fd = dual(d)
-    lambda_star = min(cache, key=lambda lam: (cache[lam][0], lam))
-    dual_value, best = cache[lambda_star]
-    # a search that never left lam = 0 (every slack is zero) has no edge
-    edge = (lambda_star > 0.0
-            and lambda_star >= float(lambda_max) - max(b - a, 1e-14))
-    if edge:
+            fd = yield from dual(d)
+    return cache, b - a
+
+
+def constrained_solve(cmdp: ConstrainedMdp, lambda_max: Optional[float] = None,
+                      rvi_tol: float = 1e-10) -> DualResult | DualBatch:
+    """Minimize the Lagrangian dual of a budget-constrained MDP.
+
+    The dual value d(lam) is the optimal gain of the Lagrangian MDP; it is
+    convex in lam, so a golden-section search over [0, lambda_max] finds
+    its minimum.  A positive minimizer pinned at lambda_max usually
+    signals an infeasible instance or a bracket chosen too small, and is
+    flagged.  Rewards of shape (B, S, A) give a DualBatch: the B searches
+    run in lockstep, one batch_value_iteration call per step over those
+    still searching, and each keeps the DualResult it gets alone.
+    """
+    problems = cmdp.check()
+    if problems:
+        raise SpecValidationError(problems)
+    base = cmdp.mdp
+    rewards = base.rewards.reshape(-1, *base.rewards.shape[-2:])
+    if lambda_max is None:
+        rng = rewards.max(axis=(1, 2)) - rewards.min(axis=(1, 2))
+        pos = cmdp.cost[cmdp.cost > 0]
+        lambda_max = (np.where(rng > 0, rng, 1.0)
+                      / (float(pos.min()) if pos.size else 1.0))
+    if np.any(lambda_max <= 0):
+        raise SpecValidationError([f"lambda_max {lambda_max} must be positive"])
+    tops = np.broadcast_to(lambda_max, rewards.shape[:1])
+    slack = np.abs(cmdp.budget - cmdp.cost)
+    slope = float(slack.max()) if slack.size else 1.0
+    searches = [_golden_section(float(top), slope) for top in tops]
+    lams = np.array([next(search) for search in searches])
+    found = [None] * len(searches)
+    asking = np.arange(len(searches))
+    while asking.size:
+        sol = batch_value_iteration(
+            base.next_states, base.next_probs,
+            lagrangian_mdp(cmdp, lams).rewards[asking], tol=rvi_tol)
+        for row, i in enumerate(asking):
+            try:
+                lams[i] = searches[i].send(sol.result(row))
+            except StopIteration as stop:
+                found[i] = stop.value
+        asking = asking[[found[i] is None for i in asking]]
+    out = []
+    for i, (cache, width) in enumerate(found):
+        star = min(cache, key=lambda lam: (cache[lam].gain, lam))
+        best = cache[star]
+        # a search that never left lam = 0 (every slack is zero) has no edge
+        edge = star > 0.0 and star >= tops[i] - max(width, 1e-14)
+        stats = _class_means(base, best.policy,
+                             rewards[i] + star * (cmdp.budget - cmdp.cost),
+                             rewards[i], cmdp.cost)
+        _, gain_g, avg_cost = max(stats, key=lambda t: t[0])
+        out.append(DualResult(float(star), best.gain, gain_g, avg_cost,
+                              bool(edge), len(cache), best.policy,
+                              best.iterations, best.final_span))
+    if any(res.bracket_edge for res in out):
         warnings.warn(
             "dual minimizer at lambda_max; the bracket may be too small",
             RuntimeWarning, stacklevel=2,
         )
-
-    stats = _class_means(cmdp.mdp, best.policy,
-                         lagrangian_mdp(cmdp, lambda_star).rewards,
-                         cmdp.mdp.rewards, cmdp.cost)
-    _, gain_g, avg_cost = max(stats, key=lambda t: t[0])
-    return DualResult(float(lambda_star), float(dual_value), gain_g, avg_cost,
-                      bool(edge), len(cache), best.policy, best.iterations,
-                      best.final_span)
+    return DualBatch(out) if base.rewards.ndim == 3 else out[0]

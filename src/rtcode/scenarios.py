@@ -33,7 +33,7 @@ The two coding chains share one decoder-family pipeline: their
 transitions do not depend on the decoder table, so every table is
 enumerated, the rewards are batched over one transition structure, the
 batch is solved at once, and the first table within the tolerance of
-the best wins.  The vending pair loop enumerates and ties alike.
+the best wins.  The vending solvers enumerate and tie alike.
 
 Discretized builds carry an APPROXIMATE flag: projecting beliefs onto a
 grid has no one-sided error bound.

@@ -15,9 +15,10 @@ Without feedback the encoder tracks a grid belief over the y-memory, and
 those solves carry the APPROXIMATE flag.  The chains themselves are
 compiled and rewarded by scenarios._memory_chain, which compiles the
 coding chains alike; this module adds the actuator map's observation law
-and the constraint costs.  Both solvers run one pair loop, which gives
-every (decoder, actuator) pair its own dual search and keeps the best
-pair.
+and the constraint costs.  Both solvers run one loop over the actuator
+maps.  Each map's chain carries the rewards of the whole decoder family,
+and one mdp.constrained_solve call gives every (decoder, actuator) pair
+its own dual search, all of them in lockstep; the best pair is kept.
 """
 from __future__ import annotations
 
@@ -32,9 +33,9 @@ from .errors import SpecValidationError
 from .lookahead import _enumerate_maps
 from .mdp import (DUAL_TOL, ConstrainedMdp, DualResult, FiniteMdp,
                   constrained_solve)
-# Only constrained_solve calls relative_value_iteration; rtbench/hooks.py
-# also wraps it under this name and reports the solve layer as unmeasured
-# when the name is missing.
+# Unused here: constrained_solve sweeps by batch_value_iteration.
+# rtbench/hooks.py still wraps relative_value_iteration under this name
+# and reports the solve layer as unmeasured when the name is missing.
 from .mdp import relative_value_iteration  # noqa: F401
 from .models import ProblemSpec
 from .scenarios import (APPROXIMATE, MemorySpec, ScenarioSolveReport,
@@ -58,7 +59,8 @@ def _vending_law(spec: ProblemSpec, av_map) -> tuple:
     return spec.vending.kernel.rows, spec.vending.num_actions, av
 
 
-# The pair loop compiles and rewards under names that rtbench/hooks.py wraps.
+# The actuator loop compiles and rewards under names that
+# rtbench/hooks.py wraps.
 def _vending_feedback_core(spec: ProblemSpec, d: int, mem_x: MemorySpec,
                            mem_y: MemorySpec, av_map,
                            grid: Optional[SimplexGrid] = None):
@@ -77,11 +79,12 @@ def _vending_feedback_core(spec: ProblemSpec, d: int, mem_x: MemorySpec,
     return core
 
 
-def _vending_feedback_rewards(core, decs: np.ndarray) -> list:
-    """Each decoder's rewards on one actuator map's chain, one at a time:
-    a batched contraction sums in another order, which moves rewards by
-    up to 1.1e-16 and with them the number of dual evaluations."""
-    return [_chain_rewards(core, dec[None])[0] for dec in decs]
+def _vending_feedback_rewards(core, decs: np.ndarray) -> np.ndarray:
+    """The decoders' stacked rewards on one actuator map's chain, built
+    one decoder at a time: a batched contraction sums in another order,
+    which moves rewards by up to 1.1e-16 and with them the number of
+    dual evaluations."""
+    return np.stack([_chain_rewards(core, dec[None])[0] for dec in decs])
 
 
 def _pair_cmdp(core, rewards: np.ndarray, spec: ProblemSpec) -> ConstrainedMdp:
@@ -123,12 +126,14 @@ def _solve_pairs(scenario: str, spec: ProblemSpec, d: int, mem_x: MemorySpec,
                  mem_y: MemorySpec, grid: Optional[SimplexGrid],
                  rvi_tol: float, params=None, diagnostics=None,
                  flags=()) -> ScenarioSolveReport:
-    """The pair loop behind both vending solvers, open-loop given the grid.
+    """The actuator loop behind both vending solvers, open-loop given the
+    grid.
 
-    Each actuator map's chain is compiled once and rewarded for the whole
-    decoder family in one call.  Every pair gets its own dual search, and
-    the best pair is kept by _best_pair with the encoder policy that its
-    search solved at the dual minimizer.
+    Each actuator map's chain is compiled once, rewarded for the whole
+    decoder family in one call, and dual-solved in one constrained_solve
+    call, which gives every decoder its own search.  The best pair is
+    kept by _best_pair with the encoder policy that its search solved at
+    the dual minimizer.
     params and diagnostics add scenario entries after the common ones.
     """
     _require_vending(spec)
@@ -139,19 +144,17 @@ def _solve_pairs(scenario: str, spec: ProblemSpec, d: int, mem_x: MemorySpec,
                           scenarios.DEFAULT_DECODER_CAP,
                           "actuator enumeration",
                           "reduce the channel input alphabet")
-    values = np.empty((decs.shape[0], avs.shape[0]))
-    results: dict[tuple[int, int], DualResult] = {}
-    for j, av in enumerate(avs):
+    duals = []
+    for av in avs:
         core = _vending_feedback_core(spec, d, mem_x, mem_y, av, grid)
-        for i, rewards in enumerate(_vending_feedback_rewards(core, decs)):
-            cmdp = _pair_cmdp(core, rewards, spec)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", RuntimeWarning)
-                res = constrained_solve(cmdp, rvi_tol=rvi_tol)
-            values[i, j] = _pair_value(res, budget)
-            results[(i, j)] = res
+        cmdp = _pair_cmdp(core, _vending_feedback_rewards(core, decs), spec)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            duals.append(constrained_solve(cmdp, rvi_tol=rvi_tol))
+    values = np.array([[_pair_value(res, budget) for res in batch]
+                       for batch in duals]).T
     best_i, best_j = _best_pair(values, budget)
-    best = results[(best_i, best_j)]
+    best = duals[best_j][best_i]
     if best.bracket_edge:
         warnings.warn(
             "dual minimizer at lambda_max for the best pair; "

@@ -471,6 +471,26 @@ def test_solve_refuses_scenario_flags_it_does_not_read(
     assert f"error: {named} does not apply here" in captured.err
 
 
+def test_simulate_refuses_complete_memory_before_solving(capsys, no_solver):
+    # the simulator has no complete-memory scenario
+    rc = main(["simulate", *SOLVE_ARGS, "--d", "1", "--memory", "complete",
+               "--grid", "30", "--seed", "1"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert "error: --memory does not apply here" in captured.err
+
+
+@pytest.mark.parametrize("d", [-3, -1, 0])
+def test_check_s2s_needs_a_lookahead_before_its_grid(capsys, no_solver, d):
+    rc = main(["check-s2s", *SOLVE_ARGS, "--d", str(d), "--grid", "3"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert (f"error: lookahead {d} must be at least 1 for the grid check"
+            in captured.err)
+
+
 SWEEP = ["sweep", "--fix", "delta=0.3", "--vary", "p=0:0.5:0.05",
          "--workers", "1"]
 

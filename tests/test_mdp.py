@@ -109,21 +109,45 @@ def test_rvi_nonconvergence_carries_bracket(monkeypatch):
     assert lo <= hi
 
 
-def test_rvi_batch_matches_single_solves():
-    rng = np.random.default_rng(408)
-    mdp = random_unichain_mdp(rng, max_states=4, max_actions=3)
-    rewards = np.stack([
+def _assert_rows_solve_alone(ns, probs, rewards):
+    """Each row of one batch_value_iteration call is the batch of one
+    that relative_value_iteration solves, bit for bit."""
+    sol = batch_value_iteration(ns, probs, rewards, tol=1e-10)
+    for k in range(rewards.shape[0]):
+        single = relative_value_iteration(FiniteMdp(ns, probs, rewards[k]),
+                                          tol=1e-10)
+        assert single.gain == sol.gains[k]
+        np.testing.assert_array_equal(single.policy, sol.policies[k])
+        assert single.iterations == sol.rounds[k]
+        assert single.final_span == sol.spans[k] < 1e-10
+
+
+def _three_tables(rng, mdp):
+    return np.stack([
         mdp.rewards,
         mdp.rewards * 0.5 - 1.0,
         rng.uniform(-1, 1, mdp.rewards.shape),
     ])
-    gains, policies, _, spans = rvi_batch(mdp.next_states, mdp.next_probs,
-                                          rewards, tol=1e-10)
-    for k in range(3):
-        single = relative_value_iteration(
-            FiniteMdp(mdp.next_states, mdp.next_probs, rewards[k]), tol=1e-10)
-        assert gains[k] == pytest.approx(single.gain, abs=1e-8)
-        assert spans[k] < 1e-10
+
+
+def test_rvi_batch_matches_single_solves():
+    rng = np.random.default_rng(408)
+    mdp = random_unichain_mdp(rng, max_states=4, max_actions=3)
+    _assert_rows_solve_alone(mdp.next_states, mdp.next_probs,
+                             _three_tables(rng, mdp))
+
+
+def test_rvi_batch_matches_single_solves_with_many_slots():
+    # from 8 successor slots on, a sum's order can depend on the batch
+    rng = np.random.default_rng(408)
+    mdp = random_unichain_mdp(rng, max_states=4, max_actions=3)
+    slots = 11
+    # split each slot's mass at random over `slots` copies of it
+    split = rng.uniform(0.1, 1.0, (*mdp.next_probs.shape, slots))
+    split /= split.sum(axis=3, keepdims=True)
+    ns = np.repeat(mdp.next_states, slots, axis=2)
+    probs = (mdp.next_probs[..., None] * split).reshape(ns.shape)
+    _assert_rows_solve_alone(ns, probs, _three_tables(rng, mdp))
 
 
 def test_exhaustive_search_trivial_cases():

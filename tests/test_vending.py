@@ -1,5 +1,7 @@
 """Vending-machine scenarios: builders, duals, enumeration."""
+import json
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,10 +17,12 @@ from rtcode import (
     with_budget,
 )
 from rtcode.bayes import belief_update_sideinfo_memory
-from rtcode.lookahead import build_markov_kernel
-from rtcode.mdp import FiniteMdp
-from rtcode.scenarios import _chain_rewards
-from rtcode.vending import _best_pair, _vending_feedback_core
+from rtcode.lookahead import _enumerate_maps, build_markov_kernel
+from rtcode.mdp import FiniteMdp, constrained_solve
+from rtcode.scenarios import (DEFAULT_DECODER_CAP, _chain_rewards,
+                              _decoder_family)
+from rtcode.vending import (_best_pair, _decoder_shape, _pair_cmdp,
+                            _vending_feedback_core, _vending_feedback_rewards)
 from conftest import all_maps, nearest, pair_lagrangian, whole_map
 
 TOY = {
@@ -42,6 +46,17 @@ RICH = {
         "budget": 0.5,
     },
 }
+
+
+INPUTS = Path(__file__).parent.parent / "rtbench" / "inputs"
+
+
+def _input_spec(name, budget):
+    """The benchmark's problem <name>.json with <name>_vending.json."""
+    data = json.loads((INPUTS / f"{name}.json").read_text())
+    data["vending"] = json.loads(
+        (INPUTS / f"{name}_vending.json").read_text())
+    return with_budget(spec_from_dict(data), budget)
 
 
 def _toy_spec(budget=None):
@@ -339,3 +354,51 @@ def test_vending_no_feasible_pair_names_the_budget():
     # where the float minimum lies further on
     assert _best_pair(np.array([[0.2 + 1e-15, 0.5], [0.2, 0.9]]),
                       0.25) == (0, 0)
+
+
+@pytest.mark.parametrize("name", ["toy", "ternary"])
+def test_lockstep_dual_matches_one_search_per_decoder(name):
+    """Each actuator map's decoder family in one constrained_solve call
+    gets, decoder by decoder, the result of a batch of one, bit for bit."""
+    spec = _input_spec(name, 0.5)
+    mem_x = memory_last_m(0, spec.num_channel_inputs)
+    mem_y = memory_last_m(0, spec.num_channel_outputs)
+    decs = _decoder_family(spec, _decoder_shape(spec, mem_x, mem_y))
+    avs = _enumerate_maps(spec.num_channel_inputs, spec.vending.num_actions,
+                          DEFAULT_DECODER_CAP, "actuator enumeration", "")
+    fields = ("lambda_star", "dual_value", "gain_at_lambda_star",
+              "avg_constraint_cost", "bracket_edge", "evaluations",
+              "iterations", "final_span")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        for av in avs:
+            core = _vending_feedback_core(spec, 0, mem_x, mem_y, av)
+            rewards = _vending_feedback_rewards(core, decs)
+            batch = constrained_solve(_pair_cmdp(core, rewards, spec))
+            assert len(batch) == decs.shape[0]
+            singles = [constrained_solve(_pair_cmdp(core, r, spec))
+                       for r in rewards]
+            assert batch.evaluations == sum(r.evaluations for r in singles)
+            for got, want in zip(batch, singles):
+                assert [getattr(got, f) for f in fields] == [
+                    getattr(want, f) for f in fields]
+                np.testing.assert_array_equal(got.policy, want.policy)
+
+
+def test_vending_solve_validates_each_actuator_chain_once(monkeypatch):
+    """The ternary solve (324 pairs over 4 actuator maps) checks each
+    actuator map's chain once, not once per pair and multiplier."""
+    calls = []
+    check = FiniteMdp.check
+
+    def counted(self):
+        calls.append(1)
+        return check(self)
+    monkeypatch.setattr(FiniteMdp, "check", counted)
+    spec = _input_spec("ternary", 0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        report = solve_vending_feedback(spec, 0, memory_last_m(0, 2),
+                                        memory_last_m(0, 2))
+    assert report.diagnostics["actuator_candidates"] == 4
+    assert 0 < len(calls) <= 4
