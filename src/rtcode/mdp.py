@@ -213,6 +213,16 @@ def _successor_means(h, next_states, next_probs) -> np.ndarray:
     return np.add.reduce(ev, axis=3)
 
 
+def _slot_sum(x, next_states, next_probs) -> np.ndarray:
+    """(B, S, A) expected next value of each row of x, added slot by slot
+    in slot order: every (b, s, a) sums its own K terms in one order,
+    whatever the batch."""
+    out = next_probs[:, :, 0] * x[:, next_states[:, :, 0]]
+    for k in range(1, next_states.shape[2]):
+        out += next_probs[:, :, k] * x[:, next_states[:, :, k]]
+    return out
+
+
 def batch_value_iteration(next_states: np.ndarray, next_probs: np.ndarray,
                           rewards: np.ndarray,
                           tol: float = 1e-9) -> BatchSolve:
@@ -339,7 +349,7 @@ def batch_policy_iteration(next_states: np.ndarray, next_probs: np.ndarray,
             active, x, pol, r = active[ok], x[ok], pol[ok], r[ok]
             g = x[:, 0].copy()
             x[:, 0] = 0.0
-            q = r + np.einsum("sak,bsak->bsa", next_probs, x[:, next_states])
+            q = r + _slot_sum(x, next_states, next_probs)
             now = np.take_along_axis(q, pol[:, :, None], axis=2)[:, :, 0]
             best = q.max(axis=2)
             eps = PI_IMPROVE_EPS * (1.0 + np.abs(q).max(axis=(1, 2)))
@@ -431,12 +441,17 @@ def _stationary_classes(next_states, next_probs):
     return out
 
 
-def _class_means(mdp: FiniteMdp, policy: np.ndarray, *tables) -> list:
-    """For each closed recurrent class of the chain that policy induces,
-    the stationary means of the (S, A) tables along policy."""
+def _policy_classes(mdp: FiniteMdp, policy: np.ndarray) -> list:
+    """_stationary_classes of the chain that policy induces."""
     idx = np.arange(mdp.num_states)
-    classes = _stationary_classes(mdp.next_states[idx, policy],
-                                  mdp.next_probs[idx, policy])
+    return _stationary_classes(mdp.next_states[idx, policy],
+                               mdp.next_probs[idx, policy])
+
+
+def _class_means(classes: list, policy: np.ndarray, *tables) -> list:
+    """For each (members, mu) of classes, the stationary means of the
+    (S, A) tables along policy."""
+    idx = np.arange(policy.size)
     picked = [table[idx, policy] for table in tables]
     return [tuple(float(mu @ r[members]) for r in picked)
             for members, mu in classes]
@@ -466,7 +481,8 @@ def evaluate_policy(mdp: FiniteMdp, policy) -> PolicyEvaluation:
                                    f"expected ({mdp.num_states},)"])
     if pol.min(initial=0) < 0 or pol.max(initial=0) >= mdp.num_actions:
         raise SpecValidationError(["policy action index out of range"])
-    gains = tuple(means[0] for means in _class_means(mdp, pol, mdp.rewards))
+    gains = tuple(means[0] for means in
+                  _class_means(_policy_classes(mdp, pol), pol, mdp.rewards))
     best = max(gains)
     spread = max(gains) - min(gains)
     return PolicyEvaluation(best, gains, len(gains) > 1, spread > 1e-10)
@@ -541,7 +557,8 @@ class DualResult:
 
 class DualBatch(tuple):
     """What constrained_solve returns for a batch of reward tables: one
-    DualResult per table, with the total of their dual evaluations."""
+    DualResult per table, with the total of their dual evaluations
+    (tables that share a search count its evaluations each)."""
 
     evaluations = property(lambda self: sum(r.evaluations for r in self))
 
@@ -552,15 +569,15 @@ _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 def _golden_section(lambda_max: float, slope: float):
     """One table's golden-section search over [0, lambda_max], stopped
     once the bracket width times slope, the largest dual slope, is below
-    DUAL_TOL.  It yields each multiplier it has not solved, is sent its
-    SolveResult, and returns the solves by multiplier and the width of
-    the final bracket."""
-    cache: dict[float, SolveResult] = {}
+    DUAL_TOL.  It yields each multiplier it has not evaluated, is sent the
+    dual value there (the optimal gain, as a float), and returns the dual
+    values by multiplier and the width of the final bracket."""
+    values: dict[float, float] = {}
 
     def dual(lam):
-        if lam not in cache:
-            cache[lam] = yield lam
-        return cache[lam].gain
+        if lam not in values:
+            values[lam] = yield lam
+        return values[lam]
 
     a, b = 0.0, lambda_max
     c, d = b - _GOLDEN * b, _GOLDEN * b
@@ -579,7 +596,7 @@ def _golden_section(lambda_max: float, slope: float):
             a, c, fc = c, d, fd
             d = a + _GOLDEN * (b - a)
             fd = yield from dual(d)
-    return cache, b - a
+    return values, b - a
 
 
 def constrained_solve(cmdp: ConstrainedMdp, lambda_max: Optional[float] = None,
@@ -590,9 +607,13 @@ def constrained_solve(cmdp: ConstrainedMdp, lambda_max: Optional[float] = None,
     convex in lam, so a golden-section search over [0, lambda_max] finds
     its minimum.  A positive minimizer pinned at lambda_max usually
     signals an infeasible instance or a bracket chosen too small, and is
-    flagged.  Rewards of shape (B, S, A) give a DualBatch: the B searches
-    run in lockstep, one batch_value_iteration call per step over those
-    still searching, and each keeps the DualResult it gets alone.
+    flagged.  Rewards of shape (B, S, A) give a DualBatch.  A table equal
+    bit for bit to an earlier one with the same lambda_max shares that
+    table's DualResult; the distinct tables' searches run in lockstep,
+    one batch_value_iteration call per step over those still searching,
+    and each keeps the DualResult it gets alone.  Only the solve at each
+    table's minimizer is kept as a SolveResult, and the recurrent classes
+    behind its average cost are found once per distinct policy.
     """
     problems = cmdp.check()
     if problems:
@@ -607,35 +628,55 @@ def constrained_solve(cmdp: ConstrainedMdp, lambda_max: Optional[float] = None,
     if np.any(lambda_max <= 0):
         raise SpecValidationError([f"lambda_max {lambda_max} must be positive"])
     tops = np.broadcast_to(lambda_max, rewards.shape[:1])
+    # one search per distinct (table, lambda_max), compared by their bytes
+    keys = [r.tobytes() + top.tobytes() for r, top in zip(rewards, tops)]
+    first: dict[bytes, int] = {}
+    for i, key in enumerate(keys):
+        first.setdefault(key, i)
+    rows = list(first.values())
+    distinct = ConstrainedMdp(
+        FiniteMdp(base.next_states, base.next_probs, rewards[rows]),
+        cmdp.cost, cmdp.budget)
     slack = np.abs(cmdp.budget - cmdp.cost)
     slope = float(slack.max()) if slack.size else 1.0
-    searches = [_golden_section(float(top), slope) for top in tops]
+    searches = [_golden_section(float(tops[i]), slope) for i in rows]
     lams = np.array([next(search) for search in searches])
-    found = [None] * len(searches)
-    asking = np.arange(len(searches))
+    # per search, the (BatchSolve, row) that solved each multiplier
+    solved = [{} for _ in rows]
+    found = [None] * len(rows)
+    asking = np.arange(len(rows))
     while asking.size:
         sol = batch_value_iteration(
             base.next_states, base.next_probs,
-            lagrangian_mdp(cmdp, lams).rewards[asking], tol=rvi_tol)
-        for row, i in enumerate(asking):
+            lagrangian_mdp(distinct, lams).rewards[asking], tol=rvi_tol)
+        gains = sol.gains.tolist()
+        for row, k in enumerate(asking):
+            solved[k][lams[k]] = sol, row
             try:
-                lams[i] = searches[i].send(sol.result(row))
+                lams[k] = searches[k].send(gains[row])
             except StopIteration as stop:
-                found[i] = stop.value
-        asking = asking[[found[i] is None for i in asking]]
-    out = []
-    for i, (cache, width) in enumerate(found):
-        star = min(cache, key=lambda lam: (cache[lam].gain, lam))
-        best = cache[star]
+                found[k] = stop.value
+        asking = asking[[found[k] is None for k in asking]]
+    classes = {}
+    results = []
+    for k, (i, (values, width)) in enumerate(zip(rows, found)):
+        star = min(values, key=lambda lam: (values[lam], lam))
+        sol, row = solved[k][star]
+        best = sol.result(row)
         # a search that never left lam = 0 (every slack is zero) has no edge
         edge = star > 0.0 and star >= tops[i] - max(width, 1e-14)
-        stats = _class_means(base, best.policy,
+        policy = best.policy.tobytes()
+        if policy not in classes:
+            classes[policy] = _policy_classes(base, best.policy)
+        stats = _class_means(classes[policy], best.policy,
                              rewards[i] + star * (cmdp.budget - cmdp.cost),
                              rewards[i], cmdp.cost)
         _, gain_g, avg_cost = max(stats, key=lambda t: t[0])
-        out.append(DualResult(float(star), best.gain, gain_g, avg_cost,
-                              bool(edge), len(cache), best.policy,
-                              best.iterations, best.final_span))
+        results.append(DualResult(float(star), best.gain, gain_g, avg_cost,
+                                  bool(edge), len(values), best.policy,
+                                  best.iterations, best.final_span))
+    by_key = dict(zip(first, results))
+    out = [by_key[key] for key in keys]
     if any(res.bracket_edge for res in out):
         warnings.warn(
             "dual minimizer at lambda_max; the bracket may be too small",

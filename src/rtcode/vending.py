@@ -17,8 +17,9 @@ compiled and rewarded by scenarios._memory_chain, which compiles the
 coding chains alike; this module adds the actuator map's observation law
 and the constraint costs.  Both solvers run one loop over the actuator
 maps.  Each map's chain carries the rewards of the whole decoder family,
-and one mdp.constrained_solve call gives every (decoder, actuator) pair
-its own dual search, all of them in lockstep; the best pair is kept.
+and one mdp.constrained_solve call dual-solves every (decoder, actuator)
+pair: decoders whose reward tables are identical share one search, and
+the distinct searches run in lockstep.  The best pair is kept.
 """
 from __future__ import annotations
 
@@ -131,7 +132,8 @@ def _solve_pairs(scenario: str, spec: ProblemSpec, d: int, mem_x: MemorySpec,
 
     Each actuator map's chain is compiled once, rewarded for the whole
     decoder family in one call, and dual-solved in one constrained_solve
-    call, which gives every decoder its own search.  The best pair is
+    call, which gives every decoder the result of its own search (one
+    search per distinct reward table).  The best pair is
     kept by _best_pair with the encoder policy that its search solved at
     the dual minimizer.
     params and diagnostics add scenario entries after the common ones.

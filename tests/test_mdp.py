@@ -297,6 +297,76 @@ def test_constrained_solve_zero_slack_is_not_bracket_edge():
     assert res.dual_value == pytest.approx(0.7, abs=1e-9)
 
 
+_DUAL_FIELDS = ("lambda_star", "dual_value", "gain_at_lambda_star",
+                "avg_constraint_cost", "bracket_edge", "evaluations",
+                "iterations", "final_span")
+
+
+def _assert_same_dual(got, want):
+    assert [getattr(got, f) for f in _DUAL_FIELDS] == [
+        getattr(want, f) for f in _DUAL_FIELDS]
+    np.testing.assert_array_equal(got.policy, want.policy)
+
+
+def _solved_rows(monkeypatch):
+    """Count the tables that constrained_solve's value iteration sweeps."""
+    rows = []
+    solve = mdp_module.batch_value_iteration
+
+    def counted(next_states, next_probs, rewards, tol):
+        rows.append(rewards.shape[0])
+        return solve(next_states, next_probs, rewards, tol=tol)
+    monkeypatch.setattr(mdp_module, "batch_value_iteration", counted)
+    return rows
+
+
+def _priced_tables(seed):
+    """A random three-state chain with a costly second action, two random
+    reward tables on it, and a ConstrainedMdp factory for its rewards."""
+    rng = np.random.default_rng(seed)
+    raw = rng.random((3, 2, 3)) + 1e-3
+    base = FiniteMdp.from_dense(raw / raw.sum(axis=2, keepdims=True),
+                                np.zeros((3, 2)))
+    cost = np.array([[0.0, 1.0]] * 3)
+
+    def cmdp(rewards):
+        return ConstrainedMdp(FiniteMdp(base.next_states, base.next_probs,
+                                        rewards), cost, 0.4)
+    return cmdp, rng.uniform(-1, 1, (3, 2)), rng.uniform(-1, 1, (3, 2))
+
+
+def test_constrained_solve_equal_tables_share_one_search(monkeypatch):
+    cmdp, r0, r1 = _priced_tables(415)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        singles = [constrained_solve(cmdp(r)) for r in (r0, r1)]
+        rows = _solved_rows(monkeypatch)
+        batch = constrained_solve(cmdp(np.stack([r0, r1, r0])))
+    for got, want in zip(batch, (*singles, singles[0])):
+        _assert_same_dual(got, want)
+    # the repeated table counts its evaluations but is not swept again
+    assert batch.evaluations == 2 * singles[0].evaluations \
+        + singles[1].evaluations
+    assert sum(rows) == singles[0].evaluations + singles[1].evaluations
+
+
+def test_constrained_solve_equal_tables_with_other_brackets_search_apart(
+        monkeypatch):
+    cmdp, r0, _ = _priced_tables(416)
+    tops = (1.0, 2.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        singles = [constrained_solve(cmdp(r0), lambda_max=top)
+                   for top in tops]
+        rows = _solved_rows(monkeypatch)
+        batch = constrained_solve(cmdp(np.stack([r0, r0])),
+                                  lambda_max=np.array(tops))
+    for got, want in zip(batch, singles):
+        _assert_same_dual(got, want)
+    assert sum(rows) == batch.evaluations == sum(
+        res.evaluations for res in singles)
+
+
 def _batch(rng, copies=4, **kwargs):
     """A random unichain structure with several reward tables."""
     mdp = random_unichain_mdp(rng, **kwargs)
@@ -402,3 +472,32 @@ def test_rvi_batch_chunks_keep_gathers_within_budget(monkeypatch):
     assert peak < 2 * gather
     np.testing.assert_array_equal(small.gains, vi.gains)
     np.testing.assert_array_equal(small.policies, vi.policies)
+
+
+def _slotted_chain(rng, slots):
+    """A random chain whose (s, a) rows have `slots` successor slots.
+    Slot 0 of every row leads to state 0, so each policy's chain has one
+    recurrent class, and state 0's self-loop makes it aperiodic."""
+    s, a = int(rng.integers(2, 7)), int(rng.integers(1, 4))
+    ns = rng.integers(0, s, (s, a, slots))
+    ns[:, :, 0] = 0
+    probs = rng.random((s, a, slots)) + 1e-2
+    return ns, probs / probs.sum(axis=2, keepdims=True)
+
+
+def test_policy_iteration_bits_do_not_depend_on_the_batch():
+    # a Q-value that summed its slots in an order set by the batch size
+    # could tip an improvement step or a certificate in its last bits
+    rng = np.random.default_rng(417)
+    for _ in range(60):
+        ns, probs = _slotted_chain(rng, int(rng.integers(4, 13)))
+        size = int(rng.integers(1, 257))
+        rewards = rng.uniform(-1.0, 1.0, (size, *ns.shape[:2]))
+        sol = batch_policy_iteration(ns, probs, rewards, tol=1e-10)
+        for k in rng.choice(size, min(size, 6), replace=False):
+            alone = batch_policy_iteration(ns, probs, rewards[k:k + 1],
+                                           tol=1e-10)
+            assert alone.gains[0] == sol.gains[k]
+            np.testing.assert_array_equal(alone.policies[0], sol.policies[k])
+            assert alone.spans[0] == sol.spans[k]
+            assert alone.residuals[0] == sol.residuals[k]

@@ -9,11 +9,13 @@ import pytest
 from rtcode import (
     SpecValidationError,
     binary_problem,
+    mdp,
     memory_last_m,
     simplex_grid,
     solve_vending_feedback,
     solve_vending_nofeedback,
     spec_from_dict,
+    vending,
     with_budget,
 )
 from rtcode.bayes import belief_update_sideinfo_memory
@@ -402,3 +404,43 @@ def test_vending_solve_validates_each_actuator_chain_once(monkeypatch):
                                         memory_last_m(0, 2))
     assert report.diagnostics["actuator_candidates"] == 4
     assert 0 < len(calls) <= 4
+
+
+def _ternary_duals(monkeypatch, budget):
+    """The DualBatch of each actuator map in the ternary d = 0 solve."""
+    batches = []
+    solve = vending.constrained_solve
+
+    def tapped(*args, **kwargs):
+        batches.append(solve(*args, **kwargs))
+        return batches[-1]
+    monkeypatch.setattr(vending, "constrained_solve", tapped)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        solve_vending_feedback(_input_spec("ternary", budget), 0,
+                               memory_last_m(0, 2), memory_last_m(0, 2))
+    return batches
+
+
+def test_vending_solve_finds_classes_once_per_lambda_star_policy(
+        monkeypatch):
+    """The ternary solve finds the recurrent classes of each actuator
+    map's distinct dual-minimizer policies, not those of all 324 pairs."""
+    calls = []
+    classes = mdp._stationary_classes
+
+    def counted(next_states, next_probs):
+        calls.append(1)
+        return classes(next_states, next_probs)
+    monkeypatch.setattr(mdp, "_stationary_classes", counted)
+    batches = _ternary_duals(monkeypatch, 0.5)
+    assert sum(len(batch) for batch in batches) == 324
+    assert len(calls) == sum(len({res.policy.tobytes() for res in batch})
+                             for batch in batches) < 324 // 8
+
+
+@pytest.mark.parametrize("budget, total", [(0.0, 10_695), (0.5, 13_232)])
+def test_ternary_dual_evaluations_stay_pinned(monkeypatch, budget, total):
+    """Tables that share a search still count its evaluations each."""
+    assert sum(batch.evaluations
+               for batch in _ternary_duals(monkeypatch, budget)) == total
