@@ -9,9 +9,9 @@ chains is tiny compared to the state count.
 The solver maximizes average reward.  Callers encode distortion as a
 negated reward and flip the sign of the reported gain.
 
-batch_value_iteration holds the one value-iteration sweep loop.
-relative_value_iteration is a batch of one, batch_policy_iteration's
-fallback calls it, and so does each lockstep step of constrained_solve.
+batch_value_iteration holds the one value-iteration sweep loop.  Both
+batched solvers add expected next values slot by slot (_slot_sum) into
+action-major (B, A, S) Q-values.
 """
 from __future__ import annotations
 
@@ -35,8 +35,8 @@ DAMPING = 0.5
 # change the policy.
 PI_MAX_ROUNDS = 100
 PI_IMPROVE_EPS = 1e-12
-# Candidates are solved in chunks whose per-step arrays (successor
-# gathers, evaluation systems) take at most this many bytes.  A chain
+# Candidates are solved in chunks whose per-step arrays (Q-values and
+# slot terms, evaluation systems) take at most this many bytes.  A chain
 # whose dense policy-iteration round cannot fit is left to value
 # iteration.
 GATHER_BUDGET_BYTES = 64 * 2**20
@@ -201,25 +201,24 @@ def _chunks(count: int, bytes_each: int):
     return [slice(i, min(count, i + step)) for i in range(0, count, step)]
 
 
-def _successor_means(h, next_states, next_probs) -> np.ndarray:
-    """(B, S, A) expected next bias of each row of h.  The gather is
-    C-ordered, so each (b, s, a) sums its K contiguous slots alone, as
-    one table's (S, A, K) array does, and a candidate's bits do not
-    depend on its batch.  h[:, next_states] puts the batch axis
-    innermost, and from 8 slots on its sum and einsum's then add in an
-    order that depends on the batch size."""
-    ev = h.take(next_states, axis=1)
-    ev *= next_probs
-    return np.add.reduce(ev, axis=3)
+def _slot_major(next_states, next_probs):
+    """Slot-major (K, A, S) copies of (S, A, K) successor lists; np.take
+    copies an index array that is not writable C-ordered intp."""
+    return (np.require(next_states.transpose(2, 1, 0), np.intp, ["C", "W"]),
+            np.ascontiguousarray(next_probs.transpose(2, 1, 0)))
 
 
 def _slot_sum(x, next_states, next_probs) -> np.ndarray:
-    """(B, S, A) expected next value of each row of x, added slot by slot
-    in slot order: every (b, s, a) sums its own K terms in one order,
-    whatever the batch."""
-    out = next_probs[:, :, 0] * x[:, next_states[:, :, 0]]
-    for k in range(1, next_states.shape[2]):
-        out += next_probs[:, :, k] * x[:, next_states[:, :, k]]
+    """(B, A, S) expected next value of each row of x over _slot_major
+    lists, added slot by slot in slot order, whatever the batch.  Below 8
+    slots a contiguous np.add.reduce adds in that order too; from 8 on,
+    where NumPy's pairwise blocks begin, the last bits can differ."""
+    out = x.take(next_states[0], axis=1)
+    out *= next_probs[0]
+    for k in range(1, next_states.shape[0]):
+        term = x.take(next_states[k], axis=1)
+        term *= next_probs[k]
+        out += term
     return out
 
 
@@ -229,29 +228,31 @@ def batch_value_iteration(next_states: np.ndarray, next_probs: np.ndarray,
     """Relative value iteration over a batch of reward tables.
 
     Sweeps are those of relative_value_iteration, damping included.  A
-    candidate retires on the sweep its span falls below tol, so its
-    answer does not depend on the rest of the batch, and the batch is
-    swept in chunks whose successor gathers stay within
-    GATHER_BUDGET_BYTES.  NonConvergenceError is raised after MAX_SWEEPS
-    sweeps.
+    candidate retires on the sweep its span falls below tol, so its answer
+    does not depend on the rest of the batch, and the batch is swept in
+    chunks whose per-sweep arrays stay within GATHER_BUDGET_BYTES.
+    NonConvergenceError is raised after MAX_SWEEPS sweeps.  Q-values are
+    (B, A, S), summed by _slot_sum in slot order, and maximized over the
+    action axis, not a short innermost one.
     """
     _check_tol(tol)
-    # np.take copies an index array that is read-only on every call
-    next_states = np.require(next_states, np.intp, ["C", "W"])
     b, s, a = rewards.shape
+    next_states, next_probs = _slot_major(next_states, next_probs)
     gains = np.empty(b)
     policies = np.empty((b, s), dtype=int)
     spans = np.empty(b)
     sweeps = np.zeros(b, dtype=int)
-    for part in _chunks(b, s * a * next_states.shape[2] * 8):
+    # per candidate: five (A, S) arrays at a sweep's peak, four bias rows
+    for part in _chunks(b, 8 * s * (5 * a + 4)):
         active = np.arange(part.start, part.stop)
-        r = rewards[part]
+        r = np.ascontiguousarray(rewards[part].transpose(0, 2, 1))
         h = np.zeros((active.size, s))
         # ufunc reductions: the array methods' Python wrappers cost more
         # than a sweep of a small chain
         for it in range(1, MAX_SWEEPS + 1):
-            q = r + DAMPING * _successor_means(h, next_states, next_probs)
-            th = (1.0 - DAMPING) * h + np.maximum.reduce(q, axis=2)
+            q = DAMPING * _slot_sum(h, next_states, next_probs)
+            q += r
+            th = (1.0 - DAMPING) * h + np.maximum.reduce(q, axis=1)
             diff = th - h
             lo = np.minimum.reduce(diff, axis=1)
             hi = np.maximum.reduce(diff, axis=1)
@@ -260,11 +261,10 @@ def batch_value_iteration(next_states: np.ndarray, next_probs: np.ndarray,
                 done = span < tol
                 ids = active[done]
                 gains[ids] = (lo[done] + hi[done]) / 2.0
-                policies[ids] = q[done].argmax(axis=2)
+                policies[ids] = q[done].argmax(axis=1)
                 spans[ids] = span[done]
                 sweeps[ids] = it
                 active, th, r = active[~done], th[~done], r[~done]
-                lo, hi, span = lo[~done], hi[~done], span[~done]
                 if active.size == 0:
                     break
             h = th - th[:, :1]
@@ -324,6 +324,7 @@ def batch_policy_iteration(next_states: np.ndarray, next_probs: np.ndarray,
     step_bytes = 8 * s * (4 * s + a * next_states.shape[2])
     fits = 8 * s * a * s + step_bytes <= GATHER_BUDGET_BYTES
     dense = _dense(next_states, next_probs) if fits else None   # (S, A, S)
+    slots = _slot_major(next_states, next_probs) if fits else None
     idx = np.arange(s)
     gains = np.empty(b)
     policies = rewards.argmax(axis=2)
@@ -349,19 +350,19 @@ def batch_policy_iteration(next_states: np.ndarray, next_probs: np.ndarray,
             active, x, pol, r = active[ok], x[ok], pol[ok], r[ok]
             g = x[:, 0].copy()
             x[:, 0] = 0.0
-            q = r + _slot_sum(x, next_states, next_probs)
-            now = np.take_along_axis(q, pol[:, :, None], axis=2)[:, :, 0]
-            best = q.max(axis=2)
+            q = r.transpose(0, 2, 1) + _slot_sum(x, *slots)   # (B, A, S)
+            now = np.take_along_axis(q, pol[:, None], axis=1)[:, 0]
+            best = q.max(axis=1)
             eps = PI_IMPROVE_EPS * (1.0 + np.abs(q).max(axis=(1, 2)))
             better = best > now + eps[:, None]
             changed = better.any(axis=1)
-            policies[active] = np.where(better, q.argmax(axis=2), pol)
+            policies[active] = np.where(better, q.argmax(axis=1), pol)
             rounds[active[changed]] = rnd
             stay = ~changed
             diff = best[stay] - x[stay]
             ids = active[stay]
-            policies[ids] = (q[stay] >= (best - eps[:, None])[stay][:, :, None]
-                             ).argmax(axis=2)
+            policies[ids] = (q[stay] >= (best - eps[:, None])[stay][:, None]
+                             ).argmax(axis=1)
             gains[ids] = g[stay]
             spans[ids] = diff.max(axis=1) - diff.min(axis=1)
             residuals[ids] = np.abs(diff - g[stay][:, None]).max(axis=1)
@@ -371,7 +372,6 @@ def batch_policy_iteration(next_states: np.ndarray, next_probs: np.ndarray,
         fallback[active] = True
     with np.errstate(invalid="ignore"):
         fallback |= ~((spans < tol) & (residuals < tol))
-    steps = total
     if fallback.any():
         sub = batch_value_iteration(next_states, next_probs,
                                     rewards[fallback], tol=tol)
@@ -379,8 +379,8 @@ def batch_policy_iteration(next_states: np.ndarray, next_probs: np.ndarray,
         spans[fallback] = sub.spans
         rounds[fallback] = sub.rounds
         residuals[fallback] = sub.residuals
-        steps += sub.steps
-    return BatchSolve(gains, policies, steps, spans, rounds, fallback,
+        total += sub.steps
+    return BatchSolve(gains, policies, total, spans, rounds, fallback,
                       residuals)
 
 

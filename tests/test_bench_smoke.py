@@ -29,6 +29,7 @@ def test_benchmark_short_run_is_correct():
 # still exists but that the program no longer calls reads 0 and prints no
 # `missing hook:` line.
 WORKED = {
+    "belief": ("mdp.rvi_calls", "mdp.sweeps", "scenarios.compile_s"),
     "region": ("mdp.rvi_calls", "mdp.sweeps"),
     "simulate": ("simulate.steps", "scenarios.compile_s"),
     "vending": ("vending.compile_s", "vending.pairs", "mdp.dual_evals"),

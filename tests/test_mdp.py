@@ -432,44 +432,50 @@ def test_policy_iteration_falls_back_on_multichain_policies():
 
 
 def test_rvi_batch_chunks_keep_gathers_within_budget(monkeypatch):
-    # one candidate's (S, A, K) gather is 640 kB and eight of them 5 MB;
-    # a policy-iteration round also holds the (S, A, S) tensor, one more
-    # gather's worth, and each candidate's (S, S) systems, three more
+    # a dense chain: one candidate's (S, A, K) successor terms, a gather,
+    # take 640 kB, and so do the (S, A, S) tensor and each slot-major copy
+    # of the successor lists
     rng = np.random.default_rng(412)
     s, a = 200, 2
     raw = rng.random((s, a, s))
     mdp = FiniteMdp.from_dense(raw / raw.sum(axis=2, keepdims=True),
                                np.zeros((s, a)))
-    rewards = rng.uniform(-1.0, 1.0, (8, s, a))
+    rewards = rng.uniform(-1.0, 1.0, (64, s, a))
     gather = s * a * s * 8
 
-    def run(solve, budget):
+    def run(solve, budget, tables):
         monkeypatch.setattr(mdp_module, "GATHER_BUDGET_BYTES", budget)
         tracemalloc.start()
         try:
-            sol = solve(mdp.next_states, mdp.next_probs, rewards)
+            sol = solve(mdp.next_states, mdp.next_probs, tables)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         return sol, peak
 
-    for solve, budget in ((rvi_batch, 4 * gather),
-                          (batch_value_iteration, gather)):
-        whole, whole_peak = run(solve, 64 * gather)
-        chunked, peak = run(solve, budget)
-        assert whole_peak > 8 * gather
-        assert peak < budget + gather
-        # einsum may sum in another order for another batch size
-        np.testing.assert_allclose(whole.gains, chunked.gains, rtol=0,
-                                   atol=1e-14)
+    # a policy-iteration candidate's round takes three gathers of (S, S)
+    # systems, and the call holds the tensor and the slot-major lists,
+    # three more; a value-iteration candidate's sweep takes five (A, S)
+    # arrays and four bias rows, and the call holds the slot-major lists
+    # and the (B, S) policies
+    each = 8 * s * (5 * a + 4)
+    for solve, tables, unit, budget, once in (
+            (rvi_batch, rewards[:8], gather, 4 * gather, 3 * gather),
+            (batch_value_iteration, rewards, each, 8 * each,
+             2 * gather + rewards[..., 0].nbytes)):
+        whole, whole_peak = run(solve, 64 * gather, tables)
+        chunked, peak = run(solve, budget, tables)
+        assert whole_peak - once > budget
+        assert peak - once < budget + unit
+        np.testing.assert_array_equal(whole.gains, chunked.gains)
         np.testing.assert_array_equal(whole.policies, chunked.policies)
         assert not chunked.fallback.any()
     # below one policy-iteration round, every candidate goes to value
-    # iteration, which builds no dense tensor
-    vi, _ = run(batch_value_iteration, gather)
-    small, peak = run(rvi_batch, gather)
+    # iteration, which holds the slot-major lists but no dense tensor
+    vi, _ = run(batch_value_iteration, gather, rewards[:8])
+    small, peak = run(rvi_batch, gather, rewards[:8])
     assert small.fallback.all()
-    assert peak < 2 * gather
+    assert peak < 2 * gather + gather
     np.testing.assert_array_equal(small.gains, vi.gains)
     np.testing.assert_array_equal(small.policies, vi.policies)
 
@@ -501,3 +507,41 @@ def test_policy_iteration_bits_do_not_depend_on_the_batch():
             np.testing.assert_array_equal(alone.policies[0], sol.policies[k])
             assert alone.spans[0] == sol.spans[k]
             assert alone.residuals[0] == sol.residuals[k]
+
+
+def test_value_iteration_bits_do_not_depend_on_the_batch():
+    # every (b, a, s) adds its successor terms in slot order, and a
+    # candidate retires on its own span, whatever the batch
+    rng = np.random.default_rng(418)
+    for _ in range(60):
+        ns, probs = _slotted_chain(rng, int(rng.integers(1, 13)))
+        size = int(rng.integers(1, 257))
+        rewards = rng.uniform(-1.0, 1.0, (size, *ns.shape[:2]))
+        sol = batch_value_iteration(ns, probs, rewards, tol=1e-10)
+        for k in rng.choice(size, min(size, 6), replace=False):
+            alone = batch_value_iteration(ns, probs, rewards[k:k + 1],
+                                          tol=1e-10)
+            assert alone.gains[0] == sol.gains[k]
+            np.testing.assert_array_equal(alone.policies[0], sol.policies[k])
+            assert alone.spans[0] == sol.spans[k]
+            assert alone.rounds[0] == sol.rounds[k]
+
+
+def test_slot_sum_keeps_the_contiguous_reduction_bits_below_8_slots():
+    """Below 8 slots, the slot-major sum equals, bit for bit, the C-order
+    gather of the (S, A, K) lists summed by a contiguous np.add.reduce,
+    which value iteration used before.  From 8 slots on the slot-major sum
+    stays in plain slot order, where NumPy's pairwise blocks began, so
+    only chains with n_u * n_y >= 8 slots can move in their last bits."""
+    rng = np.random.default_rng(419)
+    for slots in range(1, 8):
+        for _ in range(10):
+            ns, probs = _slotted_chain(rng, slots)
+            x = rng.uniform(-1.0, 1.0, (int(rng.integers(1, 257)),
+                                        ns.shape[0]))
+            ev = x.take(ns, axis=1)                          # (B, S, A, K)
+            ev *= probs
+            old = np.add.reduce(ev, axis=3)
+            new = mdp_module._slot_sum(
+                x, *mdp_module._slot_major(ns, probs))       # (B, A, S)
+            np.testing.assert_array_equal(new, old.transpose(0, 2, 1))
