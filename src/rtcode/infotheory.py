@@ -65,7 +65,9 @@ def rate_distortion_point(source: ProbVector, distortion: DistortionMatrix,
     n_rec = loss.shape[1]
     live = p > 0
     q = np.full(n_rec, 1.0 / n_rec)
-    weights = np.exp(-slope * loss)
+    # each row's least loss cancels in scores / denom; taking it off keeps
+    # a row without a zero loss from underflowing to 0 / 0 at large slopes
+    weights = np.exp(-slope * (loss - loss.min(axis=1, keepdims=True)))
     cond = np.zeros_like(loss)
     step_prev = np.inf
     ext_step = np.inf

@@ -29,11 +29,12 @@ constraint costs.  The encoder always knows the x-memory, which records
 only its own inputs.  With feedback it sees the y-memory too; without it
 the chain tracks a grid belief over the y-memory.
 
-The two coding chains share one decoder-family pipeline: their
-transitions do not depend on the decoder table, so every table is
-enumerated, the rewards are batched over one transition structure, the
-batch is solved at once, and the first table within the tolerance of
-the best wins.  The vending solvers enumerate and tie alike.
+All four solvers select in one routine, _select: a chain's transitions
+do not depend on the decoder table, so each actuator map's chain is
+compiled once, every table's rewards are batched over it and solved,
+and the first (decoder, map) pair within the tolerance of the best
+wins.  Coding is the case of one map and no cost: one batched solve by
+policy iteration.  vending.py dual-solves each map's decoder family.
 
 Discretized builds carry an APPROXIMATE flag: projecting beliefs onto a
 grid has no one-sided error bound.
@@ -167,7 +168,7 @@ def _clamp_distortion(value: float, max_loss: float) -> float:
 
 def _decoder_family(spec: ProblemSpec, shape: tuple) -> np.ndarray:
     """Every decoder table of the given shape, lexicographic, capped by
-    DEFAULT_DECODER_CAP: the candidates of both selection loops."""
+    DEFAULT_DECODER_CAP: the candidates of _select."""
     return _enumerate_maps(int(np.prod(shape)), spec.num_reconstructions,
                            DEFAULT_DECODER_CAP, "decoder enumeration",
                            "reduce the decoder memory size m"
@@ -208,46 +209,64 @@ def _checked_decoder(decoder, shape: tuple, num_symbols: int) -> np.ndarray:
     return check_action_map(dec.ravel(), dec.size, num_symbols).reshape(shape)
 
 
-def _solve_decoder_family(scenario: str, spec: ProblemSpec, d: int,
-                          memory: MemorySpec, core, tol: float,
-                          params=None, diagnostics=None,
-                          flags=()) -> ScenarioSolveReport:
-    """Minimum distortion over every decoder table indexed [y, z].
+def _select(scenario: str, spec: ProblemSpec, d: int, chains,
+            decs: np.ndarray, solve, tol: float, params: dict,
+            action_maps=None, diagnostics=None,
+            flags=()) -> ScenarioSolveReport:
+    """The report of the best (decoder, actuator map) pair: the select
+    step of the four finite-memory solvers.
 
-    The tables are enumerated lexicographically, their rewards batched
-    over the core's shared transition structure and solved together by
-    rvi_batch.  Tables whose distortions lie within tol of the least
-    count as tied, and ties keep the lexicographically smallest table.  params and
-    diagnostics add scenario entries after the common ones.
+    chains yields each map's compiled chain, lazily if one at a time
+    should be alive; coding has one map and no action_maps.  solve(core)
+    returns each decoder's value, +inf if it cannot meet the budget, and
+    a function giving decoder i's (encoder policy, solver diagnostics).
+    The first pair, decoder-major, within tol of the least wins.  params
+    and diagnostics add scenario entries after the common ones.
     """
-    dec_all = _decoder_family(spec, (spec.num_channel_outputs,
-                                     memory.num_states))
-    sol = rvi_batch(core["next_states"], core["next_probs"],
-                    _chain_rewards(core, _coding_decoders(
-                        dec_all, spec.num_channel_inputs)), tol=tol)
-    best = _first_within(-sol.gains, tol)
-    distortion = _clamp_distortion(-float(sol.gains[best]),
-                                   spec.distortion.max_loss)
+    columns, outcomes = [], []
+    for core in chains:
+        values, outcome = solve(core)
+        columns.append(values)
+        outcomes.append(outcome)
+    values = np.stack(columns, axis=1)
+    if not np.isfinite(values).any():
+        raise SpecValidationError([f"no (decoder, actuator) pair meets the "
+                                   f"budget {spec.vending.costs.budget:g}"])
+    i, j = np.unravel_index(_first_within(values, tol), values.shape)
+    policy, solver_diagnostics = outcomes[j](i)
     return ScenarioSolveReport(
         scenario=scenario,
-        distortion=distortion,
-        encoder_policy=_whole_map_policy(sol.policies[best], core["shift"],
+        distortion=_clamp_distortion(values[i, j], spec.distortion.max_loss),
+        # every map's chain has the same tuple shift
+        encoder_policy=_whole_map_policy(policy, core["shift"],
                                          spec.num_channel_inputs),
-        decoder=_nested_tuple(dec_all[best]),
-        vending_action_map=None,
-        params={
-            "d": d,
-            **_memory_params("memory", memory),
-            **(params or {}),
-            **spec_params(spec),
-        },
+        decoder=_nested_tuple(decs[i]),
+        vending_action_map=(None if action_maps is None
+                            else _nested_tuple(action_maps[j])),
+        params={"d": d, **params, **spec_params(spec)},
         diagnostics={
-            **_batch_diagnostics(sol, best),
-            "decoder_candidates": int(dec_all.shape[0]),
+            **solver_diagnostics,
+            "decoder_candidates": int(decs.shape[0]),
             **(diagnostics or {}),
         },
         flags=flags,
     )
+
+
+def _coding_family(spec: ProblemSpec, memory: MemorySpec, tol: float):
+    """(decoders, solve) for _select of a coding chain: every decoder
+    table indexed [y, z], their rewards batched over the chain's shared
+    transition structure and solved together by rvi_batch."""
+    decs = _decoder_family(spec, (spec.num_channel_outputs,
+                                  memory.num_states))
+
+    def solve(core):
+        sol = rvi_batch(core["next_states"], core["next_probs"],
+                        _chain_rewards(core, _coding_decoders(
+                            decs, spec.num_channel_inputs)), tol=tol)
+        return -sol.gains, lambda i: (sol.policies[i],
+                                      _batch_diagnostics(sol, i))
+    return decs, solve
 
 
 def _tuple_chain(spec: ProblemSpec, d: int, size: int, problems: list):
@@ -433,8 +452,10 @@ def solve_feedback_finite(spec: ProblemSpec, d: int, memory: MemorySpec,
     structure.  Decoder tables whose values lie within tol of the best
     count as tied, and ties keep the lexicographically smallest table.
     """
-    return _solve_decoder_family("feedback-finite", spec, d, memory,
-                                 _coding_chain(spec, d, memory), tol)
+    return _select("feedback-finite", spec, d,
+                   [_coding_chain(spec, d, memory)],
+                   *_coding_family(spec, memory, tol), tol,
+                   _memory_params("memory", memory))
 
 
 def _project_pushforward(grid: SimplexGrid, table, weights) -> np.ndarray:
@@ -520,9 +541,9 @@ def solve_nofeedback(spec: ProblemSpec, d: int, memory: MemorySpec,
     """Approximate minimum distortion for open-loop coding, minimizing
     over all decoder tables with the tie rule of solve_feedback_finite."""
     grid = simplex_grid(memory.num_states, resolution)
-    return _solve_decoder_family(
-        "nofeedback-finite", spec, d, memory,
-        _coding_chain(spec, d, memory, grid), tol,
-        params={"grid_resolution": resolution},
+    return _select(
+        "nofeedback-finite", spec, d, [_coding_chain(spec, d, memory, grid)],
+        *_coding_family(spec, memory, tol), tol,
+        {**_memory_params("memory", memory), "grid_resolution": resolution},
         diagnostics={"grid_points": grid.size}, flags=(APPROXIMATE,),
     )

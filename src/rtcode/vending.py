@@ -15,11 +15,12 @@ Without feedback the encoder tracks a grid belief over the y-memory, and
 those solves carry the APPROXIMATE flag.  The chains themselves are
 compiled and rewarded by scenarios._memory_chain, which compiles the
 coding chains alike; this module adds the actuator map's observation law
-and the constraint costs.  Both solvers run one loop over the actuator
-maps.  Each map's chain carries the rewards of the whole decoder family,
-and one mdp.constrained_solve call dual-solves every (decoder, actuator)
-pair: decoders whose reward tables are identical share one search, and
-the distinct searches run in lockstep.  The best pair is kept.
+and the constraint costs.  Both solvers hand the actuator maps' chains,
+compiled one at a time, to scenarios._select, which keeps the best
+(decoder, actuator) pair.  Each map's chain carries the rewards of the
+whole decoder family, and one mdp.constrained_solve call dual-solves
+every pair on it: decoders whose reward tables are identical share one
+search, and the distinct searches run in lockstep.
 """
 from __future__ import annotations
 
@@ -40,9 +41,8 @@ from .mdp import (DUAL_TOL, ConstrainedMdp, DualResult, FiniteMdp,
 from .mdp import relative_value_iteration  # noqa: F401
 from .models import ProblemSpec
 from .scenarios import (APPROXIMATE, MemorySpec, ScenarioSolveReport,
-                        _chain_rewards, _clamp_distortion, _decoder_family,
-                        _first_within, _memory_chain, _memory_params,
-                        _nested_tuple, _whole_map_policy, spec_params)
+                        _chain_rewards, _decoder_family, _memory_chain,
+                        _memory_params, _select)
 from .simplex import SimplexGrid, simplex_grid
 
 
@@ -102,98 +102,73 @@ def _decoder_shape(spec: ProblemSpec, mem_x: MemorySpec,
             mem_x.num_states, mem_y.num_states)
 
 
-def _pair_value(res: DualResult, budget: float) -> float:
-    """Dual distortion of one pair, or +inf for a pair that cannot meet
-    the budget: its dual search ends at the bracket edge with an average
-    action cost still above the budget."""
-    if res.bracket_edge and res.avg_constraint_cost > budget + 1e-9:
-        return np.inf
-    return -res.dual_value
-
-
-def _best_pair(values: np.ndarray, budget: float) -> tuple[int, int]:
-    """Lowest (decoder, actuator) index whose value is within DUAL_TOL of
-    the least, by the tie rule of the decoder family.  Raise if no pair
-    meets the budget."""
-    if not np.isfinite(values).any():
-        raise SpecValidationError(
-            [f"no (decoder, actuator) pair meets the budget {budget:g}"])
-    best_i, best_j = np.unravel_index(_first_within(values, DUAL_TOL),
-                                      values.shape)
-    return int(best_i), int(best_j)
-
-
 def _solve_pairs(scenario: str, spec: ProblemSpec, d: int, mem_x: MemorySpec,
                  mem_y: MemorySpec, grid: Optional[SimplexGrid],
                  rvi_tol: float, params=None, diagnostics=None,
                  flags=()) -> ScenarioSolveReport:
-    """The actuator loop behind both vending solvers, open-loop given the
-    grid.
+    """Both vending solvers, open-loop given the grid: every (decoder,
+    actuator) pair, selected by scenarios._select.
 
     Each actuator map's chain is compiled once, rewarded for the whole
     decoder family in one call, and dual-solved in one constrained_solve
     call, which gives every decoder the result of its own search (one
-    search per distinct reward table).  The best pair is
-    kept by _best_pair with the encoder policy that its search solved at
-    the dual minimizer.
-    params and diagnostics add scenario entries after the common ones.
+    search per distinct reward table).  A pair whose search ends at the
+    bracket edge with an average action cost still above the budget
+    cannot meet it and scores +inf.  The winning pair reports the
+    encoder policy that its search solved at the dual minimizer.
     """
     _require_vending(spec)
-    budget = spec.vending.costs.budget
-    shape = _decoder_shape(spec, mem_x, mem_y)
-    decs = _decoder_family(spec, shape)
-    avs = _enumerate_maps(shape[0], spec.vending.num_actions,
+    decs = _decoder_family(spec, _decoder_shape(spec, mem_x, mem_y))
+    avs = _enumerate_maps(spec.num_channel_inputs, spec.vending.num_actions,
                           scenarios.DEFAULT_DECODER_CAP,
                           "actuator enumeration",
                           "reduce the channel input alphabet")
-    duals = []
-    for av in avs:
-        core = _vending_feedback_core(spec, d, mem_x, mem_y, av, grid)
+
+    def solve(core):
         cmdp = _pair_cmdp(core, _vending_feedback_rewards(core, decs), spec)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            duals.append(constrained_solve(cmdp, rvi_tol=rvi_tol))
-    values = np.array([[_pair_value(res, budget) for res in batch]
-                       for batch in duals]).T
-    best_i, best_j = _best_pair(values, budget)
-    best = duals[best_j][best_i]
+            duals = constrained_solve(cmdp, rvi_tol=rvi_tol)
+        values = [np.inf if res.bracket_edge and res.avg_constraint_cost
+                  > spec.vending.costs.budget + 1e-9
+                  else -res.dual_value for res in duals]
+        return np.array(values), lambda i: _dual_outcome(duals[i])
+
+    return _select(
+        scenario, spec, d,
+        (_vending_feedback_core(spec, d, mem_x, mem_y, av, grid)
+         for av in avs),
+        decs, solve, DUAL_TOL,
+        {**_memory_params("memory_x", mem_x),
+         **_memory_params("memory_y", mem_y), **(params or {})},
+        action_maps=avs,
+        diagnostics={"actuator_candidates": int(avs.shape[0]),
+                     **(diagnostics or {})},
+        flags=flags,
+    )
+
+
+def _dual_outcome(best: DualResult) -> tuple:
+    """(encoder policy, diagnostics) of the winning pair's dual search,
+    whose bracket warning is the only one raised."""
     if best.bracket_edge:
+        # frames up: the lambda in _solve_pairs, scenarios._select,
+        # _solve_pairs, the public solver, and then its caller
         warnings.warn(
             "dual minimizer at lambda_max for the best pair; "
             "the bracket may be too small",
-            RuntimeWarning, stacklevel=3,
+            RuntimeWarning, stacklevel=6,
         )
-    return ScenarioSolveReport(
-        scenario=scenario,
-        distortion=_clamp_distortion(-best.dual_value,
-                                     spec.distortion.max_loss),
-        # every actuator map's core has the same tuple shift
-        encoder_policy=_whole_map_policy(best.policy, core["shift"],
-                                         spec.num_channel_inputs),
-        decoder=_nested_tuple(decs[best_i]),
-        vending_action_map=tuple(int(a) for a in avs[best_j]),
-        params={
-            "d": d,
-            **_memory_params("memory_x", mem_x),
-            **_memory_params("memory_y", mem_y),
-            **(params or {}),
-            **spec_params(spec),
-        },
-        diagnostics={
-            "lambda_star": best.lambda_star,
-            "dual_value": best.dual_value,
-            "gain_at_lambda_star": best.gain_at_lambda_star,
-            "avg_constraint_cost": best.avg_constraint_cost,
-            "bracket_edge": best.bracket_edge,
-            "dual_evaluations": best.evaluations,
-            "iterations": best.iterations,
-            "final_span": best.final_span,
-            "decoder_candidates": int(decs.shape[0]),
-            "actuator_candidates": int(avs.shape[0]),
-            **(diagnostics or {}),
-        },
-        flags=flags,
-    )
+    return best.policy, {
+        "lambda_star": best.lambda_star,
+        "dual_value": best.dual_value,
+        "gain_at_lambda_star": best.gain_at_lambda_star,
+        "avg_constraint_cost": best.avg_constraint_cost,
+        "bracket_edge": best.bracket_edge,
+        "dual_evaluations": best.evaluations,
+        "iterations": best.iterations,
+        "final_span": best.final_span,
+    }
 
 
 def solve_vending_feedback(spec: ProblemSpec, d: int, mem_x: MemorySpec,

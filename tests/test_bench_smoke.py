@@ -30,9 +30,10 @@ def test_benchmark_short_run_is_correct():
 # `missing hook:` line.
 WORKED = {
     "belief": ("mdp.rvi_calls", "mdp.sweeps", "scenarios.compile_s"),
-    "region": ("mdp.rvi_calls", "mdp.sweeps"),
+    "region": ("mdp.rvi_calls", "mdp.sweeps", "scenarios.compile_s"),
     "simulate": ("simulate.steps", "scenarios.compile_s"),
-    "vending": ("vending.compile_s", "vending.pairs", "mdp.dual_evals"),
+    "vending": ("vending.compile_s", "vending.pairs", "mdp.dual_evals",
+                "vending.loop_s"),
 }
 
 

@@ -1,8 +1,11 @@
 """Capacity, rate-distortion, and entropy helpers."""
+import warnings
+
 import numpy as np
 import pytest
 
-from rtcode import bernoulli_source, bsc, hamming
+from rtcode import (DistortionMatrix, ProbVector, bernoulli_source, bsc,
+                    hamming)
 from rtcode.infotheory import (
     binary_entropy,
     channel_capacity,
@@ -64,3 +67,17 @@ def test_zero_rate_distortion_is_best_constant_guess():
     # guessing 1 costs 0.9*3; guessing 0 costs 0.1*1
     assert zero_rate_distortion(bernoulli_source(0.1), loss) \
         == pytest.approx(0.1)
+
+
+@pytest.mark.parametrize("slope", [500.0, 800.0, 2000.0])
+def test_rate_distortion_point_at_large_slope_without_zero_loss(slope):
+    # no loss row has a zero entry, so exp(-slope * loss) underflows in
+    # every row: the point must still come out of the iteration without
+    # a 0 / 0, with each symbol sent to its least-loss reconstruction
+    source = ProbVector.make([0.5, 0.3, 0.2])
+    dist = DistortionMatrix.make([[1.0, 2.0], [3.0, 1.5], [2.0, 1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rate, d_val, _ = rate_distortion_point(source, dist, slope)
+    assert d_val == pytest.approx(1.15, abs=1e-9)
+    assert rate == pytest.approx(1.0, abs=1e-9)

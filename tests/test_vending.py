@@ -1,4 +1,5 @@
 """Vending-machine scenarios: builders, duals, enumeration."""
+import dataclasses
 import json
 import warnings
 from pathlib import Path
@@ -20,10 +21,10 @@ from rtcode import (
 )
 from rtcode.bayes import belief_update_sideinfo_memory
 from rtcode.lookahead import _enumerate_maps, build_markov_kernel
-from rtcode.mdp import FiniteMdp, constrained_solve
+from rtcode.mdp import DUAL_TOL, FiniteMdp, constrained_solve
 from rtcode.scenarios import (DEFAULT_DECODER_CAP, _chain_rewards,
-                              _decoder_family)
-from rtcode.vending import (_best_pair, _decoder_shape, _pair_cmdp,
+                              _decoder_family, _select)
+from rtcode.vending import (_decoder_shape, _pair_cmdp,
                             _vending_feedback_core, _vending_feedback_rewards)
 from conftest import all_maps, nearest, pair_lagrangian, whole_map
 
@@ -337,6 +338,23 @@ def test_vending_infeasible_pair_cannot_win():
         assert rep.distortion == pytest.approx(0.3, abs=1e-8)
 
 
+def test_vending_bracket_warning_names_the_solvers_caller(monkeypatch):
+    """Every pair's search ending at the bracket edge, within the budget,
+    raises one warning, for the winning pair, at the caller's line."""
+    solve = vending.constrained_solve
+    monkeypatch.setattr(vending, "constrained_solve", lambda *a, **k: [
+        dataclasses.replace(res, bracket_edge=True) for res in solve(*a, **k)])
+    mem_x, mem_y = memory_last_m(0, 1), memory_last_m(0, 2)
+    for run in (lambda: solve_vending_feedback(_toy_spec(), 0, mem_x, mem_y),
+                lambda: solve_vending_nofeedback(_toy_spec(), 0, mem_x,
+                                                 mem_y, 2)):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run().diagnostics["bracket_edge"]
+        assert [(w.filename, str(w.message)[:30]) for w in caught] == [
+            (__file__, "dual minimizer at lambda_max f")]
+
+
 def test_vending_solvers_need_vending_data():
     spec = binary_problem(0.3, 0.3)
     mem = memory_last_m(0, 2)
@@ -346,16 +364,33 @@ def test_vending_solvers_need_vending_data():
         solve_vending_nofeedback(spec, 0, mem, mem, 2)
 
 
+def _selected_pair(values, budget):
+    """The (decoder, actuator) pair that scenarios._select reports for a
+    table of pair values indexed [decoder, map], at the given budget."""
+    values = np.asarray(values)
+    n_dec, n_map = values.shape
+    columns = iter(values.T)
+
+    def solve(core):
+        return next(columns), lambda i: ((), {})
+    rep = _select("vending-feedback", _toy_spec(budget), 0,
+                  [{"shift": np.zeros((1, 1), dtype=int)}] * n_map,
+                  np.arange(n_dec)[:, None], solve, DUAL_TOL, {},
+                  action_maps=np.arange(n_map)[:, None])
+    return rep.decoder[0], rep.vending_action_map[0]
+
+
 def test_vending_no_feasible_pair_names_the_budget():
     # validated specs always have a free action, so this guards the
     # selection step itself
     with pytest.raises(SpecValidationError, match="budget 0.25"):
-        _best_pair(np.full((4, 2), np.inf), 0.25)
-    assert _best_pair(np.array([[np.inf, 0.5], [0.5, 0.2]]), 0.25) == (1, 1)
+        _selected_pair(np.full((4, 2), np.inf), 0.25)
+    assert _selected_pair([[np.inf, 0.5], [0.5, 0.2]], 0.25) == (1, 1)
     # values within the tolerance tie, and the lowest index wins even
     # where the float minimum lies further on
-    assert _best_pair(np.array([[0.2 + 1e-15, 0.5], [0.2, 0.9]]),
-                      0.25) == (0, 0)
+    assert _selected_pair([[0.2 + 1e-15, 0.5], [0.2, 0.9]], 0.25) == (0, 0)
+    # the order is decoder-major: a lower decoder beats a lower map
+    assert _selected_pair([[0.5, 0.2], [0.2, 0.9]], 0.25) == (0, 1)
 
 
 @pytest.mark.parametrize("name", ["toy", "ternary"])
