@@ -12,13 +12,17 @@ negated reward and flip the sign of the reported gain.
 batch_value_iteration holds the one value-iteration sweep loop.  Both
 batched solvers add expected next values slot by slot (_slot_sum) into
 action-major (B, A, S) Q-values.
+
+constrained_solve is the one Lagrangian dual routine: it takes a batch of
+reward tables on one chain, a constraint cost table and a budget, and
+returns a DualBatch with one DualResult per table.  It flags a minimizer
+at the bracket edge in that result and warns of nothing; a search that
+cannot narrow to DUAL_TOL raises NonConvergenceError.
 """
 from __future__ import annotations
 
 import itertools
-import warnings
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 from scipy.sparse import csc_matrix, csr_matrix
@@ -508,39 +512,6 @@ def exhaustive_policy_search(mdp: FiniteMdp):
 
 
 @dataclass(frozen=True)
-class ConstrainedMdp:
-    """MDP with a per-step constraint cost and an average-cost budget."""
-
-    mdp: FiniteMdp
-    cost: np.ndarray
-    budget: float
-
-    def check(self) -> list[str]:
-        out = self.mdp.check()
-        cost = np.asarray(self.cost)
-        if cost.shape != self.mdp.rewards.shape[-2:]:
-            out.append("constraint cost table must match the reward shape")
-            return out
-        if not np.all(np.isfinite(cost)) or np.any(cost < 0):
-            out.append("constraint costs must be finite and nonnegative")
-        if self.budget < 0:
-            out.append("budget must be nonnegative")
-        return out
-
-
-def lagrangian_mdp(cmdp: ConstrainedMdp, lam) -> FiniteMdp:
-    """Unconstrained MDP whose reward absorbs the budget constraint at
-    multiplier lam: reward + lam * (budget - cost).  For a batch of
-    reward tables lam may hold one multiplier per table."""
-    lam = np.asarray(lam, dtype=float)
-    if np.any(lam < 0):
-        raise SpecValidationError([f"multiplier {lam} must be nonnegative"])
-    base = cmdp.mdp
-    rewards = base.rewards + lam[..., None, None] * (cmdp.budget - cmdp.cost)
-    return FiniteMdp(base.next_states, base.next_probs, rewards)
-
-
-@dataclass(frozen=True)
 class DualResult:
     """Outcome of one table's dual search, with the solve at lambda_star."""
 
@@ -556,9 +527,9 @@ class DualResult:
 
 
 class DualBatch(tuple):
-    """What constrained_solve returns for a batch of reward tables: one
-    DualResult per table, with the total of their dual evaluations
-    (tables that share a search count its evaluations each)."""
+    """What constrained_solve returns: one DualResult per reward table,
+    with the total of their dual evaluations (tables that share a search
+    count its evaluations each)."""
 
     evaluations = property(lambda self: sum(r.evaluations for r in self))
 
@@ -567,11 +538,13 @@ _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
 
 def _golden_section(lambda_max: float, slope: float):
-    """One table's golden-section search over [0, lambda_max], stopped
-    once the bracket width times slope, the largest dual slope, is below
+    """One table's golden-section search over [0, lambda_max], run until
+    the bracket width times slope, the largest dual slope, is at most
     DUAL_TOL.  It yields each multiplier it has not evaluated, is sent the
     dual value there (the optimal gain, as a float), and returns the dual
-    values by multiplier and the width of the final bracket."""
+    values by multiplier and the width of the final bracket.  A bracket
+    that stops narrowing first, as one near a large multiplier does at the
+    spacing of floats there, raises NonConvergenceError."""
     values: dict[float, float] = {}
 
     def dual(lam):
@@ -585,9 +558,14 @@ def _golden_section(lambda_max: float, slope: float):
         yield from dual(lam)
     fc = yield from dual(c)
     fd = yield from dual(d)
-    for _ in range(200):
-        if slope * (b - a) <= DUAL_TOL or (b - a) <= 1e-14:
-            break
+    width = np.inf
+    while slope * (b - a) > DUAL_TOL:
+        if b - a >= width:
+            raise NonConvergenceError(
+                f"dual search stopped narrowing near lambda = {a:.6g} at "
+                f"width {b - a:.3e}, above DUAL_TOL / slope = "
+                f"{DUAL_TOL / slope:.3e}")
+        width = b - a
         if fc <= fd:
             b, d, fd = d, c, fc
             c = b - _GOLDEN * (b - a)
@@ -599,30 +577,45 @@ def _golden_section(lambda_max: float, slope: float):
     return values, b - a
 
 
-def constrained_solve(cmdp: ConstrainedMdp, lambda_max: Optional[float] = None,
-                      rvi_tol: float = 1e-10) -> DualResult | DualBatch:
-    """Minimize the Lagrangian dual of a budget-constrained MDP.
+def constrained_solve(mdp: FiniteMdp, cost, budget: float, lambda_max=None,
+                      rvi_tol: float = 1e-10) -> DualBatch:
+    """Minimize the Lagrangian dual of a budget-constrained MDP for each
+    of a batch of reward tables.
 
-    The dual value d(lam) is the optimal gain of the Lagrangian MDP; it is
-    convex in lam, so a golden-section search over [0, lambda_max] finds
-    its minimum.  A positive minimizer pinned at lambda_max usually
-    signals an infeasible instance or a bracket chosen too small, and is
-    flagged.  Rewards of shape (B, S, A) give a DualBatch.  A table equal
-    bit for bit to an earlier one with the same lambda_max shares that
-    table's DualResult; the distinct tables' searches run in lockstep,
-    one batch_value_iteration call per step over those still searching,
-    and each keeps the DualResult it gets alone.  Only the solve at each
+    mdp's rewards are a (B, S, A) batch on one chain, and cost is the
+    (S, A) constraint cost, whose average must stay within budget.  The
+    dual value d(lam) of a table is the optimal gain of its Lagrangian
+    rewards + lam * (budget - cost); it is convex in lam, so a
+    golden-section search over [0, lambda_max] finds its minimum, which
+    for a unichain model is the optimum of the constrained problem.  A
+    positive minimizer pinned at lambda_max usually signals an infeasible
+    table or a bracket chosen too small, and sets that DualResult's
+    bracket_edge; nothing is warned here.  A search whose bracket stops
+    narrowing before its width times the largest dual slope is within
+    DUAL_TOL raises NonConvergenceError.  A table equal bit for bit to
+    an earlier one with the same lambda_max shares that table's
+    DualResult; the distinct tables' searches run in lockstep, one
+    batch_value_iteration call per step over those still searching, and
+    each keeps the DualResult it gets alone.  Only the solve at each
     table's minimizer is kept as a SolveResult, and the recurrent classes
     behind its average cost are found once per distinct policy.
     """
-    problems = cmdp.check()
+    cost = np.asarray(cost, dtype=float)
+    problems = mdp.check()
+    if mdp.rewards.ndim != 3:
+        problems.append("rewards must have shape (B, S, A)")
+    elif cost.shape != mdp.rewards.shape[1:]:
+        problems.append("constraint cost table must match the reward shape")
+    elif not np.all(np.isfinite(cost)) or np.any(cost < 0):
+        problems.append("constraint costs must be finite and nonnegative")
+    if budget < 0:
+        problems.append("budget must be nonnegative")
     if problems:
         raise SpecValidationError(problems)
-    base = cmdp.mdp
-    rewards = base.rewards.reshape(-1, *base.rewards.shape[-2:])
+    rewards = mdp.rewards
     if lambda_max is None:
         rng = rewards.max(axis=(1, 2)) - rewards.min(axis=(1, 2))
-        pos = cmdp.cost[cmdp.cost > 0]
+        pos = cost[cost > 0]
         lambda_max = (np.where(rng > 0, rng, 1.0)
                       / (float(pos.min()) if pos.size else 1.0))
     if np.any(lambda_max <= 0):
@@ -633,12 +626,9 @@ def constrained_solve(cmdp: ConstrainedMdp, lambda_max: Optional[float] = None,
     first: dict[bytes, int] = {}
     for i, key in enumerate(keys):
         first.setdefault(key, i)
-    rows = list(first.values())
-    distinct = ConstrainedMdp(
-        FiniteMdp(base.next_states, base.next_probs, rewards[rows]),
-        cmdp.cost, cmdp.budget)
-    slack = np.abs(cmdp.budget - cmdp.cost)
-    slope = float(slack.max()) if slack.size else 1.0
+    rows = np.array(list(first.values()), dtype=int)
+    slack = budget - cost
+    slope = float(np.abs(slack).max()) if slack.size else 1.0
     searches = [_golden_section(float(tops[i]), slope) for i in rows]
     lams = np.array([next(search) for search in searches])
     # per search, the (BatchSolve, row) that solved each multiplier
@@ -647,8 +637,9 @@ def constrained_solve(cmdp: ConstrainedMdp, lambda_max: Optional[float] = None,
     asking = np.arange(len(rows))
     while asking.size:
         sol = batch_value_iteration(
-            base.next_states, base.next_probs,
-            lagrangian_mdp(distinct, lams).rewards[asking], tol=rvi_tol)
+            mdp.next_states, mdp.next_probs,
+            rewards[rows[asking]] + lams[asking, None, None] * slack,
+            tol=rvi_tol)
         gains = sol.gains.tolist()
         for row, k in enumerate(asking):
             solved[k][lams[k]] = sol, row
@@ -667,19 +658,12 @@ def constrained_solve(cmdp: ConstrainedMdp, lambda_max: Optional[float] = None,
         edge = star > 0.0 and star >= tops[i] - max(width, 1e-14)
         policy = best.policy.tobytes()
         if policy not in classes:
-            classes[policy] = _policy_classes(base, best.policy)
+            classes[policy] = _policy_classes(mdp, best.policy)
         stats = _class_means(classes[policy], best.policy,
-                             rewards[i] + star * (cmdp.budget - cmdp.cost),
-                             rewards[i], cmdp.cost)
+                             rewards[i] + star * slack, rewards[i], cost)
         _, gain_g, avg_cost = max(stats, key=lambda t: t[0])
         results.append(DualResult(float(star), best.gain, gain_g, avg_cost,
                                   bool(edge), len(values), best.policy,
                                   best.iterations, best.final_span))
     by_key = dict(zip(first, results))
-    out = [by_key[key] for key in keys]
-    if any(res.bracket_edge for res in out):
-        warnings.warn(
-            "dual minimizer at lambda_max; the bracket may be too small",
-            RuntimeWarning, stacklevel=2,
-        )
-    return DualBatch(out) if base.rewards.ndim == 3 else out[0]
+    return DualBatch(by_key[key] for key in keys)

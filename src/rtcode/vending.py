@@ -18,9 +18,11 @@ coding chains alike; this module adds the actuator map's observation law
 and the constraint costs.  Both solvers hand the actuator maps' chains,
 compiled one at a time, to scenarios._select, which keeps the best
 (decoder, actuator) pair.  Each map's chain carries the rewards of the
-whole decoder family, and one mdp.constrained_solve call dual-solves
-every pair on it: decoders whose reward tables are identical share one
-search, and the distinct searches run in lockstep.
+whole decoder family, and one mdp.constrained_solve(chain, cost, budget)
+call dual-solves every pair on it: decoders whose reward tables are
+identical share one search, and the distinct searches run in lockstep.
+constrained_solve only flags a search that ends at the bracket edge;
+_dual_outcome warns of it, for the winning pair alone.
 """
 from __future__ import annotations
 
@@ -33,8 +35,7 @@ from . import scenarios
 from .bayes import check_action_map
 from .errors import SpecValidationError
 from .lookahead import _enumerate_maps
-from .mdp import (DUAL_TOL, ConstrainedMdp, DualResult, FiniteMdp,
-                  constrained_solve)
+from .mdp import DUAL_TOL, DualResult, FiniteMdp, constrained_solve
 # Unused here: constrained_solve sweeps by batch_value_iteration.
 # rtbench/hooks.py still wraps relative_value_iteration under this name
 # and reports the solve layer as unmeasured when the name is missing.
@@ -88,13 +89,6 @@ def _vending_feedback_rewards(core, decs: np.ndarray) -> np.ndarray:
     return np.stack([_chain_rewards(core, dec[None])[0] for dec in decs])
 
 
-def _pair_cmdp(core, rewards: np.ndarray, spec: ProblemSpec) -> ConstrainedMdp:
-    return ConstrainedMdp(
-        FiniteMdp(core["next_states"], core["next_probs"], rewards),
-        core["cost"], spec.vending.costs.budget,
-    )
-
-
 def _decoder_shape(spec: ProblemSpec, mem_x: MemorySpec,
                    mem_y: MemorySpec) -> tuple:
     """Axes [x, y, m, n] of a vending decoder table."""
@@ -111,11 +105,12 @@ def _solve_pairs(scenario: str, spec: ProblemSpec, d: int, mem_x: MemorySpec,
 
     Each actuator map's chain is compiled once, rewarded for the whole
     decoder family in one call, and dual-solved in one constrained_solve
-    call, which gives every decoder the result of its own search (one
-    search per distinct reward table).  A pair whose search ends at the
-    bracket edge with an average action cost still above the budget
-    cannot meet it and scores +inf.  The winning pair reports the
-    encoder policy that its search solved at the dual minimizer.
+    call on that chain, its cost table and the budget, which gives every
+    decoder the result of its own search (one search per distinct reward
+    table).  A pair whose search ends at the bracket edge with an average
+    action cost still above the budget cannot meet it and scores +inf.
+    The winning pair reports the encoder policy that its search solved at
+    the dual minimizer.
     """
     _require_vending(spec)
     decs = _decoder_family(spec, _decoder_shape(spec, mem_x, mem_y))
@@ -125,10 +120,10 @@ def _solve_pairs(scenario: str, spec: ProblemSpec, d: int, mem_x: MemorySpec,
                           "reduce the channel input alphabet")
 
     def solve(core):
-        cmdp = _pair_cmdp(core, _vending_feedback_rewards(core, decs), spec)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            duals = constrained_solve(cmdp, rvi_tol=rvi_tol)
+        chain = FiniteMdp(core["next_states"], core["next_probs"],
+                          _vending_feedback_rewards(core, decs))
+        duals = constrained_solve(chain, core["cost"],
+                                  spec.vending.costs.budget, rvi_tol=rvi_tol)
         values = [np.inf if res.bracket_edge and res.avg_constraint_cost
                   > spec.vending.costs.budget + 1e-9
                   else -res.dual_value for res in duals]

@@ -6,9 +6,8 @@ import pytest
 
 from rtcode import (ProblemSpec, ProbVector, StochasticMatrix, hamming,
                     scenarios)
-from rtcode.mdp import FiniteMdp, lagrangian_mdp
+from rtcode.mdp import FiniteMdp
 from rtcode.scenarios import _chain_rewards, _tuple_chain
-from rtcode.vending import _pair_cmdp
 
 TIE_L1 = 1e-12
 
@@ -105,7 +104,8 @@ def solve_with_whole_maps(solve, *args):
 
 def pair_lagrangian(spec, core, dec, lam):
     """The Lagrangian MDP at multiplier lam of one vending decoder indexed
-    [x, y, m, n] on an actuator map's compiled core: the pair loop's
-    constrained MDP of that pair, at a fixed multiplier."""
+    [x, y, m, n] on an actuator map's compiled core: that pair's reward
+    plus lam * (budget - cost), the table its dual search solves at lam."""
     rewards = _chain_rewards(core, np.asarray(dec)[None])[0]
-    return lagrangian_mdp(_pair_cmdp(core, rewards, spec), lam)
+    return FiniteMdp(core["next_states"], core["next_probs"],
+                     rewards + lam * (spec.vending.costs.budget - core["cost"]))

@@ -255,6 +255,36 @@ def test_spec_file_with_vending_merge(capsys, tmp_path):
     assert doc["distortion"] == pytest.approx(0.0, abs=1e-8)
 
 
+@pytest.mark.parametrize("tiny", [1e-30, 1e-100])
+def test_vending_tiny_cost_does_not_break_the_budget(capsys, tmp_path, tiny):
+    """A priced action of cost 1e-100 puts the dual bracket at about
+    1e100.  The search must still narrow to its tolerance and print the
+    answer of cost 1e-30, the same problem to any practical precision,
+    not stop short at lam = 0 and print a pair four times over budget."""
+    spec_file = tmp_path / "problem.json"
+    spec_file.write_text(json.dumps({
+        "source": [0.5, 0.3, 0.2],
+        "channel": [[0.9, 0.1], [0.1, 0.9]],
+        "distortion": [[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]],
+    }))
+    vend_file = tmp_path / "vending.json"
+    vend_file.write_text(json.dumps({
+        "kernel": [[0.5, 0.5], [0.8, 0.2], [0.99, 0.01], [0.5, 0.5],
+                   [0.2, 0.8], [0.01, 0.99], [0.5, 0.5], [0.5, 0.5],
+                   [0.5, 0.5]],
+        "costs": [0.0, tiny, 1.0],
+        "budget": 0.2,
+    }))
+    rc, out = _run(capsys, ["solve", "--spec", str(spec_file), "--vending",
+                            str(vend_file), "--d", "0"])
+    assert rc == 0
+    doc = json.loads(out)
+    assert doc["distortion"] == pytest.approx(0.16, abs=1e-9)
+    assert doc["vending_action_map"] == [0, 1]
+    assert not doc["diagnostics"]["bracket_edge"]
+    assert doc["diagnostics"]["avg_constraint_cost"] <= 0.2
+
+
 def test_bad_inputs_exit_2(capsys):
     assert _run(capsys, ["solve"])[0] == 2
     assert _run(capsys, ["solve", "--source", "uniform:3", "--channel",

@@ -5,18 +5,17 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from rtcode import CapacityError, NonConvergenceError, SpecValidationError
 from rtcode import mdp as mdp_module
 from rtcode.mdp import (
-    ConstrainedMdp,
     FiniteMdp,
     batch_policy_iteration,
     batch_value_iteration,
     constrained_solve,
     evaluate_policy,
     exhaustive_policy_search,
-    lagrangian_mdp,
     relative_value_iteration,
     rvi_batch,
 )
@@ -192,49 +191,30 @@ def test_solvers_reject_a_tolerance_no_span_can_meet(tol):
 
 
 def _budget_mdp(r_free, r_paid, cost_paid, budget):
-    """Single state, two actions: a free one and a costly one."""
+    """Single state, two actions: a free one and a costly one.  The
+    (chain, cost, budget) arguments of constrained_solve, with a batch of
+    one reward table."""
     mdp = _single_state([r_free, r_paid])
-    cost = np.array([[0.0, cost_paid]])
-    return ConstrainedMdp(mdp, cost, budget)
+    return (FiniteMdp(mdp.next_states, mdp.next_probs, mdp.rewards[None]),
+            np.array([[0.0, cost_paid]]), budget)
 
 
-def test_lagrangian_reward_arithmetic():
-    cmdp = _budget_mdp(-0.3, -0.3, 1.0, 0.4)
-    lam = lagrangian_mdp(cmdp, 2.0)
-    assert lam.rewards[0, 1] == pytest.approx(-0.3 + 2.0 * (0.4 - 1.0))
-    assert lam.rewards[0, 0] == pytest.approx(-0.3 + 2.0 * 0.4)
-
-
-def test_lagrangian_at_zero_is_base():
-    cmdp = _budget_mdp(0.1, 0.9, 1.0, 0.5)
-    np.testing.assert_allclose(lagrangian_mdp(cmdp, 0.0).rewards,
-                               cmdp.mdp.rewards)
-
-
-def test_lagrangian_slack_zero_everywhere():
-    mdp = _single_state([0.2, 0.7])
-    cmdp = ConstrainedMdp(mdp, np.full((1, 2), 0.4), 0.4)
-    for lam in (0.0, 1.0, 5.0):
-        np.testing.assert_allclose(lagrangian_mdp(cmdp, lam).rewards,
-                                   mdp.rewards)
-
-
-def test_lagrangian_rejects_negative_multiplier():
-    cmdp = _budget_mdp(0.0, 1.0, 1.0, 0.5)
-    with pytest.raises(SpecValidationError):
-        lagrangian_mdp(cmdp, -0.5)
+def _lagrangian(mdp, cost, budget, lam):
+    """The unconstrained MDP of mdp's first reward table at multiplier
+    lam: reward + lam * (budget - cost)."""
+    return FiniteMdp(mdp.next_states, mdp.next_probs,
+                     mdp.rewards[0] + lam * (budget - cost))
 
 
 def test_constrained_solve_slack_budget_is_unconstrained():
-    cmdp = _budget_mdp(0.0, 0.6, 1.0, 1.0)
-    res = constrained_solve(cmdp)
+    res = constrained_solve(*_budget_mdp(0.0, 0.6, 1.0, 1.0))[0]
     assert res.dual_value == pytest.approx(0.6, abs=1e-8)
     assert res.lambda_star == pytest.approx(0.0, abs=1e-6)
 
 
 def test_constrained_solve_binding_at_zero_budget():
-    cmdp = _budget_mdp(0.0, 0.6, 1.0, 0.0)
-    res = constrained_solve(cmdp, lambda_max=2.0)
+    res = constrained_solve(*_budget_mdp(0.0, 0.6, 1.0, 0.0),
+                            lambda_max=2.0)[0]
     # paying is never affordable on average; the dual pushes to the
     # zero-cost action's gain
     assert res.dual_value == pytest.approx(0.0, abs=1e-8)
@@ -242,8 +222,8 @@ def test_constrained_solve_binding_at_zero_budget():
 
 def test_constrained_solve_interior_kink():
     # dual(lam) = max(0.5*lam, 0.6 - 0.5*lam): kink at lam=0.6, value 0.3
-    cmdp = _budget_mdp(0.0, 0.6, 1.0, 0.5)
-    res = constrained_solve(cmdp, lambda_max=1.0)
+    res = constrained_solve(*_budget_mdp(0.0, 0.6, 1.0, 0.5),
+                            lambda_max=1.0)[0]
     assert res.lambda_star == pytest.approx(0.6, abs=1e-4)
     assert res.dual_value == pytest.approx(0.3, abs=1e-7)
     assert not res.bracket_edge
@@ -251,9 +231,9 @@ def test_constrained_solve_interior_kink():
 
 def test_constrained_solve_dual_beats_lambda_grid():
     cmdp = _budget_mdp(0.0, 0.6, 1.0, 0.5)
-    res = constrained_solve(cmdp, lambda_max=1.0)
+    res = constrained_solve(*cmdp, lambda_max=1.0)[0]
     grid = np.linspace(0.0, 1.0, 1000)
-    grid_vals = [relative_value_iteration(lagrangian_mdp(cmdp, lam),
+    grid_vals = [relative_value_iteration(_lagrangian(*cmdp, lam),
                                           tol=1e-10).gain for lam in grid]
     spacing = 1.0 / 999.0
     max_slope = 1.0    # |budget - cost| is at most 1 here
@@ -266,35 +246,119 @@ def test_dual_is_convex_on_grid():
     base = random_unichain_mdp(rng, max_states=3, max_actions=3)
     cost = rng.uniform(0.0, 1.0, base.rewards.shape)
     cost[:, 0] = 0.0
-    cmdp = ConstrainedMdp(base, cost, 0.3)
+    chain = FiniteMdp(base.next_states, base.next_probs, base.rewards[None])
     lams = np.linspace(0.0, 2.0, 41)
-    vals = np.array([relative_value_iteration(lagrangian_mdp(cmdp, lam),
-                                              tol=1e-11).gain for lam in lams])
+    vals = np.array([
+        relative_value_iteration(_lagrangian(chain, cost, 0.3, lam),
+                                 tol=1e-11).gain for lam in lams])
     second = vals[2:] - 2 * vals[1:-1] + vals[:-2]
     assert second.min() >= -1e-8
 
 
-def test_constrained_solve_warns_on_bracket_edge():
+def test_constrained_solve_flags_bracket_edge_without_warning():
     # costly action strictly dominates but is infeasible: the dual keeps
-    # improving out to lambda_max
-    cmdp = _budget_mdp(0.0, 2.0, 1.0, 0.25)
-    with pytest.warns(RuntimeWarning):
-        res = constrained_solve(cmdp, lambda_max=1.0)
+    # improving out to lambda_max.  The result says so; warning about it
+    # is the caller's choice.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = constrained_solve(*_budget_mdp(0.0, 2.0, 1.0, 0.25),
+                                lambda_max=1.0)[0]
     assert res.bracket_edge
     assert res.lambda_star == pytest.approx(1.0, abs=1e-4)
 
 
 def test_constrained_solve_zero_slack_is_not_bracket_edge():
     # every action costs exactly the budget: the search stops at lam = 0
-    cmdp = ConstrainedMdp(_single_state([0.2, 0.7]), np.full((1, 2), 0.4),
-                          0.4)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        res = constrained_solve(cmdp, lambda_max=1.0)
-    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    mdp = _single_state([0.2, 0.7])
+    chain = FiniteMdp(mdp.next_states, mdp.next_probs, mdp.rewards[None])
+    res = constrained_solve(chain, np.full((1, 2), 0.4), 0.4,
+                            lambda_max=1.0)[0]
     assert not res.bracket_edge
     assert res.lambda_star == 0.0
     assert res.dual_value == pytest.approx(0.7, abs=1e-9)
+
+
+def test_constrained_solve_takes_a_batch_and_checks_its_inputs():
+    chain, cost, budget = _budget_mdp(0.0, 0.6, 1.0, 0.5)
+    single = FiniteMdp(chain.next_states, chain.next_probs, chain.rewards[0])
+    for args, message in [
+            ((single, cost, budget), "shape \\(B, S, A\\)"),
+            ((chain, cost[:, :1], budget), "match the reward shape"),
+            ((chain, -cost, budget), "finite and nonnegative"),
+            ((chain, cost, -0.1), "budget must be nonnegative")]:
+        with pytest.raises(SpecValidationError, match=message):
+            constrained_solve(*args)
+
+
+def occupation_lp(trans, loss, cost, budget):
+    """Minimum average loss over randomized stationary policies of a
+    constrained chain, by the occupation-measure linear program (HiGHS).
+
+    trans has shape (S, A, S); loss and cost have shape (S, A).  The
+    variables are the long-run frequencies of each (state, action): they
+    balance the flow through every state, sum to 1, and pay at most the
+    budget on average.
+    """
+    n_s, n_a, _ = trans.shape
+    n = n_s * n_a
+    flow = np.zeros((n_s, n))
+    for s in range(n_s):
+        for a in range(n_a):
+            col = s * n_a + a
+            flow[s, col] += 1.0
+            flow[:, col] -= trans[s, a]
+    a_eq = np.vstack([flow, np.ones((1, n))])
+    b_eq = np.zeros(n_s + 1)
+    b_eq[-1] = 1.0
+    res = linprog(loss.ravel(), A_ub=cost.reshape(1, n), b_ub=[budget],
+                  A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
+    assert res.status == 0, res.message
+    return float(res.fun)
+
+
+def test_constrained_solve_matches_occupation_lp():
+    """On unichain models the dual optimum is the constrained optimum,
+    which the occupation-measure LP computes directly."""
+    binding = 0
+    for seed in range(60):
+        rng = np.random.default_rng(4200 + seed)
+        base = random_unichain_mdp(rng)
+        while base.num_actions < 2:     # one action leaves nothing to price
+            base = random_unichain_mdp(rng)
+        cost = rng.uniform(0.0, 1.0, base.rewards.shape)
+        cost[:, 0] = 0.0        # a free action keeps every budget feasible
+        budget = rng.uniform(0.05, max(0.05, cost.max()))
+        chain = FiniteMdp(base.next_states, base.next_probs,
+                          base.rewards[None])
+        res = constrained_solve(chain, cost, budget)[0]
+        lp = occupation_lp(base.dense(), -base.rewards, cost, budget)
+        assert res.dual_value == pytest.approx(-lp, abs=1e-7), seed
+        binding += res.lambda_star > 0.0
+    # the budget binds in a fair share of them
+    assert binding >= 15
+
+
+def test_constrained_solve_narrows_a_wide_bracket_to_its_tolerance():
+    # a cost of 1e-100 puts lambda_max at 1e100; the search must narrow
+    # to DUAL_TOL around the kink at 0.5, not stop after a fixed number
+    # of steps at lam = 0 with the unconstrained value 1.0
+    mdp = _single_state([0.0, 0.5, 1.0])
+    chain = FiniteMdp(mdp.next_states, mdp.next_probs, mdp.rewards[None])
+    cost = np.array([[0.0, 1e-100, 1.0]])
+    res = constrained_solve(chain, cost, 0.5)[0]
+    lp = occupation_lp(mdp.dense(), -mdp.rewards, cost, 0.5)
+    assert lp == pytest.approx(-0.75, abs=1e-9)
+    assert res.dual_value == pytest.approx(-lp, abs=1e-7)
+    assert res.lambda_star == pytest.approx(0.5, abs=1e-6)
+    assert not res.bracket_edge
+
+
+def test_constrained_solve_raises_when_the_bracket_stops_narrowing():
+    # the kink sits at lam = 1e20, where floats are 16384 apart: no
+    # bracket there gets within DUAL_TOL / slope = 2e-8
+    chain, cost, budget = _budget_mdp(0.0, 1e20, 1.0, 0.5)
+    with pytest.raises(NonConvergenceError, match="stopped narrowing"):
+        constrained_solve(chain, cost, budget, lambda_max=1e21)
 
 
 _DUAL_FIELDS = ("lambda_star", "dual_value", "gain_at_lambda_star",
@@ -322,7 +386,8 @@ def _solved_rows(monkeypatch):
 
 def _priced_tables(seed):
     """A random three-state chain with a costly second action, two random
-    reward tables on it, and a ConstrainedMdp factory for its rewards."""
+    reward tables on it, and a factory of constrained_solve's (chain,
+    cost, budget) arguments for a (B, S, A) batch of its rewards."""
     rng = np.random.default_rng(seed)
     raw = rng.random((3, 2, 3)) + 1e-3
     base = FiniteMdp.from_dense(raw / raw.sum(axis=2, keepdims=True),
@@ -330,18 +395,16 @@ def _priced_tables(seed):
     cost = np.array([[0.0, 1.0]] * 3)
 
     def cmdp(rewards):
-        return ConstrainedMdp(FiniteMdp(base.next_states, base.next_probs,
-                                        rewards), cost, 0.4)
+        return (FiniteMdp(base.next_states, base.next_probs, rewards),
+                cost, 0.4)
     return cmdp, rng.uniform(-1, 1, (3, 2)), rng.uniform(-1, 1, (3, 2))
 
 
 def test_constrained_solve_equal_tables_share_one_search(monkeypatch):
     cmdp, r0, r1 = _priced_tables(415)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        singles = [constrained_solve(cmdp(r)) for r in (r0, r1)]
-        rows = _solved_rows(monkeypatch)
-        batch = constrained_solve(cmdp(np.stack([r0, r1, r0])))
+    singles = [constrained_solve(*cmdp(r[None]))[0] for r in (r0, r1)]
+    rows = _solved_rows(monkeypatch)
+    batch = constrained_solve(*cmdp(np.stack([r0, r1, r0])))
     for got, want in zip(batch, (*singles, singles[0])):
         _assert_same_dual(got, want)
     # the repeated table counts its evaluations but is not swept again
@@ -354,13 +417,11 @@ def test_constrained_solve_equal_tables_with_other_brackets_search_apart(
         monkeypatch):
     cmdp, r0, _ = _priced_tables(416)
     tops = (1.0, 2.0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        singles = [constrained_solve(cmdp(r0), lambda_max=top)
-                   for top in tops]
-        rows = _solved_rows(monkeypatch)
-        batch = constrained_solve(cmdp(np.stack([r0, r0])),
-                                  lambda_max=np.array(tops))
+    singles = [constrained_solve(*cmdp(r0[None]), lambda_max=top)[0]
+               for top in tops]
+    rows = _solved_rows(monkeypatch)
+    batch = constrained_solve(*cmdp(np.stack([r0, r0])),
+                              lambda_max=np.array(tops))
     for got, want in zip(batch, singles):
         _assert_same_dual(got, want)
     assert sum(rows) == batch.evaluations == sum(

@@ -1,7 +1,6 @@
 """Vending-machine scenarios: builders, duals, enumeration."""
 import dataclasses
 import json
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -24,9 +23,13 @@ from rtcode.lookahead import _enumerate_maps, build_markov_kernel
 from rtcode.mdp import DUAL_TOL, FiniteMdp, constrained_solve
 from rtcode.scenarios import (DEFAULT_DECODER_CAP, _chain_rewards,
                               _decoder_family, _select)
-from rtcode.vending import (_decoder_shape, _pair_cmdp,
-                            _vending_feedback_core, _vending_feedback_rewards)
+from rtcode.vending import (_decoder_shape, _vending_feedback_core,
+                            _vending_feedback_rewards)
 from conftest import all_maps, nearest, pair_lagrangian, whole_map
+
+# constrained_solve warns of nothing: the one bracket warning is the
+# winning pair's, and a test that expects it says so with pytest.warns
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 TOY = {
     "source": [0.7, 0.3],
@@ -136,20 +139,16 @@ def test_vending_feedback_perfect_free_side_channel_lossless():
                     "costs": [0.0], "budget": 0.0},
     }
     spec = spec_from_dict(perfect)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        rep = solve_vending_feedback(spec, 0, memory_last_m(0, 1),
-                                     memory_last_m(0, 2))
+    rep = solve_vending_feedback(spec, 0, memory_last_m(0, 1),
+                                 memory_last_m(0, 2))
     assert rep.distortion == pytest.approx(0.0, abs=1e-9)
 
 
 def test_vending_feedback_budget_endpoints():
     mem_x = memory_last_m(0, 1)
     mem_y = memory_last_m(0, 2)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        slack = solve_vending_feedback(_toy_spec(1.0), 0, mem_x, mem_y)
-        binding = solve_vending_feedback(_toy_spec(0.0), 0, mem_x, mem_y)
+    slack = solve_vending_feedback(_toy_spec(1.0), 0, mem_x, mem_y)
+    binding = solve_vending_feedback(_toy_spec(0.0), 0, mem_x, mem_y)
     # a full budget affords the revealing action every step
     assert slack.distortion == pytest.approx(0.0, abs=1e-8)
     # zero budget forbids the informative action on average
@@ -162,19 +161,15 @@ def test_vending_feedback_value_monotone_in_budget():
     mem_x = memory_last_m(0, 1)
     mem_y = memory_last_m(0, 2)
     values = []
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        for g in (0.0, 0.25, 0.5, 0.75, 1.0):
-            rep = solve_vending_feedback(_toy_spec(g), 0, mem_x, mem_y)
-            values.append(rep.distortion)
+    for g in (0.0, 0.25, 0.5, 0.75, 1.0):
+        rep = solve_vending_feedback(_toy_spec(g), 0, mem_x, mem_y)
+        values.append(rep.distortion)
     assert all(b <= a + 1e-9 for a, b in zip(values, values[1:]))
 
 
 def test_vending_feedback_report_diagnostics():
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        rep = solve_vending_feedback(_toy_spec(0.5), 0, memory_last_m(0, 1),
-                                     memory_last_m(0, 2))
+    rep = solve_vending_feedback(_toy_spec(0.5), 0, memory_last_m(0, 1),
+                                 memory_last_m(0, 2))
     diag = rep.diagnostics
     assert diag["lambda_star"] >= 0.0
     assert diag["decoder_candidates"] == 4
@@ -302,10 +297,8 @@ def test_vending_open_loop_chain_is_feedback_chain_without_y_memory(d, m):
 
 
 def test_vending_nofeedback_solve_flags_approximate():
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        rep = solve_vending_nofeedback(_toy_spec(1.0), 0, memory_last_m(0, 1),
-                                       memory_last_m(0, 2), 4)
+    rep = solve_vending_nofeedback(_toy_spec(1.0), 0, memory_last_m(0, 1),
+                                   memory_last_m(0, 2), 4)
     assert rep.scenario == "vending-nofeedback"
     assert "APPROXIMATE" in rep.flags
     # the informative action remains affordable and memoryless decoding
@@ -318,10 +311,8 @@ def test_vending_feedback_matches_nofeedback_on_deterministic_memories():
     spec = with_budget(spec_from_dict(RICH), 0.5)
     mem_x = memory_last_m(0, 2)
     mem_y = memory_last_m(0, 2)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        fb = solve_vending_feedback(spec, 0, mem_x, mem_y)
-        nf = solve_vending_nofeedback(spec, 0, mem_x, mem_y, 2)
+    fb = solve_vending_feedback(spec, 0, mem_x, mem_y)
+    nf = solve_vending_nofeedback(spec, 0, mem_x, mem_y, 2)
     assert nf.distortion == pytest.approx(fb.distortion, abs=1e-8)
 
 
@@ -329,10 +320,8 @@ def test_vending_infeasible_pair_cannot_win():
     # at budget 0.75 the always-pay actuator (average cost 1) cannot meet
     # the budget, so the free pair's 0.3 wins in both settings
     mem_x, mem_y = memory_last_m(0, 1), memory_last_m(0, 2)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        fb = solve_vending_feedback(_toy_spec(0.75), 0, mem_x, mem_y)
-        nf = solve_vending_nofeedback(_toy_spec(0.75), 0, mem_x, mem_y, 2)
+    fb = solve_vending_feedback(_toy_spec(0.75), 0, mem_x, mem_y)
+    nf = solve_vending_nofeedback(_toy_spec(0.75), 0, mem_x, mem_y, 2)
     for rep in (fb, nf):
         assert rep.diagnostics["avg_constraint_cost"] <= 0.75
         assert rep.distortion == pytest.approx(0.3, abs=1e-8)
@@ -342,14 +331,14 @@ def test_vending_bracket_warning_names_the_solvers_caller(monkeypatch):
     """Every pair's search ending at the bracket edge, within the budget,
     raises one warning, for the winning pair, at the caller's line."""
     solve = vending.constrained_solve
-    monkeypatch.setattr(vending, "constrained_solve", lambda *a, **k: [
-        dataclasses.replace(res, bracket_edge=True) for res in solve(*a, **k)])
+    monkeypatch.setattr(vending, "constrained_solve", lambda *a, **k:
+                        mdp.DualBatch(dataclasses.replace(res, bracket_edge=True)
+                                      for res in solve(*a, **k)))
     mem_x, mem_y = memory_last_m(0, 1), memory_last_m(0, 2)
     for run in (lambda: solve_vending_feedback(_toy_spec(), 0, mem_x, mem_y),
                 lambda: solve_vending_nofeedback(_toy_spec(), 0, mem_x,
                                                  mem_y, 2)):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
+        with pytest.warns(RuntimeWarning) as caught:
             assert run().diagnostics["bracket_edge"]
         assert [(w.filename, str(w.message)[:30]) for w in caught] == [
             (__file__, "dual minimizer at lambda_max f")]
@@ -406,20 +395,22 @@ def test_lockstep_dual_matches_one_search_per_decoder(name):
     fields = ("lambda_star", "dual_value", "gain_at_lambda_star",
               "avg_constraint_cost", "bracket_edge", "evaluations",
               "iterations", "final_span")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        for av in avs:
-            core = _vending_feedback_core(spec, 0, mem_x, mem_y, av)
-            rewards = _vending_feedback_rewards(core, decs)
-            batch = constrained_solve(_pair_cmdp(core, rewards, spec))
-            assert len(batch) == decs.shape[0]
-            singles = [constrained_solve(_pair_cmdp(core, r, spec))
-                       for r in rewards]
-            assert batch.evaluations == sum(r.evaluations for r in singles)
-            for got, want in zip(batch, singles):
-                assert [getattr(got, f) for f in fields] == [
-                    getattr(want, f) for f in fields]
-                np.testing.assert_array_equal(got.policy, want.policy)
+    for av in avs:
+        core = _vending_feedback_core(spec, 0, mem_x, mem_y, av)
+        rewards = _vending_feedback_rewards(core, decs)
+
+        def dual(tables):
+            return constrained_solve(
+                FiniteMdp(core["next_states"], core["next_probs"], tables),
+                core["cost"], spec.vending.costs.budget)
+        batch = dual(rewards)
+        assert len(batch) == decs.shape[0]
+        singles = [dual(r[None])[0] for r in rewards]
+        assert batch.evaluations == sum(r.evaluations for r in singles)
+        for got, want in zip(batch, singles):
+            assert [getattr(got, f) for f in fields] == [
+                getattr(want, f) for f in fields]
+            np.testing.assert_array_equal(got.policy, want.policy)
 
 
 def test_vending_solve_validates_each_actuator_chain_once(monkeypatch):
@@ -433,10 +424,8 @@ def test_vending_solve_validates_each_actuator_chain_once(monkeypatch):
         return check(self)
     monkeypatch.setattr(FiniteMdp, "check", counted)
     spec = _input_spec("ternary", 0.5)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        report = solve_vending_feedback(spec, 0, memory_last_m(0, 2),
-                                        memory_last_m(0, 2))
+    report = solve_vending_feedback(spec, 0, memory_last_m(0, 2),
+                                    memory_last_m(0, 2))
     assert report.diagnostics["actuator_candidates"] == 4
     assert 0 < len(calls) <= 4
 
@@ -450,10 +439,8 @@ def _ternary_duals(monkeypatch, budget):
         batches.append(solve(*args, **kwargs))
         return batches[-1]
     monkeypatch.setattr(vending, "constrained_solve", tapped)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        solve_vending_feedback(_input_spec("ternary", budget), 0,
-                               memory_last_m(0, 2), memory_last_m(0, 2))
+    solve_vending_feedback(_input_spec("ternary", budget), 0,
+                           memory_last_m(0, 2), memory_last_m(0, 2))
     return batches
 
 
