@@ -20,8 +20,7 @@ import sys
 from .baselines import (_map_tasks, d0_distortion, shannon_limit,
                         suboptimality_region, symbol_by_symbol_check,
                         uncoded_condition_check)
-from .errors import (CapacityError, NonConvergenceError, SpecValidationError,
-                     UnreachableObservationError)
+from .errors import CapacityError, NonConvergenceError, SpecValidationError
 from .models import (ProblemSpec, _check_capacity, bernoulli_source,
                      binary_problem, bsc, hamming, load_spec, spec_from_dict,
                      with_budget)
@@ -575,11 +574,8 @@ def main(argv=None) -> int:
         return int(code) if isinstance(code, int) else 2
     try:
         return args.func(args)
-    except (SpecValidationError, CapacityError,
-            UnreachableObservationError) as err:
-        sys.stderr.write(f"error: {err}\n")
-        return 2
-    except (FileNotFoundError, json.JSONDecodeError, ValueError) as err:
+    except (CapacityError, FileNotFoundError, ValueError) as err:
+        # ValueError: also spec, unreachable-observation and JSON errors
         sys.stderr.write(f"error: {err}\n")
         return 2
     except NonConvergenceError as err:

@@ -407,17 +407,22 @@ def _memory_chain(spec: ProblemSpec, d: int, mem_x: MemorySpec,
 def _chain_rewards(core, decs: np.ndarray) -> np.ndarray:
     """(T, S, A) negated expected losses for a batch of decoders indexed
     [t, x, y, m, n], with the y-memory averaged under the chain's belief
-    over it.  Point-mass beliefs return each loss unchanged."""
-    n_v, n_m, g_n, n_a, n_u, n_y, n_x = core["shape"]
+    over it.  Point-mass beliefs return each loss unchanged.  A step's
+    (u, y) outcomes are added in slot order, u outer, then negated, so a
+    decoder's bits, signed zeros too, do not depend on its batch."""
     u_next, x_sent, prob = core["u_next"], core["x_sent"], core["prob"]
     expected = np.einsum("hn,ctxymn->cxtymh", core["points_n"],
                          core["loss"][:, decs])                # (C, X, T, Y, M, Gn)
-    n_t = decs.shape[0]
-    rewards = np.empty((n_t, n_v, n_m, g_n, n_a))
-    for a in range(n_a):
-        gathered = expected[u_next, x_sent[a]]                 # (V, U, T, Y, M, Gn)
-        rewards[..., a] = -np.einsum("vuy,vutymh->tvmh", prob[a], gathered)
-    return rewards.reshape(n_t, n_v * n_m * g_n, n_a)
+    n_a, n_v, n_u, n_y = prob.shape
+    n_t, _, n_m, g_n = expected.shape[2:]
+    out = np.zeros((n_a, n_v, n_t, n_m, g_n))
+    for u in range(n_u):
+        for y in range(n_y):
+            term = expected[u_next[:, u], x_sent[:, :, u], :, y]   # (A, V, T, M, Gn)
+            term *= prob[:, :, u, y, None, None, None]
+            out += term
+    return np.negative(out, out=out).transpose(2, 1, 3, 4, 0).reshape(
+        n_t, -1, n_a)
 
 
 def _coding_law(spec: ProblemSpec) -> tuple:

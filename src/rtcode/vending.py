@@ -12,17 +12,17 @@ side observations y.  The encoder always knows the x-memory, since x
 reaches the decoder without noise, so that memory is part of the state
 in both variants.  With feedback the y-memory is part of the state too.
 Without feedback the encoder tracks a grid belief over the y-memory, and
-those solves carry the APPROXIMATE flag.  The chains themselves are
-compiled and rewarded by scenarios._memory_chain, which compiles the
-coding chains alike; this module adds the actuator map's observation law
-and the constraint costs.  Both solvers hand the actuator maps' chains,
-compiled one at a time, to scenarios._select, which keeps the best
-(decoder, actuator) pair.  Each map's chain carries the rewards of the
-whole decoder family, and one mdp.constrained_solve(chain, cost, budget)
-call dual-solves every pair on it: decoders whose reward tables are
-identical share one search, and the distinct searches run in lockstep.
-constrained_solve only flags a search that ends at the bracket edge;
-_dual_outcome warns of it, for the winning pair alone.
+those solves carry the APPROXIMATE flag.  scenarios._memory_chain and
+_chain_rewards compile and reward the chains, as they do the coding
+chains; this module adds the actuator map's observation law and the
+constraint costs.  Both solvers hand the actuator maps' chains, compiled
+one at a time, to scenarios._select, which keeps the best (decoder,
+actuator) pair.  Each map's chain carries the whole decoder family's
+rewards, built in one call, and one mdp.constrained_solve(chain, cost,
+budget) call dual-solves every pair on it: decoders whose reward tables
+are identical share one search, and the distinct searches run in
+lockstep.  constrained_solve only flags a search that ends at the
+bracket edge; _dual_outcome warns of it, for the winning pair alone.
 """
 from __future__ import annotations
 
@@ -81,12 +81,9 @@ def _vending_feedback_core(spec: ProblemSpec, d: int, mem_x: MemorySpec,
     return core
 
 
-def _vending_feedback_rewards(core, decs: np.ndarray) -> np.ndarray:
-    """The decoders' stacked rewards on one actuator map's chain, built
-    one decoder at a time: a batched contraction sums in another order,
-    which moves rewards by up to 1.1e-16 and with them the number of
-    dual evaluations."""
-    return np.stack([_chain_rewards(core, dec[None])[0] for dec in decs])
+# The whole decoder family's rewards on one actuator map's chain, in one
+# call; a decoder's rewards do not depend on the batch.
+_vending_feedback_rewards = _chain_rewards
 
 
 def _decoder_shape(spec: ProblemSpec, mem_x: MemorySpec,
@@ -104,13 +101,14 @@ def _solve_pairs(scenario: str, spec: ProblemSpec, d: int, mem_x: MemorySpec,
     actuator) pair, selected by scenarios._select.
 
     Each actuator map's chain is compiled once, rewarded for the whole
-    decoder family in one call, and dual-solved in one constrained_solve
-    call on that chain, its cost table and the budget, which gives every
-    decoder the result of its own search (one search per distinct reward
-    table).  A pair whose search ends at the bracket edge with an average
-    action cost still above the budget cannot meet it and scores +inf.
-    The winning pair reports the encoder policy that its search solved at
-    the dual minimizer.
+    decoder family in one batch-independent _chain_rewards call, and
+    dual-solved in one constrained_solve call on that chain, its cost
+    table and the budget, which gives every decoder the result of its
+    own search (one search per distinct reward table).  A pair whose
+    search ends at the bracket edge with an average action cost still
+    above the budget cannot meet it and scores +inf.  The winning pair
+    reports the encoder policy that its search solved at the dual
+    minimizer.
     """
     _require_vending(spec)
     decs = _decoder_family(spec, _decoder_shape(spec, mem_x, mem_y))

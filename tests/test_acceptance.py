@@ -11,7 +11,6 @@ import contextlib
 import io
 import json
 import time
-import warnings
 
 import numpy as np
 import pytest
@@ -36,6 +35,8 @@ from rtcode.mdp import (evaluate_policy, exhaustive_policy_search,
 from rtcode.simulate import PolicyBundle
 from rtcode.vending import _vending_feedback_core
 from conftest import all_maps, pair_lagrangian, random_unichain_mdp
+
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 GRID21 = [round(0.025 * i, 5) for i in range(21)]
 GRID11 = [round(0.05 * i, 5) for i in range(11)]
@@ -178,9 +179,7 @@ def _dual_once():
     out = {}
     for gamma in (0.0, 0.25, 0.5, 0.75, 1.0):
         spec = with_budget(spec0, gamma)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            rep = solve_vending_feedback(spec, 0, mem_x, mem_y)
+        rep = solve_vending_feedback(spec, 0, mem_x, mem_y)
         core = _vending_feedback_core(spec, 0, mem_x, mem_y,
                                       rep.vending_action_map)
         build = lambda lam: pair_lagrangian(spec, core, rep.decoder, lam)
@@ -365,12 +364,9 @@ def test_acceptance_7_vending_duals(capsys, dual_runs):
             best = max(best, relative_value_iteration(mdp, tol=1e-10).gain)
     assert abs(values[-1] - (-best)) <= 1e-8
 
-    with warnings.catch_warnings():
-        # zero action costs make the dual flat, so the edge report is moot
-        warnings.simplefilter("ignore", RuntimeWarning)
-        restricted = solve_vending_feedback(spec_from_dict(TOY_FREE), 0,
-                                            mem_x, memory_last_m(0, 2)
-                                            ).distortion
+    restricted = solve_vending_feedback(spec_from_dict(TOY_FREE), 0,
+                                        mem_x, memory_last_m(0, 2)
+                                        ).distortion
     assert abs(values[0] - restricted) <= 1e-8
 
     for hi, lo in zip(values, values[1:]):

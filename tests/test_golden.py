@@ -16,6 +16,8 @@ import pytest
 
 from rtcode.cli import main
 
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 GOLDEN = Path(__file__).parent / "golden"
 
 # Two small vending problems.  In TOY the channel carries nothing, so
@@ -104,7 +106,6 @@ def _argv(name: str, where: Path) -> list[str]:
     return [a.format(**files) for a in CASES[name]]
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_output(name, tmp_path, capsys):
     assert main(_argv(name, tmp_path)) == 0
@@ -116,14 +117,12 @@ if __name__ == "__main__":
     import contextlib
     import io
     import tempfile
-    import warnings
 
     GOLDEN.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
         for case in sorted(CASES):
             buf = io.StringIO()
-            with warnings.catch_warnings(), contextlib.redirect_stdout(buf):
-                warnings.simplefilter("ignore", RuntimeWarning)
+            with contextlib.redirect_stdout(buf):
                 rc = main(_argv(case, Path(tmp)))
             if rc != 0:
                 sys.exit(f"{case}: exit code {rc}")

@@ -1,7 +1,6 @@
 """Scenario compilers against brute-force one-step oracles."""
 import json
 import time
-import warnings
 
 import numpy as np
 import pytest
@@ -35,6 +34,8 @@ from rtcode.scenarios import (_chain_rewards, _coding_chain,
                               build_feedback_complete_discretized)
 from conftest import (all_maps, nearest, random_rows, random_spec,
                       solve_with_whole_maps, whole_map)
+
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 # Binary sources over channels whose input and output alphabets differ,
 # on which a chain that mixes up the two axes builds the wrong tables.
@@ -517,10 +518,8 @@ def test_successor_actions_match_whole_map_oracle(chain, seed):
     """Per-successor actions against the whole-map chain: the same value,
     tables and printed encoder policy."""
     solve, args = _oracle_case(chain, seed)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        got = solve(*args)
-        want = solve_with_whole_maps(solve, *args)
+    got = solve(*args)
+    want = solve_with_whole_maps(solve, *args)
     assert abs(got.distortion - want.distortion) <= 1e-12
     assert got.decoder == want.decoder
     assert got.vending_action_map == want.vending_action_map

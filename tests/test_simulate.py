@@ -1,7 +1,6 @@
 """Monte Carlo cross-checks of solved policies on the true system."""
 import importlib
 import tracemalloc
-import warnings
 
 import numpy as np
 import pytest
@@ -24,6 +23,8 @@ from rtcode import (
 from rtcode.scenarios import _coding_chain, _whole_map_policy
 from rtcode.simulate import BURN_IN, SimReport, _pick, _step_table
 from rtcode.vending import _vending_feedback_core
+
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 # the package exports the function simulate under the module's name
 simulate_module = importlib.import_module("rtcode.simulate")
@@ -108,10 +109,8 @@ def test_sim_gap_shrinks_with_horizon(solved_d11):
 
 def test_sim_vending_full_budget_is_lossless_and_billed():
     spec = with_budget(spec_from_dict(TOY), 1.0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        report = solve_vending_feedback(spec, 0, memory_last_m(0, 1),
-                                        memory_last_m(0, 2))
+    report = solve_vending_feedback(spec, 0, memory_last_m(0, 1),
+                                    memory_last_m(0, 2))
     bundle = PolicyBundle.from_report(report)
     out = simulate(bundle, spec, 0, 2000, 2, seed=7)
     assert out.mean_distortion == 0.0
@@ -120,10 +119,8 @@ def test_sim_vending_full_budget_is_lossless_and_billed():
 
 def test_sim_vending_zero_budget_spends_nothing():
     spec = with_budget(spec_from_dict(TOY), 0.0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        report = solve_vending_feedback(spec, 0, memory_last_m(0, 1),
-                                        memory_last_m(0, 2))
+    report = solve_vending_feedback(spec, 0, memory_last_m(0, 1),
+                                    memory_last_m(0, 2))
     bundle = PolicyBundle.from_report(report)
     out = simulate(bundle, spec, 0, 20000, 4, seed=9)
     assert out.mean_action_cost == pytest.approx(0.0, abs=1e-12)
@@ -154,10 +151,8 @@ def test_sim_vending_nofeedback_matches_base_gain():
     # open-loop chain is exact; the simulator runs the policy solved at
     # the dual minimizer, whose loss is the base gain there
     spec = with_budget(spec_from_dict(TOY), 0.5)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        report = solve_vending_nofeedback(spec, 0, memory_last_m(0, 1),
-                                          memory_last_m(0, 2), 2)
+    report = solve_vending_nofeedback(spec, 0, memory_last_m(0, 1),
+                                      memory_last_m(0, 2), 2)
     bundle = PolicyBundle.from_report(report)
     assert bundle.scenario == "vending-nofeedback"
     out = simulate(bundle, spec, 0, 20000, 10, seed=19)

@@ -1,5 +1,6 @@
 """Vending-machine scenarios: builders, duals, enumeration."""
 import dataclasses
+import itertools
 import json
 from pathlib import Path
 
@@ -22,6 +23,7 @@ from rtcode.bayes import belief_update_sideinfo_memory
 from rtcode.lookahead import _enumerate_maps, build_markov_kernel
 from rtcode.mdp import DUAL_TOL, FiniteMdp, constrained_solve
 from rtcode.scenarios import (DEFAULT_DECODER_CAP, _chain_rewards,
+                              _coding_chain, _coding_decoders,
                               _decoder_family, _select)
 from rtcode.vending import (_decoder_shape, _vending_feedback_core,
                             _vending_feedback_rewards)
@@ -466,3 +468,90 @@ def test_ternary_dual_evaluations_stay_pinned(monkeypatch, budget, total):
     """Tables that share a search still count its evaluations each."""
     assert sum(batch.evaluations
                for batch in _ternary_duals(monkeypatch, budget)) == total
+
+
+# Chains whose rewards must not depend on the decoder batch.  A coding
+# chain is a vending chain with one x-memory state and the channel's law
+# (scenarios._coding_law), so both kinds go through _chain_rewards.
+CODING_CHAINS = [
+    pytest.param("coding", (p, delta), d, m, res,
+                 id=f"coding-p{p}-delta{delta}-d{d}-m{m}-grid{res}")
+    for p, delta in ((0.3, 0.3), (0.2, 0.1))
+    for d in range(3) for m in range(3)
+    for res in ((None, 3, 10) if m else (None,))]
+VENDING_CHAINS = [
+    pytest.param("vending", name, d, (mx, my), res,
+                 id=f"vending-{name}-d{d}-mx{mx}-my{my}-grid{res}")
+    for name in ("toy", "ternary", "binary", "rich")
+    for d in range(2) for mx in range(2) for my in range(2)
+    for res in (None, 3)]
+
+
+def _rewarded_cores(kind, instance, d, memory, res):
+    """(core, decoders) of each chain of one configuration: a coding
+    chain, or each actuator map's vending chain, with at most 64 of its
+    decoders, drawn at random when the family is larger."""
+    rng = np.random.default_rng(91)
+    if kind == "coding":
+        spec = binary_problem(*instance)
+        mem_y = memory_last_m(memory, 2)
+        shape = (2, mem_y.num_states)
+    else:
+        spec = (spec_from_dict(RICH) if instance == "rich"
+                else _input_spec(instance, 0.5))
+        mem_x = memory_last_m(memory[0], spec.num_channel_inputs)
+        mem_y = memory_last_m(memory[1], spec.num_channel_outputs)
+        shape = _decoder_shape(spec, mem_x, mem_y)
+    n_z = spec.num_reconstructions
+    size = int(np.prod(shape))
+    decs = (all_maps(size, n_z) if n_z ** size <= 64
+            else rng.integers(0, n_z, size=(64, size))).reshape(-1, *shape)
+    grid = None if res is None else simplex_grid(mem_y.num_states, res)
+    if kind == "coding":
+        return [(_coding_chain(spec, d, mem_y, grid),
+                 _coding_decoders(decs, 2))]
+    avs = all_maps(spec.num_channel_inputs, spec.vending.num_actions)
+    return [(_vending_feedback_core(spec, d, mem_x, mem_y, av, grid), decs)
+            for av in avs]
+
+
+@pytest.mark.parametrize("kind, instance, d, memory, res",
+                         CODING_CHAINS + VENDING_CHAINS)
+def test_chain_rewards_do_not_depend_on_batch(kind, instance, d, memory,
+                                              res):
+    """Each decoder's rewards are the same bits, signed zeros included,
+    in its full batch, in a batch of one and in half the batch."""
+    for core, decs in _rewarded_cores(kind, instance, d, memory, res):
+        full = _chain_rewards(core, decs).view(np.int64)
+        half = decs.shape[0] // 2
+        np.testing.assert_array_equal(
+            _chain_rewards(core, decs[half:]).view(np.int64), full[half:])
+        for i in range(decs.shape[0]):
+            np.testing.assert_array_equal(
+                _chain_rewards(core, decs[i:i + 1])[0].view(np.int64),
+                full[i])
+
+
+@pytest.mark.parametrize("kind, instance, d, memory", [
+    pytest.param("coding", (0.3, 0.3), 1, 0, id="coding"),
+    pytest.param("vending", "ternary", 0, (0, 0), id="vending")])
+def test_chain_rewards_add_outcomes_in_slot_order(kind, instance, d, memory):
+    """A plain loop that adds each step's (u, y) terms in slot order, u
+    outer and y inner, and negates the sum gives the rewards bit for bit
+    on feedback chains, whose y-memory is a point mass."""
+    for core, decs in _rewarded_cores(kind, instance, d, memory, None):
+        rewards = _chain_rewards(core, decs)
+        loss, prob = core["loss"], core["prob"]
+        n_a, n_v, n_u, n_y = prob.shape
+        _, n_m, n_n = core["shape"][:3]
+        for t, a, v, m, n in itertools.product(
+                range(decs.shape[0]), range(n_a), range(n_v), range(n_m),
+                range(n_n)):
+            total = 0.0
+            for u in range(n_u):
+                c, x = core["u_next"][v, u], core["x_sent"][a, v, u]
+                for y in range(n_y):
+                    total += prob[a, v, u, y] * loss[c, decs[t, x, y, m, n]]
+            s = (v * n_m + m) * n_n + n
+            assert rewards[t, s, a].view(np.int64) == np.float64(
+                -total).view(np.int64)
