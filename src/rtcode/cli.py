@@ -73,10 +73,9 @@ def _parse_channel(token: str):
 
 
 def _parse_distortion(token: str):
-    kind, _, arg = token.partition(":")
-    if kind == "hamming":
-        return hamming(int(arg) if arg else 2)
-    _usage(f"unknown distortion {token!r}; expected hamming[:n]")
+    if token == "hamming":
+        return hamming(2)
+    _usage(f"unknown distortion {token!r}; expected hamming")
 
 
 def _parse_memory(token):
@@ -162,9 +161,8 @@ def _solve_finite(spec: ProblemSpec, d: int, nofeedback: bool, grid, tol,
         mx = memory_last_m(mem_x, spec.num_channel_inputs)
         my = memory_last_m(mem_y, spec.num_channel_outputs)
         if nofeedback:
-            return solve_vending_nofeedback(spec, d, mx, my, grid,
-                                            rvi_tol=tol)
-        return solve_vending_feedback(spec, d, mx, my, rvi_tol=tol)
+            return solve_vending_nofeedback(spec, d, mx, my, grid, tol=tol)
+        return solve_vending_feedback(spec, d, mx, my, tol=tol)
     memory = memory_last_m(m, spec.num_channel_outputs)
     if nofeedback:
         return solve_nofeedback(spec, d, memory, grid, tol=tol)
@@ -464,7 +462,7 @@ def _at_least(low: int):
 def _add_problem_flags(sp) -> None:
     sp.add_argument("--source", help="bernoulli:<p>")
     sp.add_argument("--channel", help="bsc:<delta>")
-    sp.add_argument("--distortion", help="hamming or hamming:<n>")
+    sp.add_argument("--distortion", help="hamming")
     sp.add_argument("--spec", help="problem description JSON file")
 
 

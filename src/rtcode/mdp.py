@@ -14,10 +14,11 @@ batched solvers add expected next values slot by slot (_slot_sum) into
 action-major (B, A, S) Q-values.
 
 constrained_solve is the one Lagrangian dual routine: it takes a batch of
-reward tables on one chain, a constraint cost table and a budget, and
-returns a DualBatch with one DualResult per table.  It flags a minimizer
-at the bracket edge in that result and warns of nothing; a search that
-cannot narrow to DUAL_TOL raises NonConvergenceError.
+reward tables on one chain, a constraint cost table, a budget and a
+tolerance, and returns a DualBatch with one DualResult per table.  It
+sets every bracket and alone decides whether a table can meet the budget
+(bracket_edge); it warns of nothing, and a search that cannot narrow to
+DUAL_TOL raises NonConvergenceError.
 """
 from __future__ import annotations
 
@@ -49,6 +50,9 @@ MAX_SWEEPS = 10**6
 # Width of the dual search's stopping bracket, in dual value; vending
 # pairs whose dual values lie this close tie.
 DUAL_TOL = 1e-8
+# A search that ends at its bracket end cannot meet the budget when its
+# average cost there is above the budget by more than this.
+BUDGET_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -513,7 +517,8 @@ def exhaustive_policy_search(mdp: FiniteMdp):
 
 @dataclass(frozen=True)
 class DualResult:
-    """Outcome of one table's dual search, with the solve at lambda_star."""
+    """Outcome of one table's dual search, with the solve at lambda_star;
+    bracket_edge says that the table cannot meet the budget."""
 
     lambda_star: float
     dual_value: float
@@ -577,8 +582,8 @@ def _golden_section(lambda_max: float, slope: float):
     return values, b - a
 
 
-def constrained_solve(mdp: FiniteMdp, cost, budget: float, lambda_max=None,
-                      rvi_tol: float = 1e-10) -> DualBatch:
+def constrained_solve(mdp: FiniteMdp, cost, budget: float,
+                      tol: float = 1e-10) -> DualBatch:
     """Minimize the Lagrangian dual of a budget-constrained MDP for each
     of a batch of reward tables.
 
@@ -587,18 +592,22 @@ def constrained_solve(mdp: FiniteMdp, cost, budget: float, lambda_max=None,
     dual value d(lam) of a table is the optimal gain of its Lagrangian
     rewards + lam * (budget - cost); it is convex in lam, so a
     golden-section search over [0, lambda_max] finds its minimum, which
-    for a unichain model is the optimum of the constrained problem.  A
-    positive minimizer pinned at lambda_max usually signals an infeasible
-    table or a bracket chosen too small, and sets that DualResult's
-    bracket_edge; nothing is warned here.  A search whose bracket stops
-    narrowing before its width times the largest dual slope is within
-    DUAL_TOL raises NonConvergenceError.  A table equal bit for bit to
-    an earlier one with the same lambda_max shares that table's
-    DualResult; the distinct tables' searches run in lockstep, one
-    batch_value_iteration call per step over those still searching, and
-    each keeps the DualResult it gets alone.  Only the solve at each
-    table's minimizer is kept as a SolveResult, and the recurrent classes
-    behind its average cost are found once per distinct policy.
+    for a unichain model is the optimum of the constrained problem.
+    lambda_max is the table's reward range over the least positive cost
+    (1.0 for either when there is none); one that is not finite raises
+    SpecValidationError before any solve.  bracket_edge says that the
+    table cannot meet the budget: its minimizer is lambda_max, where the
+    average cost is still above budget + BUDGET_TOL.  (Within budget the
+    subgradient there, budget - cost, is nonnegative: a true minimum.)
+    Nothing is warned here.  A search whose bracket stops narrowing
+    before its width times the largest dual slope is within DUAL_TOL
+    raises NonConvergenceError.  A table equal bit for bit to an earlier
+    one shares that table's DualResult; the distinct tables' searches
+    run in lockstep, one batch_value_iteration call (to span tol) per
+    step over those still searching, and each keeps the DualResult it
+    gets alone.  Only the solve at each table's minimizer is kept as a
+    SolveResult, and the recurrent classes behind its average cost are
+    found once per distinct policy.
     """
     cost = np.asarray(cost, dtype=float)
     problems = mdp.check()
@@ -608,21 +617,22 @@ def constrained_solve(mdp: FiniteMdp, cost, budget: float, lambda_max=None,
         problems.append("constraint cost table must match the reward shape")
     elif not np.all(np.isfinite(cost)) or np.any(cost < 0):
         problems.append("constraint costs must be finite and nonnegative")
-    if budget < 0:
-        problems.append("budget must be nonnegative")
+    if not 0.0 <= budget < np.inf:
+        problems.append("budget must be finite and nonnegative")
     if problems:
         raise SpecValidationError(problems)
     rewards = mdp.rewards
-    if lambda_max is None:
+    pos = cost[cost > 0]
+    least = float(pos.min()) if pos.size else 1.0
+    with np.errstate(over="ignore"):
         rng = rewards.max(axis=(1, 2)) - rewards.min(axis=(1, 2))
-        pos = cost[cost > 0]
-        lambda_max = (np.where(rng > 0, rng, 1.0)
-                      / (float(pos.min()) if pos.size else 1.0))
-    if np.any(lambda_max <= 0):
-        raise SpecValidationError([f"lambda_max {lambda_max} must be positive"])
-    tops = np.broadcast_to(lambda_max, rewards.shape[:1])
-    # one search per distinct (table, lambda_max), compared by their bytes
-    keys = [r.tobytes() + top.tobytes() for r, top in zip(rewards, tops)]
+        tops = np.where(rng > 0, rng, 1.0) / least
+    if not np.all(np.isfinite(tops)):
+        raise SpecValidationError([
+            f"the dual bracket, reward range over the least positive "
+            f"constraint cost {least:.3g}, is not finite"])
+    # one search per distinct table, compared by its bytes
+    keys = [r.tobytes() for r in rewards]
     first: dict[bytes, int] = {}
     for i, key in enumerate(keys):
         first.setdefault(key, i)
@@ -639,7 +649,7 @@ def constrained_solve(mdp: FiniteMdp, cost, budget: float, lambda_max=None,
         sol = batch_value_iteration(
             mdp.next_states, mdp.next_probs,
             rewards[rows[asking]] + lams[asking, None, None] * slack,
-            tol=rvi_tol)
+            tol=tol)
         gains = sol.gains.tolist()
         for row, k in enumerate(asking):
             solved[k][lams[k]] = sol, row
@@ -654,14 +664,15 @@ def constrained_solve(mdp: FiniteMdp, cost, budget: float, lambda_max=None,
         star = min(values, key=lambda lam: (values[lam], lam))
         sol, row = solved[k][star]
         best = sol.result(row)
-        # a search that never left lam = 0 (every slack is zero) has no edge
-        edge = star > 0.0 and star >= tops[i] - max(width, 1e-14)
         policy = best.policy.tobytes()
         if policy not in classes:
             classes[policy] = _policy_classes(mdp, best.policy)
         stats = _class_means(classes[policy], best.policy,
                              rewards[i] + star * slack, rewards[i], cost)
         _, gain_g, avg_cost = max(stats, key=lambda t: t[0])
+        # a search that never left lam = 0 (every slack is zero) has no edge
+        edge = (star > 0.0 and star >= tops[i] - max(width, 1e-14)
+                and avg_cost > budget + BUDGET_TOL)
         results.append(DualResult(float(star), best.gain, gain_g, avg_cost,
                                   bool(edge), len(values), best.policy,
                                   best.iterations, best.final_span))

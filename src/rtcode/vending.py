@@ -19,14 +19,13 @@ constraint costs.  Both solvers hand the actuator maps' chains, compiled
 one at a time, to scenarios._select, which keeps the best (decoder,
 actuator) pair.  Each map's chain carries the whole decoder family's
 rewards, built in one call, and one mdp.constrained_solve(chain, cost,
-budget) call dual-solves every pair on it: decoders whose reward tables
+budget, tol) call dual-solves every pair on it: decoders whose reward tables
 are identical share one search, and the distinct searches run in
-lockstep.  constrained_solve only flags a search that ends at the
-bracket edge; _dual_outcome warns of it, for the winning pair alone.
+lockstep.  constrained_solve alone decides whether a pair can meet the
+budget, and one that cannot scores +inf.
 """
 from __future__ import annotations
 
-import warnings
 from typing import Optional
 
 import numpy as np
@@ -95,7 +94,7 @@ def _decoder_shape(spec: ProblemSpec, mem_x: MemorySpec,
 
 def _solve_pairs(scenario: str, spec: ProblemSpec, d: int, mem_x: MemorySpec,
                  mem_y: MemorySpec, grid: Optional[SimplexGrid],
-                 rvi_tol: float, params=None, diagnostics=None,
+                 tol: float, params=None, diagnostics=None,
                  flags=()) -> ScenarioSolveReport:
     """Both vending solvers, open-loop given the grid: every (decoder,
     actuator) pair, selected by scenarios._select.
@@ -105,10 +104,9 @@ def _solve_pairs(scenario: str, spec: ProblemSpec, d: int, mem_x: MemorySpec,
     dual-solved in one constrained_solve call on that chain, its cost
     table and the budget, which gives every decoder the result of its
     own search (one search per distinct reward table).  A pair whose
-    search ends at the bracket edge with an average action cost still
-    above the budget cannot meet it and scores +inf.  The winning pair
-    reports the encoder policy that its search solved at the dual
-    minimizer.
+    result has bracket_edge set cannot meet the budget and scores +inf.
+    The winning pair reports the encoder policy that its search solved
+    at the dual minimizer.
     """
     _require_vending(spec)
     decs = _decoder_family(spec, _decoder_shape(spec, mem_x, mem_y))
@@ -121,10 +119,9 @@ def _solve_pairs(scenario: str, spec: ProblemSpec, d: int, mem_x: MemorySpec,
         chain = FiniteMdp(core["next_states"], core["next_probs"],
                           _vending_feedback_rewards(core, decs))
         duals = constrained_solve(chain, core["cost"],
-                                  spec.vending.costs.budget, rvi_tol=rvi_tol)
-        values = [np.inf if res.bracket_edge and res.avg_constraint_cost
-                  > spec.vending.costs.budget + 1e-9
-                  else -res.dual_value for res in duals]
+                                  spec.vending.costs.budget, tol=tol)
+        values = [np.inf if res.bracket_edge else -res.dual_value
+                  for res in duals]
         return np.array(values), lambda i: _dual_outcome(duals[i])
 
     return _select(
@@ -142,16 +139,7 @@ def _solve_pairs(scenario: str, spec: ProblemSpec, d: int, mem_x: MemorySpec,
 
 
 def _dual_outcome(best: DualResult) -> tuple:
-    """(encoder policy, diagnostics) of the winning pair's dual search,
-    whose bracket warning is the only one raised."""
-    if best.bracket_edge:
-        # frames up: the lambda in _solve_pairs, scenarios._select,
-        # _solve_pairs, the public solver, and then its caller
-        warnings.warn(
-            "dual minimizer at lambda_max for the best pair; "
-            "the bracket may be too small",
-            RuntimeWarning, stacklevel=6,
-        )
+    """(encoder policy, diagnostics) of the winning pair's dual search."""
     return best.policy, {
         "lambda_star": best.lambda_star,
         "dual_value": best.dual_value,
@@ -166,30 +154,30 @@ def _dual_outcome(best: DualResult) -> tuple:
 
 def solve_vending_feedback(spec: ProblemSpec, d: int, mem_x: MemorySpec,
                            mem_y: MemorySpec,
-                           rvi_tol: float = 1e-10) -> ScenarioSolveReport:
+                           tol: float = 1e-10) -> ScenarioSolveReport:
     """Minimum dual distortion for feedback vending over every (decoder,
     actuator) pair.
 
     The budget is the spec's; with_budget sets another.  Each pair gets
-    a full Lagrangian dual solve; pairs that cannot meet the budget score
-    +inf and lose the minimum, and if no pair meets it the solve raises
-    SpecValidationError.  Pairs whose values lie within DUAL_TOL (1e-8)
-    of the best count as tied, and ties keep the lexicographically
-    smallest (decoder, actuator) pair.  A bracket warning is re-raised
-    only for the winning pair.
+    a full Lagrangian dual solve, each value iteration to span tol; a
+    pair whose dual result has bracket_edge set cannot meet the budget,
+    scores +inf and loses the minimum, and if no pair meets it the solve
+    raises SpecValidationError.  Pairs whose values lie within DUAL_TOL
+    (1e-8) of the best count as tied, and ties keep the lexicographically
+    smallest (decoder, actuator) pair.
     """
     return _solve_pairs("vending-feedback", spec, d, mem_x, mem_y, None,
-                        rvi_tol)
+                        tol)
 
 
 def solve_vending_nofeedback(spec: ProblemSpec, d: int, mem_x: MemorySpec,
                              mem_y: MemorySpec, resolution: int,
-                             rvi_tol: float = 1e-10) -> ScenarioSolveReport:
+                             tol: float = 1e-10) -> ScenarioSolveReport:
     """Approximate minimum dual distortion for open-loop vending; pairs
     are scored as in solve_vending_feedback."""
     grid = simplex_grid(mem_y.num_states, resolution)
     return _solve_pairs(
-        "vending-nofeedback", spec, d, mem_x, mem_y, grid, rvi_tol,
+        "vending-nofeedback", spec, d, mem_x, mem_y, grid, tol,
         params={"grid_resolution": resolution},
         diagnostics={"grid_points_y": grid.size}, flags=(APPROXIMATE,),
     )

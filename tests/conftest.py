@@ -3,6 +3,7 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from rtcode import (ProblemSpec, ProbVector, StochasticMatrix, hamming,
                     scenarios)
@@ -109,3 +110,29 @@ def pair_lagrangian(spec, core, dec, lam):
     rewards = _chain_rewards(core, np.asarray(dec)[None])[0]
     return FiniteMdp(core["next_states"], core["next_probs"],
                      rewards + lam * (spec.vending.costs.budget - core["cost"]))
+
+
+def occupation_lp(trans, loss, cost, budget):
+    """Minimum average loss over randomized stationary policies of a
+    constrained chain, by the occupation-measure linear program (HiGHS).
+
+    trans has shape (S, A, S); loss and cost have shape (S, A).  The
+    variables are the long-run frequencies of each (state, action): they
+    balance the flow through every state, sum to 1, and pay at most the
+    budget on average.
+    """
+    n_s, n_a, _ = trans.shape
+    n = n_s * n_a
+    flow = np.zeros((n_s, n))
+    for s in range(n_s):
+        for a in range(n_a):
+            col = s * n_a + a
+            flow[s, col] += 1.0
+            flow[:, col] -= trans[s, a]
+    a_eq = np.vstack([flow, np.ones((1, n))])
+    b_eq = np.zeros(n_s + 1)
+    b_eq[-1] = 1.0
+    res = linprog(loss.ravel(), A_ub=cost.reshape(1, n), b_ub=[budget],
+                  A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
+    assert res.status == 0, res.message
+    return float(res.fun)

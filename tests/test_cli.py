@@ -289,6 +289,8 @@ def test_bad_inputs_exit_2(capsys):
     assert _run(capsys, ["solve"])[0] == 2
     assert _run(capsys, ["solve", "--source", "uniform:3", "--channel",
                          "bsc:0.1", "--distortion", "hamming"])[0] == 2
+    assert _run(capsys, ["solve", "--source", "bernoulli:0.3", "--channel",
+                         "bsc:0.1", "--distortion", "hamming:2"])[0] == 2
     assert _run(capsys, ["solve", *SOLVE_ARGS, "--memory", "window:3"])[0] == 2
     assert _run(capsys, ["solve", "--spec", "/does/not/exist.json"])[0] == 2
     assert _run(capsys, ["frobnicate"])[0] == 2
@@ -430,7 +432,7 @@ def test_whole_map_chains_keep_the_encoder_guard(capsys, argv):
 
 @pytest.mark.parametrize("flag", [
     ["--source", "bernoulli:0.1"], ["--channel", "bsc:0.1"],
-    ["--distortion", "hamming:3"], ["--spec", "problem.json"],
+    ["--distortion", "hamming"], ["--spec", "problem.json"],
     ["--memory", "last:2"],
 ])
 def test_sweep_refuses_the_flags_it_never_read(capsys, flag):

@@ -5,7 +5,6 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.optimize import linprog
 
 from rtcode import CapacityError, NonConvergenceError, SpecValidationError
 from rtcode import mdp as mdp_module
@@ -19,7 +18,7 @@ from rtcode.mdp import (
     relative_value_iteration,
     rvi_batch,
 )
-from conftest import random_unichain_mdp
+from conftest import occupation_lp, random_unichain_mdp
 
 
 def _single_state(rewards):
@@ -213,17 +212,17 @@ def test_constrained_solve_slack_budget_is_unconstrained():
 
 
 def test_constrained_solve_binding_at_zero_budget():
-    res = constrained_solve(*_budget_mdp(0.0, 0.6, 1.0, 0.0),
-                            lambda_max=2.0)[0]
+    res = constrained_solve(*_budget_mdp(0.0, 0.6, 1.0, 0.0))[0]
     # paying is never affordable on average; the dual pushes to the
     # zero-cost action's gain
     assert res.dual_value == pytest.approx(0.0, abs=1e-8)
 
 
 def test_constrained_solve_interior_kink():
-    # dual(lam) = max(0.5*lam, 0.6 - 0.5*lam): kink at lam=0.6, value 0.3
-    res = constrained_solve(*_budget_mdp(0.0, 0.6, 1.0, 0.5),
-                            lambda_max=1.0)[0]
+    # dual(lam) = max(0.5*lam, 0.6 - 0.5*lam): kink at lam=0.6, value 0.3.
+    # The bracket ends there too (reward range 0.6 over cost 1), and the
+    # free action, within budget, is optimal: the end is the minimum.
+    res = constrained_solve(*_budget_mdp(0.0, 0.6, 1.0, 0.5))[0]
     assert res.lambda_star == pytest.approx(0.6, abs=1e-4)
     assert res.dual_value == pytest.approx(0.3, abs=1e-7)
     assert not res.bracket_edge
@@ -231,7 +230,7 @@ def test_constrained_solve_interior_kink():
 
 def test_constrained_solve_dual_beats_lambda_grid():
     cmdp = _budget_mdp(0.0, 0.6, 1.0, 0.5)
-    res = constrained_solve(*cmdp, lambda_max=1.0)[0]
+    res = constrained_solve(*cmdp)[0]
     grid = np.linspace(0.0, 1.0, 1000)
     grid_vals = [relative_value_iteration(_lagrangian(*cmdp, lam),
                                           tol=1e-10).gain for lam in grid]
@@ -256,23 +255,35 @@ def test_dual_is_convex_on_grid():
 
 
 def test_constrained_solve_flags_bracket_edge_without_warning():
-    # costly action strictly dominates but is infeasible: the dual keeps
-    # improving out to lambda_max.  The result says so; warning about it
-    # is the caller's choice.
+    # no action is affordable: the dual keeps improving out to
+    # lambda_max = 2 / 0.5, where the policy is still over budget.  The
+    # result says so, and nothing is warned.
+    mdp = _single_state([0.0, 2.0])
+    chain = FiniteMdp(mdp.next_states, mdp.next_probs, mdp.rewards[None])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        res = constrained_solve(*_budget_mdp(0.0, 2.0, 1.0, 0.25),
-                                lambda_max=1.0)[0]
+        res = constrained_solve(chain, np.array([[0.5, 1.0]]), 0.25)[0]
     assert res.bracket_edge
-    assert res.lambda_star == pytest.approx(1.0, abs=1e-4)
+    assert res.lambda_star == pytest.approx(4.0, abs=1e-4)
+    assert res.avg_constraint_cost > 0.25
+
+
+def test_constrained_solve_minimum_at_the_bracket_end_within_budget():
+    # dual(lam) = max(0.25*lam, 2 - 0.75*lam) has its kink at lam = 2,
+    # the bracket end; the free action is optimal there, so the search
+    # found the true minimum and flags nothing
+    res = constrained_solve(*_budget_mdp(0.0, 2.0, 1.0, 0.25))[0]
+    assert res.lambda_star == pytest.approx(2.0, abs=1e-4)
+    assert res.dual_value == pytest.approx(0.5, abs=1e-7)
+    assert res.avg_constraint_cost <= 0.25
+    assert not res.bracket_edge
 
 
 def test_constrained_solve_zero_slack_is_not_bracket_edge():
     # every action costs exactly the budget: the search stops at lam = 0
     mdp = _single_state([0.2, 0.7])
     chain = FiniteMdp(mdp.next_states, mdp.next_probs, mdp.rewards[None])
-    res = constrained_solve(chain, np.full((1, 2), 0.4), 0.4,
-                            lambda_max=1.0)[0]
+    res = constrained_solve(chain, np.full((1, 2), 0.4), 0.4)[0]
     assert not res.bracket_edge
     assert res.lambda_star == 0.0
     assert res.dual_value == pytest.approx(0.7, abs=1e-9)
@@ -285,35 +296,11 @@ def test_constrained_solve_takes_a_batch_and_checks_its_inputs():
             ((single, cost, budget), "shape \\(B, S, A\\)"),
             ((chain, cost[:, :1], budget), "match the reward shape"),
             ((chain, -cost, budget), "finite and nonnegative"),
-            ((chain, cost, -0.1), "budget must be nonnegative")]:
+            ((chain, cost, -0.1), "budget must be finite and nonnegative"),
+            ((chain, cost, np.nan), "budget must be finite and nonnegative"),
+            ((chain, cost, np.inf), "budget must be finite and nonnegative")]:
         with pytest.raises(SpecValidationError, match=message):
             constrained_solve(*args)
-
-
-def occupation_lp(trans, loss, cost, budget):
-    """Minimum average loss over randomized stationary policies of a
-    constrained chain, by the occupation-measure linear program (HiGHS).
-
-    trans has shape (S, A, S); loss and cost have shape (S, A).  The
-    variables are the long-run frequencies of each (state, action): they
-    balance the flow through every state, sum to 1, and pay at most the
-    budget on average.
-    """
-    n_s, n_a, _ = trans.shape
-    n = n_s * n_a
-    flow = np.zeros((n_s, n))
-    for s in range(n_s):
-        for a in range(n_a):
-            col = s * n_a + a
-            flow[s, col] += 1.0
-            flow[:, col] -= trans[s, a]
-    a_eq = np.vstack([flow, np.ones((1, n))])
-    b_eq = np.zeros(n_s + 1)
-    b_eq[-1] = 1.0
-    res = linprog(loss.ravel(), A_ub=cost.reshape(1, n), b_ub=[budget],
-                  A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
-    assert res.status == 0, res.message
-    return float(res.fun)
 
 
 def test_constrained_solve_matches_occupation_lp():
@@ -354,11 +341,28 @@ def test_constrained_solve_narrows_a_wide_bracket_to_its_tolerance():
 
 
 def test_constrained_solve_raises_when_the_bracket_stops_narrowing():
-    # the kink sits at lam = 1e20, where floats are 16384 apart: no
+    # a dominated action of cost 0.1 puts lambda_max at 1e21, and the
+    # kink inside sits at lam = 1e20, where floats are 16384 apart: no
     # bracket there gets within DUAL_TOL / slope = 2e-8
-    chain, cost, budget = _budget_mdp(0.0, 1e20, 1.0, 0.5)
+    mdp = _single_state([0.0, 1e20, 0.0])
+    chain = FiniteMdp(mdp.next_states, mdp.next_probs, mdp.rewards[None])
     with pytest.raises(NonConvergenceError, match="stopped narrowing"):
-        constrained_solve(chain, cost, budget, lambda_max=1e21)
+        constrained_solve(chain, np.array([[0.0, 1.0, 0.1]]), 0.5)
+
+
+def test_constrained_solve_refuses_a_bracket_that_is_not_finite(
+        monkeypatch):
+    # a cost of 1e-310 puts lambda_max past the largest float; the solve
+    # must refuse before its first sweep, not run value iteration on NaN
+    # multipliers to its sweep cap
+    mdp = _single_state([0.0, 0.5, 1.0])
+    chain = FiniteMdp(mdp.next_states, mdp.next_probs, mdp.rewards[None])
+    rows = _solved_rows(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SpecValidationError, match="not finite"):
+            constrained_solve(chain, np.array([[0.0, 1e-310, 1.0]]), 0.5)
+    assert rows == []
 
 
 _DUAL_FIELDS = ("lambda_star", "dual_value", "gain_at_lambda_star",
@@ -411,21 +415,6 @@ def test_constrained_solve_equal_tables_share_one_search(monkeypatch):
     assert batch.evaluations == 2 * singles[0].evaluations \
         + singles[1].evaluations
     assert sum(rows) == singles[0].evaluations + singles[1].evaluations
-
-
-def test_constrained_solve_equal_tables_with_other_brackets_search_apart(
-        monkeypatch):
-    cmdp, r0, _ = _priced_tables(416)
-    tops = (1.0, 2.0)
-    singles = [constrained_solve(*cmdp(r0[None]), lambda_max=top)[0]
-               for top in tops]
-    rows = _solved_rows(monkeypatch)
-    batch = constrained_solve(*cmdp(np.stack([r0, r0])),
-                              lambda_max=np.array(tops))
-    for got, want in zip(batch, singles):
-        _assert_same_dual(got, want)
-    assert sum(rows) == batch.evaluations == sum(
-        res.evaluations for res in singles)
 
 
 def _batch(rng, copies=4, **kwargs):

@@ -1,11 +1,14 @@
 """The package holds no dead code and exports only its library API.
 
 Every top-level function, class and method under src/rtcode must be used
-by the program itself: named somewhere under src/rtcode outside its own
-definition and outside the re-exports of __init__.py, or, for a console
-script, in pyproject.toml.  The only exceptions are the reference
+by the program itself: a console script named in pyproject.toml, or named
+somewhere under src/rtcode outside the re-exports of __init__.py, by
+module-level code or by a definition that is used in turn (its own
+definition does not count).  The only exceptions are the reference
 implementations in REFERENCE_ONLY, which tests compare production code
-against; each names the test that uses it.
+against, each with the test that uses it, and the definitions in
+USED_BY_REFERENCE_ONLY, which only those references use, each with a
+reference that uses it.
 
 A method counts as used where an attribute of its name is read, unless
 every such read is a call whose arguments its signature cannot take: a
@@ -56,12 +59,22 @@ REFERENCE_ONLY = {
         "test_mdp.py::test_rvi_matches_exhaustive_search_on_random_instances",
 }
 
+USED_BY_REFERENCE_ONLY = {
+    "bayes._belief_array": "bayes.belief_update_feedback",
+    "bayes._check_transition": "bayes.belief_update_memory",
+    "bayes._memory_table": "bayes.belief_update_memory",
+    "errors.UnreachableObservationError": "bayes.belief_update_feedback",
+    "infotheory.binary_entropy": "baselines.binary_shannon_closed_form",
+    "lookahead.TupleCodec.component":
+        "bayes.belief_update_sideinfo_memory",
+    "mdp.evaluate_policy": "mdp.exhaustive_policy_search",
+    "mdp.PolicyEvaluation": "mdp.evaluate_policy",
+    "models.VendingSpec.row": "bayes.belief_update_sideinfo_memory",
+}
 
-# The bracket of the dual search, which the bracket-edge tests choose,
-# and the argument list of the CLI entry point.
+
+# The argument list of the CLI entry point.
 SET_BY_TESTS_ONLY = {
-    "mdp.constrained_solve.lambda_max":
-        "test_mdp.py::test_constrained_solve_interior_kink",
     "cli.main.argv": "test_cli.py::_run",
 }
 
@@ -117,10 +130,23 @@ def _inside(ref, node, parents) -> bool:
     return False
 
 
-def _unused(modules):
+def _users(modules):
+    """key -> the keys of the definitions that use it, with None for a use
+    by module-level code.  A use is attributed to the innermost
+    definition around it."""
     parents = {child: node for tree in modules.values()
                for node in ast.walk(tree)
                for child in ast.iter_child_nodes(node)}
+    defs = dict(_definitions(modules))
+    owner = {node: key for key, node in defs.items()}
+
+    def enclosing(ref):
+        while ref in parents:
+            ref = parents[ref]
+            if ref in owner:
+                return owner[ref]
+        return None
+
     names, attrs = {}, {}
     for mod, tree in modules.items():
         if mod == "__init__":
@@ -130,14 +156,12 @@ def _unused(modules):
                 names.setdefault(ref.id, []).append(ref)
             elif isinstance(ref, ast.Attribute):
                 attrs.setdefault(ref.attr, []).append(ref)
-    scripts = {f"{mod}.{func}" for mod, func in re.findall(
-        r'"rtcode\.(\w+):(\w+)"', PYPROJECT.read_text(encoding="utf-8"))}
-    out = set()
-    for key, node in _definitions(modules):
+    out = {}
+    for key, node in defs.items():
         is_method = key.count(".") == 2
         refs = attrs.get(node.name, []) + (
             [] if is_method else names.get(node.name, []))
-        used = False
+        out[key] = set()
         for ref in refs:
             if _inside(ref, node, parents):
                 continue
@@ -145,18 +169,37 @@ def _unused(modules):
             if (is_method and isinstance(call, ast.Call)
                     and call.func is ref and not _accepts(node, call)):
                 continue
-            used = True
-            break
-        if not used and key not in scripts:
-            out.add(key)
+            out[key].add(enclosing(ref))
     return out
 
 
+def _unused(users):
+    """The definitions that no console script or module-level code
+    reaches through a chain of uses."""
+    live = {f"{mod}.{func}" for mod, func in re.findall(
+        r'"rtcode\.(\w+):(\w+)"', PYPROJECT.read_text(encoding="utf-8"))}
+    grew = True
+    while grew:
+        reached = {key for key, by in users.items()
+                   if None in by or by & live}
+        grew = not reached <= live
+        live |= reached
+    return set(users) - live
+
+
 def test_every_definition_is_used_or_a_named_reference():
-    unused = _unused(_modules())
-    assert sorted(unused - set(REFERENCE_ONLY)) == []
-    # an entry the program now calls is no longer reference-only
-    assert sorted(set(REFERENCE_ONLY) - unused) == []
+    unused = _unused(_users(_modules()))
+    named = set(REFERENCE_ONLY) | set(USED_BY_REFERENCE_ONLY)
+    assert sorted(unused - named) == []
+    # an entry the program now uses is no longer reference-only
+    assert sorted(named - unused) == []
+
+
+def test_used_by_reference_only_entries_name_a_reference_that_uses_them():
+    users = _users(_modules())
+    for key, by in USED_BY_REFERENCE_ONLY.items():
+        assert by in REFERENCE_ONLY or by in USED_BY_REFERENCE_ONLY, key
+        assert by in users[key], f"{by} does not use {key}"
 
 
 def test_reference_only_entries_name_a_test_that_uses_them():

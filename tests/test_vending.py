@@ -1,5 +1,4 @@
 """Vending-machine scenarios: builders, duals, enumeration."""
-import dataclasses
 import itertools
 import json
 from pathlib import Path
@@ -27,10 +26,11 @@ from rtcode.scenarios import (DEFAULT_DECODER_CAP, _chain_rewards,
                               _decoder_family, _select)
 from rtcode.vending import (_decoder_shape, _vending_feedback_core,
                             _vending_feedback_rewards)
-from conftest import all_maps, nearest, pair_lagrangian, whole_map
+from conftest import (all_maps, nearest, occupation_lp, pair_lagrangian,
+                      whole_map)
+from test_golden import TERNARY as GOLDEN_TERNARY, TOY as GOLDEN_TOY, VENDING
 
-# constrained_solve warns of nothing: the one bracket warning is the
-# winning pair's, and a test that expects it says so with pytest.warns
+# the vending solvers and constrained_solve warn of nothing
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 TOY = {
@@ -329,21 +329,33 @@ def test_vending_infeasible_pair_cannot_win():
         assert rep.distortion == pytest.approx(0.3, abs=1e-8)
 
 
-def test_vending_bracket_warning_names_the_solvers_caller(monkeypatch):
-    """Every pair's search ending at the bracket edge, within the budget,
-    raises one warning, for the winning pair, at the caller's line."""
-    solve = vending.constrained_solve
-    monkeypatch.setattr(vending, "constrained_solve", lambda *a, **k:
-                        mdp.DualBatch(dataclasses.replace(res, bracket_edge=True)
-                                      for res in solve(*a, **k)))
-    mem_x, mem_y = memory_last_m(0, 1), memory_last_m(0, 2)
-    for run in (lambda: solve_vending_feedback(_toy_spec(), 0, mem_x, mem_y),
-                lambda: solve_vending_nofeedback(_toy_spec(), 0, mem_x,
-                                                 mem_y, 2)):
-        with pytest.warns(RuntimeWarning) as caught:
-            assert run().diagnostics["bracket_edge"]
-        assert [(w.filename, str(w.message)[:30]) for w in caught] == [
-            (__file__, "dual minimizer at lambda_max f")]
+@pytest.mark.parametrize("name, budget, d, m_y", [
+    ("golden-toy", None, 1, 1), ("golden-ternary", None, 0, 0),
+    *[("ternary", b, 0, 0) for b in (0.0, 0.25, 0.5, 0.75, 1.0)],
+    *[("toy", b, 0, 0) for b in (0.25, 0.5, 0.75)],
+    ("ternary", 0.5, 1, 0), ("binary", 0.5, 1, 1),
+])
+def test_vending_pair_dual_value_is_its_lp_optimum(name, budget, d, m_y):
+    """The winning pair's dual value is the constrained optimum of its
+    chain, which the occupation-measure LP computes directly: on the
+    golden solve_vending_feedback and simulate_vending_feedback problems
+    and on the benchmark's instances."""
+    if name.startswith("golden-"):
+        kind = name.removeprefix("golden-")
+        problem = {"toy": GOLDEN_TOY, "ternary": GOLDEN_TERNARY}[kind]
+        spec = spec_from_dict({**problem, "vending": VENDING[kind]})
+    else:
+        spec = _input_spec(name, budget)
+    mem_x = memory_last_m(0, spec.num_channel_inputs)
+    mem_y = memory_last_m(m_y, spec.num_channel_outputs)
+    rep = solve_vending_feedback(spec, d, mem_x, mem_y, tol=1e-9)
+    core = _vending_feedback_core(spec, d, mem_x, mem_y,
+                                  rep.vending_action_map)
+    rewards = _chain_rewards(core, np.asarray(rep.decoder)[None])[0]
+    chain = FiniteMdp(core["next_states"], core["next_probs"], rewards)
+    lp = occupation_lp(chain.dense(), -rewards, core["cost"],
+                       spec.vending.costs.budget)
+    assert rep.distortion == pytest.approx(lp, abs=1e-9)
 
 
 def test_vending_solvers_need_vending_data():
