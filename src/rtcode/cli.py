@@ -436,14 +436,24 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+# The smallest --tol.  Below it a span can stall at float resolution
+# (4.4e-16 at p = delta = 0.3), so a solve sweeps to its limit: a
+# last:2 solve at --tol 1e-17 ran for 205 s.
+MIN_TOL = 1e-14
+
+
 def _tolerance(token: str) -> float:
-    """--tol: a positive finite number.  The solvers stop when a span
-    falls below it, which a nonpositive or NaN tolerance never lets
-    happen."""
+    """--tol: a finite number of at least MIN_TOL.  The solvers stop when
+    a span falls below it, which a nonpositive or NaN tolerance never
+    lets happen."""
     tol = float(token)
     if not 0.0 < tol < math.inf:
         raise argparse.ArgumentTypeError(
             f"tolerance {token} must be a positive finite number")
+    if tol < MIN_TOL:
+        raise argparse.ArgumentTypeError(
+            f"tolerance {token} is below the smallest the solvers reach, "
+            f"{MIN_TOL:g}")
     return tol
 
 

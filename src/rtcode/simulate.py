@@ -13,6 +13,19 @@ y-memory; the encoder always knows the x-memory.  A coding bundle is a
 vending bundle whose x-memory has one state, whose law is the channel
 row of the sent input, and whose actions cost nothing.
 
+The loop walks that table compiled once per run into one flat list
+(`_flat_table`).  A step's two uniform draws become one draw code: the
+fresh symbol u, and the interval q of the sorted union B of every
+observation CDF row's breakpoints that the observation draw falls in,
+code u * (len(B) + 1) + q.  Between two neighbouring breakpoints every
+row's `_pick` gives the same output, so the code fixes the step for
+every row at once.  The state (tuple v, memory state c) is v * n_c + c,
+and with K codes per state, entry state * K + code holds the step's next
+state (times K), loss and action cost.  A block's codes take two
+vectorised searches (`_draw_codes`); a step is then one list lookup.
+Losses and costs are added one step at a time, in step order, so a
+report has the bits of the scalar `_pick` walk of the step table.
+
 Replication r of a run seeded s draws from the dedicated stream (s, r),
 so reports are bit-reproducible and replications are independent.  The
 draws come in blocks of DRAW_BLOCK steps, so a run's memory does not grow
@@ -226,13 +239,53 @@ def _step_table(bundle: PolicyBundle, spec: ProblemSpec, d: int):
     return table, g0 * n_n
 
 
+def _flat_table(bundle: PolicyBundle, spec: ProblemSpec, d: int):
+    """The step table as one flat list walked by draw codes: (entries,
+    breakpoints B, start index).
+
+    entries[s * K + code] = (next state * K, loss, action cost) for state
+    s = v * n_c + c and code u * (len(B) + 1) + q, K = n_u * (len(B) + 1).
+    Interval q of the draws in [0, 1) starts at 0 (q = 0) or at B[q - 1];
+    its entry takes the output that `_pick` gives at that left end, which
+    is its output anywhere in the interval.
+    """
+    table, start = _step_table(bundle, spec, d)
+    n_c, n_u = len(table[0]), len(table[0][0])
+    cdfs = {tuple(cdf) for states in table for row in states
+            for _, cdf, _, _ in row}
+    breaks = np.unique(np.fromiter((c for cdf in cdfs for c in cdf), float))
+    lefts = [0.0, *breaks.tolist()]     # the draws lie in [0, 1)
+    picks = {cdf: [_pick(cdf, lo) for lo in lefts] for cdf in cdfs}
+    n_k = n_u * len(lefts)
+    entries = []
+    for states in table:
+        for row in states:
+            for vt, cdf, outs, cost in row:
+                steps = [((vt * n_c + c) * n_k, loss, cost)
+                         for loss, c in outs]
+                entries.extend(steps[y] for y in picks[tuple(cdf)])
+    return entries, breaks, start * n_k
+
+
+def _draw_codes(cdf_u, breaks, ru, ry) -> list:
+    """The draw codes of `_flat_table` for arrays of source draws ru and
+    observation draws ry.  The source symbol is `_pick(cdf_u, ru)`: the
+    count of CDF entries at most ru, clamped to the last symbol."""
+    u = np.minimum(np.searchsorted(cdf_u, ru, "right"), len(cdf_u) - 1)
+    return (u * (len(breaks) + 1)
+            + np.searchsorted(breaks, ry, "right")).tolist()
+
+
 def simulate(bundle: PolicyBundle, spec: ProblemSpec, d: int, horizon: int,
              replications: int, seed: int) -> SimReport:
     """Run the bundle on the true system and report empirical averages.
 
     Each replication starts from the all-zeros configuration, discards a
     fixed burn-in, then averages the per-symbol loss (and action cost for
-    vending scenarios) over `horizon` further steps.
+    vending scenarios) over `horizon` further steps.  Each block of draws
+    becomes draw codes (`_draw_codes`), and each step is one lookup in
+    the flat table of `_flat_table`; the losses and costs are added one
+    step at a time, in step order.
     """
     if horizon < 1:
         _fail(f"horizon {horizon} must be at least 1")
@@ -240,8 +293,8 @@ def simulate(bundle: PolicyBundle, spec: ProblemSpec, d: int, horizon: int,
         _fail(f"replications {replications} must be at least 1")
     if bundle.scenario not in _SCENARIO_TAGS.values():
         _fail(f"unknown scenario tag {bundle.scenario!r}")
-    table, start = _step_table(bundle, spec, d)
-    cdf_u = np.cumsum(np.asarray(spec.source.p)).tolist()
+    entries, breaks, start = _flat_table(bundle, spec, d)
+    cdf_u = np.cumsum(np.asarray(spec.source.p))
 
     steps = horizon + BURN_IN
     loss_means = []
@@ -252,16 +305,15 @@ def simulate(bundle: PolicyBundle, spec: ProblemSpec, d: int, horizon: int,
         draw_u = np.random.default_rng([seed, rep])
         draw_y = np.random.default_rng([seed, rep])
         draw_y.bit_generator.advance(steps)
-        v, c = 0, start
+        j = start
         # the burn-in, then the averaged steps, in blocks of draws
         for first, stop in ((0, BURN_IN), (BURN_IN, steps)):
             tot = cost_tot = 0.0
             for lo in range(first, stop, DRAW_BLOCK):
                 k = min(DRAW_BLOCK, stop - lo)
-                for ru, ry in zip(draw_u.random(k).tolist(),
-                                  draw_y.random(k).tolist()):
-                    v, cdf, outs, cost = table[v][c][_pick(cdf_u, ru)]
-                    loss, c = outs[_pick(cdf, ry)]
+                for code in _draw_codes(cdf_u, breaks, draw_u.random(k),
+                                        draw_y.random(k)):
+                    j, loss, cost = entries[j + code]
                     tot += loss
                     cost_tot += cost
         loss_means.append(tot / horizon)

@@ -313,6 +313,32 @@ def test_invalid_tolerance_exits_2_at_once(capsys, tol):
         assert "must be a positive finite number" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("tol", ["5e-15", "1e-16", "1e-17", "5e-324"])
+def test_tolerance_below_the_floor_exits_2_at_once(capsys, tol):
+    # a span can stall at float resolution above such a tolerance, so a
+    # solve would sweep to its limit
+    for argv in (["solve", *SOLVE_ARGS, "--d", "1", "--memory", "last:2"],
+                 ["sweep", "--fix", "delta=0.3", "--vary", "p=0.3:0.3:0.1",
+                  "--quantities", "Ddm", "--d", "1", "--m", "2",
+                  "--workers", "1"],
+                 ["region", "--p", "0.3:0.3:0.1", "--delta", "0.3:0.3:0.1",
+                  "--workers", "1"],
+                 ["simulate", *SOLVE_ARGS, "--d", "1", "--memory", "last:2",
+                  "--horizon", "10", "--replications", "1", "--seed", "1"]):
+        t0 = time.perf_counter()
+        assert main([*argv, f"--tol={tol}"]) == 2
+        assert time.perf_counter() - t0 < 2.0
+        assert "below the smallest the solvers reach, 1e-14" \
+            in capsys.readouterr().err
+
+
+def test_tolerance_at_the_floor_solves(capsys):
+    rc, out = _run(capsys, ["solve", *SOLVE_ARGS, "--d", "1", "--memory",
+                            "last:2", "--tol", "1e-14"])
+    assert rc == 0
+    assert json.loads(out)["flags"] == []
+
+
 @pytest.mark.parametrize("flags", [["--d", "-1"], ["--m", "-1"],
                                    ["--margin", "nan"], ["--margin", "inf"],
                                    ["--margin", "-1"]])

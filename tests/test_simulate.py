@@ -21,7 +21,8 @@ from rtcode import (
     with_budget,
 )
 from rtcode.scenarios import _coding_chain, _whole_map_policy
-from rtcode.simulate import BURN_IN, SimReport, _pick, _step_table
+from rtcode.simulate import (BURN_IN, SimReport, _draw_codes, _flat_table,
+                              _pick, _step_table)
 from rtcode.vending import _vending_feedback_core
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -258,28 +259,47 @@ WIDE = {"source": [0.6, 0.4],
         "distortion": [[0.0, 1.0], [1.0, 0.0]]}
 
 
-def _hand_bundle(kind, rng):
+KINDS = ["feedback-finite", "nofeedback", "vending-feedback",
+         "vending-nofeedback"]
+# ten outputs of 0.1: the CDF row of input 0 ends at 0.9999999999999999,
+# so a draw above it takes `_pick`'s clamp to the last output
+TENTHS = {"source": [0.6, 0.4],
+          "channel": [[0.1] * 10, [0.5, 0.5] + [0.0] * 8],
+          "distortion": [[0.0, 1.0], [1.0, 0.0]]}
+# its CDF ends at 0.9999999999999998: a draw above it takes the clamp to
+# the last source symbol
+SOURCE_BELOW_1 = {**RICH, "source": [0.2, 0.4, 0.3, 0.1],
+                  "distortion": [[0.0, 1.0], [1.0, 0.0]] * 2,
+                  "vending": {**RICH["vending"],
+                              "kernel": RICH["vending"]["kernel"] * 2}}
+
+
+def _hand_bundle(kind, rng, data=None):
     """(spec, d, compiled chain, random per-successor policy, bundle) of
     one scenario kind, with random encoder and decoder tables and no
-    solve.  Both vending kinds keep the x-memory last:1."""
+    solve.  The problem is `data`, by default RICH for the vending kinds
+    and WIDE for the coding kinds.  The memories are last:1; so is the
+    x-memory of both vending kinds."""
     d, resolution = 1, 3
-    if kind.startswith("vending"):
-        spec = spec_from_dict(RICH)
-        mem_x, mem_y = memory_last_m(1, 2), memory_last_m(1, 2)
+    vending = kind.startswith("vending")
+    spec = spec_from_dict(data or (RICH if vending else WIDE))
+    n_x, n_y = spec.num_channel_inputs, spec.num_channel_outputs
+    n_r = spec.num_reconstructions
+    if vending:
+        mem_x, mem_y = memory_last_m(1, n_x), memory_last_m(1, n_y)
         grid = (None if kind == "vending-feedback" else
                 simplex_grid(mem_y.num_states, resolution))
         av = (1, 0)
         core = _vending_feedback_core(spec, d, mem_x, mem_y, av, grid)
-        dec = rng.integers(0, 2, size=(2, 2, 2, 2))
+        dec = rng.integers(0, n_r, size=(n_x, n_y, n_x, n_y))
         memories = {"memory_x": mem_x, "memory_y": mem_y,
                     "vending_action_map": av}
     else:
-        spec = spec_from_dict(WIDE)
-        memory = memory_last_m(1, 3)
+        memory = memory_last_m(1, n_y)
         grid = (None if kind == "feedback-finite" else
                 simplex_grid(memory.num_states, resolution))
         core = _coding_chain(spec, d, memory, grid)
-        dec = rng.integers(0, 2, size=(3, 3))
+        dec = rng.integers(0, n_r, size=(n_y, n_y))
         memories = {"memory": memory}
     n_s, n_a = core["next_states"].shape[:2]
     policy = rng.integers(0, n_a, size=n_s)
@@ -294,8 +314,7 @@ def _hand_bundle(kind, rng):
     return spec, d, core, policy, bundle
 
 
-@pytest.mark.parametrize("kind", ["feedback-finite", "nofeedback",
-                                  "vending-feedback", "vending-nofeedback"])
+@pytest.mark.parametrize("kind", KINDS)
 def test_step_table_moves_as_the_compiled_chain(kind):
     """Every step of the simulator's table lands, with the chain's
     probability, on the chain state that the compiler moves to under the
@@ -337,6 +356,51 @@ def test_step_table_moves_as_the_compiled_chain(kind):
                 core["cost"][s, a] if "cost" in core else 0.0, abs=1e-12)
 
 
+def _interval_draws(breaks):
+    """For each interval [lo, hi) between 0, the breakpoints and 1 that
+    holds a draw: its left end (a breakpoint, or 0), its midpoint and its
+    last draw."""
+    ends = [0.0, *sorted(set(breaks) - {0.0, 1.0}), 1.0]
+    draws = []
+    for lo, hi in zip(ends, ends[1:]):
+        last = float(np.nextafter(hi, 0.0))
+        draws += [lo, min((lo + hi) / 2, last), last]
+    return draws
+
+
+@pytest.mark.parametrize("kind, data", [(kind, None) for kind in KINDS]
+                         + [("feedback-finite", TENTHS),
+                            ("nofeedback", TENTHS),
+                            ("vending-feedback", SOURCE_BELOW_1)])
+def test_draw_codes_pick_as_the_step_table(kind, data):
+    """From every state, each source interval and each observation
+    interval, the flat entry of the draws' code is the step that `_pick`
+    selects in the step table, at the intervals' left ends (breakpoints),
+    midpoints and last draws."""
+    spec, d, _, _, bundle = _hand_bundle(kind, np.random.default_rng(63),
+                                         data)
+    table, start = _step_table(bundle, spec, d)
+    entries, breaks, first = _flat_table(bundle, spec, d)
+    cdf_u = np.cumsum(spec.source.p)
+    n_c = len(table[0])
+    n_k = len(entries) // (len(table) * n_c)
+    assert first == start * n_k
+    pairs = [(ru, ry) for ru in _interval_draws(cdf_u.tolist())
+             for ry in _interval_draws(breaks.tolist())]
+    ru, ry = np.array(pairs).T
+    codes = _draw_codes(cdf_u, breaks, ru, ry)
+    clamped = 0
+    for v, states in enumerate(table):
+        for c, row in enumerate(states):
+            for (ru, ry), code in zip(pairs, codes):
+                vt, cdf, outs, cost = row[_pick(cdf_u.tolist(), ru)]
+                clamped += ry >= cdf[-1] or ru >= cdf_u[-1]
+                loss, c_next = outs[_pick(cdf, ry)]
+                assert entries[(v * n_c + c) * n_k + code] \
+                    == ((vt * n_c + c_next) * n_k, loss, cost)
+    assert (clamped > 0) == (data is not None)
+
+
 def _whole_stream_report(bundle, spec, d, horizon, replications, seed):
     """The simulator's report with each replication's two streams drawn
     whole: the first and the second horizon + burn-in draws of the
@@ -368,8 +432,7 @@ def _whole_stream_report(bundle, spec, d, horizon, replications, seed):
     )
 
 
-@pytest.mark.parametrize("kind", ["feedback-finite", "nofeedback",
-                                  "vending-feedback", "vending-nofeedback"])
+@pytest.mark.parametrize("kind", KINDS)
 def test_block_draws_replay_the_whole_streams(kind, monkeypatch):
     # blocks of 7 split the burn-in (1000 = 142 * 7 + 6) and the horizon
     spec, d, _, _, bundle = _hand_bundle(kind, np.random.default_rng(62))
@@ -377,6 +440,48 @@ def test_block_draws_replay_the_whole_streams(kind, monkeypatch):
     monkeypatch.setattr(simulate_module, "DRAW_BLOCK", 7)
     assert simulate(bundle, spec, d, 53, 3, seed=9) == default
     assert default == _whole_stream_report(bundle, spec, d, 53, 3, 9)
+
+
+def _coding(source, channel, distortion=((0.0, 1.0), (1.0, 0.0))):
+    return {"source": source, "channel": channel, "distortion": distortion}
+
+
+def _vending(source, kernel, distortion=((0.0, 1.0), (1.0, 0.0))):
+    return {**RICH, "source": source, "distortion": distortion,
+            "vending": {**RICH["vending"], "kernel": kernel}}
+
+
+BSC = [[0.8, 0.2], [0.2, 0.8]]
+TERNARY_LOSS = [[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]]
+EDGES = {
+    "p = 0": _coding([1.0, 0.0], BSC),
+    "p = 1": _coding([0.0, 1.0], BSC),
+    "deterministic rows": _coding([0.6, 0.4], [[1.0, 0.0], [0.3, 0.7]]),
+    "ternary source": _coding([0.2, 0.3, 0.5], BSC, TERNARY_LOSS),
+    # the CDF rows [0.2, 0.5, 1] and [0.5, 0.8, 1] share 0.5 and 1
+    "shared breakpoints": _coding([0.6, 0.4],
+                                  [[0.2, 0.3, 0.5], [0.5, 0.3, 0.2]]),
+    "source CDF below 1": SOURCE_BELOW_1,
+    "vending p = 1": _vending([0.0, 1.0], RICH["vending"]["kernel"]),
+    "vending ternary source": _vending(
+        [0.2, 0.3, 0.5], [[0.9, 0.1], [1.0, 0.0], [0.3, 0.7], [0.0, 1.0],
+                          [0.5, 0.5], [0.5, 0.5]], TERNARY_LOSS),
+}
+
+
+@pytest.mark.parametrize("block, horizon", [(7, 53), (1000, 2500)])
+@pytest.mark.parametrize("name, kind", [
+    (name, kind) for name, data in EDGES.items() for kind in KINDS
+    if kind.startswith("vending") == ("vending" in data)])
+def test_edge_cases_replay_the_whole_streams(name, kind, block, horizon,
+                                             monkeypatch):
+    """Bit for bit the scalar `_pick` walk of the whole streams, with
+    horizons over several blocks of draws."""
+    spec, d, _, _, bundle = _hand_bundle(kind, np.random.default_rng(64),
+                                         EDGES[name])
+    monkeypatch.setattr(simulate_module, "DRAW_BLOCK", block)
+    assert simulate(bundle, spec, d, horizon, 3, seed=17) \
+        == _whole_stream_report(bundle, spec, d, horizon, 3, 17)
 
 
 def test_simulator_memory_stays_flat_past_one_block(solved_d11,
