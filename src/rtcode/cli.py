@@ -264,7 +264,7 @@ def _sweep_task(task: dict):
 
 
 def cmd_sweep(args) -> int:
-    quantities = args.quantities.split(",")
+    quantities = list(dict.fromkeys(args.quantities.split(",")))
     for q in quantities:
         if q not in SWEEP_QUANTITIES:
             _usage(f"unknown quantity {q!r}; choose from "
@@ -350,6 +350,10 @@ def cmd_sweep(args) -> int:
 def cmd_region(args) -> int:
     ps = _parse_range(args.p)
     deltas = _parse_range(args.delta)
+    if args.csv:
+        # a path that cannot be written fails before the scan; append mode
+        # leaves an existing file whole if the command later exits 2
+        open(args.csv, "a", encoding="utf-8").close()
     report = suboptimality_region(args.d, args.m, ps, deltas,
                                   margin=args.margin, tol=args.tol,
                                   workers=args.workers)
@@ -582,8 +586,9 @@ def main(argv=None) -> int:
         return int(code) if isinstance(code, int) else 2
     try:
         return args.func(args)
-    except (CapacityError, FileNotFoundError, ValueError) as err:
-        # ValueError: also spec, unreachable-observation and JSON errors
+    except (CapacityError, OSError, ValueError) as err:
+        # OSError: a path that cannot be read or written; ValueError: also
+        # spec, unreachable-observation and JSON errors
         sys.stderr.write(f"error: {err}\n")
         return 2
     except NonConvergenceError as err:

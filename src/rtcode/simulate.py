@@ -5,26 +5,31 @@ the actual per-step mechanics (fresh symbols, channel draws, memory
 updates, table lookups) with no reference to the solver's transition
 tensors, and reports empirical averages with standard errors.
 
-Every scenario runs through one loop over a step table built from the
-bundle's mechanics in the terms of the solvers' one chain compiler: two
-decoder memories, an observation law, action costs, and, for the
-open-loop bundles, the projections of the encoder's grid belief over the
-y-memory; the encoder always knows the x-memory.  A coding bundle is a
-vending bundle whose x-memory has one state, whose law is the channel
-row of the sent input, and whose actions cost nothing.
+Every scenario runs through one loop over one step table, numpy arrays
+built by `_step_table` from the bundle's mechanics in the terms of the
+solvers' one chain compiler: two decoder memories, an observation law,
+action costs, and, for the open-loop bundles, the projections of the
+encoder's grid belief over the y-memory; the encoder always knows the
+x-memory.  A coding bundle is a vending bundle whose x-memory has one
+state, whose law is the channel row of the sent input, and whose
+actions cost nothing.  Over states s = v * n_c + c (tuple v, memory
+state c) and fresh symbols u, the arrays give the next state and loss
+per observation y, the action cost, and the law's row that y is drawn
+from.
 
-The loop walks that table compiled once per run into one flat list
+The loop walks that table gathered once per run into one flat list
 (`_flat_table`).  A step's two uniform draws become one draw code: the
-fresh symbol u, and the interval q of the sorted union B of every
-observation CDF row's breakpoints that the observation draw falls in,
-code u * (len(B) + 1) + q.  Between two neighbouring breakpoints every
-row's `_pick` gives the same output, so the code fixes the step for
-every row at once.  The state (tuple v, memory state c) is v * n_c + c,
-and with K codes per state, entry state * K + code holds the step's next
+fresh symbol u, and the interval q of the sorted union B of the used
+CDF rows' values that the observation draw falls in, code
+u * (len(B) + 1) + q.  Between two neighbouring breakpoints every row
+gives the same output, so the code fixes the step for every row at
+once.  With K codes per state, entry s * K + code holds the step's next
 state (times K), loss and action cost.  A block's codes take two
 vectorised searches (`_draw_codes`); a step is then one list lookup.
 Losses and costs are added one step at a time, in step order, so a
-report has the bits of the scalar `_pick` walk of the step table.
+report has the bits of a scalar walk of the step table that draws each
+symbol and output as the first whose CDF value exceeds its draw, or
+else the last.
 
 Replication r of a run seeded s draws from the dedicated stream (s, r),
 so reports are bit-reproducible and replications are independent.  The
@@ -124,18 +129,6 @@ class SimReport:
         }
 
 
-def _cdf_rows(matrix) -> list:
-    return [np.cumsum(np.asarray(row, dtype=float)).tolist()
-            for row in np.asarray(matrix, dtype=float)]
-
-
-def _pick(cdf_row, r: float) -> int:
-    for j, c in enumerate(cdf_row):
-        if r < c:
-            return j
-    return len(cdf_row) - 1
-
-
 def _fail(msg: str):
     raise SpecValidationError([msg])
 
@@ -152,11 +145,21 @@ def _check_encoder(encoder, num_states: int, num_maps: int) -> list:
     return enc
 
 
-def _mechanics(bundle: PolicyBundle, spec: ProblemSpec) -> tuple:
-    """The bundle as a vending chain: (x-memory, y-memory, observation law
-    (rows, stride, act) of scenarios._memory_chain, decoder indexed
-    [x, y, m, n], action cost per input).  A coding bundle has a one-state
-    x-memory, the channel row of x as its law, and zero cost."""
+def _step_table(bundle: PolicyBundle, spec: ProblemSpec, d: int):
+    """Per-step mechanics of the bundle as arrays (nxt, loss, cost, obs,
+    rows, start) over simulator states s and fresh symbols u.
+
+    The bundle runs as a vending chain: a coding bundle has a one-state
+    x-memory, the channel row of the sent input as its law, and zero
+    cost.  State s = v * n_c + c pairs the tuple v with the joint state
+    c = (m * n_g + g) * n_n + n of the decoder's x-memory m, the
+    encoder's grid point g over the y-memory (0 with feedback) and the
+    decoder's y-memory n.  The encoder sees m, and n with feedback or g
+    without it, as the chain compiler does.  A step from s with fresh
+    symbol u draws the observation y from the law's row rows[obs[s, u]],
+    moves to nxt[s, u, y] with loss loss[s, u, y], and costs cost[s, u].
+    start is the state of the all-zeros tuple and memories.
+    """
     n_x, n_y = spec.num_channel_inputs, spec.num_channel_outputs
     n_r = spec.num_reconstructions
     if bundle.scenario.startswith("vending"):
@@ -179,34 +182,10 @@ def _mechanics(bundle: PolicyBundle, spec: ProblemSpec) -> tuple:
             bundle.decoder, (n_y, mem_y.num_states), n_r)[None], n_x)[0]
     if mem_x.check(n_x) or mem_y.check(n_y):
         _fail("memory tables do not match the alphabets")
-    return mem_x, mem_y, law, dec, cost
-
-
-def _step_table(bundle: PolicyBundle, spec: ProblemSpec, d: int):
-    """Per-step mechanics of the bundle as (table, start state).
-
-    table[v][c][u] describes one step from tuple v when the fresh symbol
-    is u.  c is the joint state of the decoder's x-memory m, the
-    encoder's grid point g over the y-memory (0 with feedback) and the
-    decoder's y-memory n, c = (m * n_g + g) * n_n + n.  The encoder sees
-    m, and n with feedback or g without it, as the chain compiler does.
-    Each entry is (next tuple, observation CDF row, [(loss, next c) per
-    observation], action cost).
-    """
-    mem_x, mem_y, (rows, stride, act), dec, cost = _mechanics(bundle, spec)
-    kernel, shift_arr, x_sent = _tuple_chain(spec, d, 1, [])
-    codec = kernel.codec
-    n_v, n_u = codec.size, codec.base
-    n_x, n_y = spec.num_channel_inputs, spec.num_channel_outputs
-    loc, shift = x_sent[:, 0].tolist(), shift_arr.tolist()
-    first = codec.components_table()[:, 0]
-    loss_first = np.asarray(spec.distortion.loss)[first].tolist()  # (V, C)
-    first, act, cost, dec = (first.tolist(), act.tolist(), cost.tolist(),
-                             dec.tolist())
+    rows, stride, act = law
+    kernel, shift, x_sent = _tuple_chain(spec, d, 1, [])
+    n_v, n_u = shift.shape
     n_m, n_n = mem_x.num_states, mem_y.num_states
-    cdf = _cdf_rows(rows)
-    mx = np.asarray(mem_x.table).tolist()
-    ny = np.asarray(mem_y.table).tolist()
     feedback = "nofeedback" not in bundle.scenario
     n_g, g0 = 1, 0                      # with feedback, a single grid point
     if not feedback:
@@ -214,63 +193,58 @@ def _step_table(bundle: PolicyBundle, spec: ProblemSpec, d: int):
             _fail("the open-loop scenario needs a grid resolution")
         grid = simplex_grid(n_n, bundle.grid_resolution)
         n_g, g0 = grid.size, project(grid, np.eye(n_n)[0])
-        proj = _project_pushforward(grid, mem_y.table, rows).tolist()
+        proj = _project_pushforward(grid, mem_y.table, rows)
 
     n_seen = n_n if feedback else n_g
     enc = _check_encoder(bundle.encoder, n_v * n_m * n_seen, n_x**n_v)
-    enc = _successor_policy(enc, shift_arr, n_x)
-    table = [[None] * (n_m * n_g * n_n) for _ in range(n_v)]
-    for v in range(n_v):
-        for m in range(n_m):
-            for g in range(n_g):
-                for n in range(n_n):
-                    a = enc[(v * n_m + m) * n_seen + (n if feedback else g)]
-                    row = []
-                    for u in range(n_u):
-                        vt = shift[v][u]
-                        x = loc[a][u]
-                        r = first[vt] * stride + act[x]
-                        base = (mx[m][x] * n_g
-                                + (0 if feedback else proj[g][r])) * n_n
-                        row.append((vt, cdf[r], [
-                            (loss_first[vt][dec[x][y][m][n]], base + ny[n][y])
-                            for y in range(n_y)], cost[x]))
-                    table[v][(m * n_g + g) * n_n + n] = row
-    return table, g0 * n_n
+    enc = np.array(_successor_policy(enc, shift, n_x))
+    # the (S, 1) state axes against the (U,) symbol and (Y,) output axes
+    v, m, g, n = (i.reshape(-1, 1) for i in np.indices((n_v, n_m, n_g, n_n)))
+    u, y = np.arange(n_u), np.arange(n_y)
+    x = x_sent[enc[(v * n_m + m) * n_seen + (n if feedback else g)], 0, u]
+    vt = shift[v, u]
+    first = kernel.codec.components_table()[vt, 0]   # the symbol decoded
+    obs = first * stride + act[x]
+    g_next = 0 if feedback else proj[g, obs]
+    c_next = ((np.asarray(mem_x.table)[m, x] * n_g + g_next)[..., None] * n_n
+              + np.asarray(mem_y.table)[n[..., None], y])
+    loss = np.asarray(spec.distortion.loss)[
+        first[..., None], dec[x[..., None], y, m[..., None], n[..., None]]]
+    return (vt[..., None] * (n_m * n_g * n_n) + c_next, loss, cost[x], obs,
+            rows, g0 * n_n)
 
 
 def _flat_table(bundle: PolicyBundle, spec: ProblemSpec, d: int):
-    """The step table as one flat list walked by draw codes: (entries,
-    breakpoints B, start index).
+    """The step table gathered into one flat list walked by draw codes:
+    (entries, breakpoints B, start index).
 
-    entries[s * K + code] = (next state * K, loss, action cost) for state
-    s = v * n_c + c and code u * (len(B) + 1) + q, K = n_u * (len(B) + 1).
-    Interval q of the draws in [0, 1) starts at 0 (q = 0) or at B[q - 1];
-    its entry takes the output that `_pick` gives at that left end, which
-    is its output anywhere in the interval.
+    B is the sorted set of the CDF values of the rows that obs uses.
+    entries[s * K + code] = (next state * K, loss, action cost) for
+    code u * (len(B) + 1) + q, K = n_u * (len(B) + 1).  Interval q of
+    the draws in [0, 1) starts at 0 (q = 0) or at B[q - 1].  Its entry
+    takes the row's output at that left end, min(searchsorted(cdf_row,
+    left, "right"), n_y - 1), the rule `_draw_codes` applies to the
+    source symbol; it is the row's output anywhere in the interval.
     """
-    table, start = _step_table(bundle, spec, d)
-    n_c, n_u = len(table[0]), len(table[0][0])
-    cdfs = {tuple(cdf) for states in table for row in states
-            for _, cdf, _, _ in row}
-    breaks = np.unique(np.fromiter((c for cdf in cdfs for c in cdf), float))
-    lefts = [0.0, *breaks.tolist()]     # the draws lie in [0, 1)
-    picks = {cdf: [_pick(cdf, lo) for lo in lefts] for cdf in cdfs}
-    n_k = n_u * len(lefts)
-    entries = []
-    for states in table:
-        for row in states:
-            for vt, cdf, outs, cost in row:
-                steps = [((vt * n_c + c) * n_k, loss, cost)
-                         for loss, c in outs]
-                entries.extend(steps[y] for y in picks[tuple(cdf)])
-    return entries, breaks, start * n_k
+    nxt, loss, cost, obs, rows, start = _step_table(bundle, spec, d)
+    cdf = np.cumsum(rows, axis=1)
+    breaks = np.unique(cdf[np.unique(obs)])
+    lefts = np.concatenate([[0.0], breaks])     # the draws lie in [0, 1)
+    outs = np.minimum([np.searchsorted(row, lefts, "right") for row in cdf],
+                      rows.shape[1] - 1)[obs]  # (S, U, len(B) + 1)
+    n_k = outs.shape[1] * outs.shape[2]
+    return list(zip(
+        (np.take_along_axis(nxt, outs, 2) * n_k).ravel().tolist(),
+        np.take_along_axis(loss, outs, 2).ravel().tolist(),
+        np.broadcast_to(cost[..., None], outs.shape).ravel().tolist(),
+    )), breaks, start * n_k
 
 
 def _draw_codes(cdf_u, breaks, ru, ry) -> list:
     """The draw codes of `_flat_table` for arrays of source draws ru and
-    observation draws ry.  The source symbol is `_pick(cdf_u, ru)`: the
-    count of CDF entries at most ru, clamped to the last symbol."""
+    observation draws ry.  The source symbol u is the count of CDF
+    entries at most ru, clamped to the last symbol, and the interval q
+    is the count of breakpoints at most ry."""
     u = np.minimum(np.searchsorted(cdf_u, ru, "right"), len(cdf_u) - 1)
     return (u * (len(breaks) + 1)
             + np.searchsorted(breaks, ry, "right")).tolist()

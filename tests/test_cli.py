@@ -588,7 +588,12 @@ def test_sweep_checks_its_cells_before_any_solve(capsys, no_solver, flags):
     assert captured.err.startswith("error: ")
 
 
-def test_sweep_solves_a_repeated_memory_length_once(capsys, monkeypatch):
+@pytest.mark.parametrize("flags, d", [
+    (["--quantities", "Ddm", "--m", "1,1"], "0"),
+    (["--quantities", "Ddm,Ddm", "--d", "1", "--m", "1"], "1"),
+], ids=["repeated-m", "repeated-quantity"])
+def test_sweep_solves_a_repeated_memory_length_once(capsys, monkeypatch,
+                                                     flags, d):
     solve, calls = cli_module.solve_feedback_finite, []
 
     def counted(*args, **kwargs):
@@ -596,13 +601,45 @@ def test_sweep_solves_a_repeated_memory_length_once(capsys, monkeypatch):
         return solve(*args, **kwargs)
     monkeypatch.setattr(cli_module, "solve_feedback_finite", counted)
     rc, out = _run(capsys, ["sweep", "--fix", "delta=0.3",
-                            "--vary", "p=0.1:0.3:0.1", "--quantities", "Ddm",
-                            "--m", "1,1", "--workers", "1"])
+                            "--vary", "p=0.1:0.3:0.1", *flags,
+                            "--workers", "1"])
     assert rc == 0
     rows = out.splitlines()[1:]
     assert [row.split(",")[:5] for row in rows] == [
-        [p, "0.3", "0", "1", "Ddm"] for p in ("0.1", "0.2", "0.3")]
+        [p, "0.3", d, "1", "Ddm"] for p in ("0.1", "0.2", "0.3")]
     assert len(calls) == 3
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--spec", "DIR", "--d", "1", "--memory", "last:1"],
+    ["solve", *SOLVE_ARGS, "--vending", "DIR", "--d", "1"],
+    ["region", "--p", "0.3", "--delta", "0.3", "--csv", "DIR"],
+], ids=["--spec", "--vending", "--csv"])
+def test_a_directory_path_exits_2_before_any_solve(capsys, no_solver,
+                                                   monkeypatch, tmp_path,
+                                                   argv):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a refused command reached the region scan")
+    monkeypatch.setattr(cli_module, "suboptimality_region", refuse)
+    rc = main([str(tmp_path) if arg == "DIR" else arg for arg in argv])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err
+
+
+def test_region_keeps_an_existing_csv_when_it_exits_2(capsys, monkeypatch,
+                                                      tmp_path):
+    def fail(*args, **kwargs):
+        raise ValueError("the scan failed")
+    monkeypatch.setattr(cli_module, "suboptimality_region", fail)
+    csv = tmp_path / "region.csv"
+    csv.write_text("kept\n")
+    rc = main(["region", "--p", "0.3", "--delta", "0.3", "--csv", str(csv)])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: the scan failed\n"
+    assert csv.read_text() == "kept\n"
 
 
 @pytest.mark.parametrize("command", [

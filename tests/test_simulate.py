@@ -20,9 +20,10 @@ from rtcode import (
     spec_from_dict,
     with_budget,
 )
-from rtcode.scenarios import _coding_chain, _whole_map_policy
+from rtcode.scenarios import (_chain_rewards, _coding_chain,
+                              _coding_decoders, _whole_map_policy)
 from rtcode.simulate import (BURN_IN, SimReport, _draw_codes, _flat_table,
-                              _pick, _step_table)
+                              _step_table)
 from rtcode.vending import _vending_feedback_core
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -314,46 +315,70 @@ def _hand_bundle(kind, rng, data=None):
     return spec, d, core, policy, bundle
 
 
+def _pick(cdf_row, r: float) -> int:
+    """The reference draw rule: the first output whose CDF value exceeds
+    the draw r, or the last output."""
+    for j, c in enumerate(cdf_row):
+        if r < c:
+            return j
+    return len(cdf_row) - 1
+
+
 @pytest.mark.parametrize("kind", KINDS)
 def test_step_table_moves_as_the_compiled_chain(kind):
     """Every step of the simulator's table lands, with the chain's
     probability, on the chain state that the compiler moves to under the
-    same action.  The simulator tracks the decoder memories (m, n) and,
-    without feedback, the encoder's grid point g; the encoder sees m and
-    n, or m and g."""
-    rng = np.random.default_rng(61)
-    spec, d, core, policy, bundle = _hand_bundle(kind, rng)
-    table, _ = _step_table(bundle, spec, d)
-    n_v, n_m, n_seen = core["shape"][:3]
-    n_s = core["next_states"].shape[0]
-    feedback = "nofeedback" not in kind
-    n_n = core["points_n"].shape[1]
-    n_g = 1 if feedback else n_seen
-    p_u = np.asarray(spec.source.p)
+    same action, and a state's expected loss is the chain's reward there,
+    on the default problem and every edge case of the kind.  The
+    simulator tracks the decoder memories (m, n) and, without feedback,
+    the encoder's grid point g; the encoder sees m and n, or m and g.  An
+    open-loop chain's reward averages the simulator states over n with
+    the weights of the grid point g."""
+    vending = kind.startswith("vending")
+    for data in [None] + [edge for edge in EDGES.values()
+                          if vending == ("vending" in edge)]:
+        rng = np.random.default_rng(61)
+        spec, d, core, policy, bundle = _hand_bundle(kind, rng, data)
+        nxt, loss, cost, obs, rows, _ = _step_table(bundle, spec, d)
+        n_v, n_m, n_seen = core["shape"][:3]
+        n_s = core["next_states"].shape[0]
+        feedback = "nofeedback" not in kind
+        points_n = core["points_n"]
+        n_n = points_n.shape[1]
+        n_g = 1 if feedback else n_seen
+        n_c = n_m * n_g * n_n
+        p_u = np.asarray(spec.source.p)
+        n_u, n_y = len(p_u), rows.shape[1]
+        assert nxt.shape == loss.shape == (n_v * n_c, n_u, n_y)
+        assert cost.shape == obs.shape == (n_v * n_c, n_u)
+        decs = np.asarray(bundle.decoder)[None]
+        if not vending:
+            decs = _coding_decoders(decs, spec.num_channel_inputs)
+        reward = _chain_rewards(core, decs)[0][np.arange(n_s), policy]
 
-    def chain_state(v, c):
-        m, rest = divmod(c, n_g * n_n)
-        g, n = divmod(rest, n_n)
-        return (v * n_m + m) * n_seen + (n if feedback else g)
+        def chain_state(s):
+            v, c = np.divmod(s, n_c)
+            m, rest = np.divmod(c, n_g * n_n)
+            g, n = np.divmod(rest, n_n)
+            return (v * n_m + m) * n_seen + (n if feedback else g), g, n
 
-    for v in range(n_v):
-        assert len(table[v]) == n_m * n_g * n_n
-        for c, row in enumerate(table[v]):
-            s = chain_state(v, c)
-            a = policy[s]
+        expected_loss = np.zeros(n_s)
+        for s in range(n_v * n_c):
+            cs, g, n = chain_state(s)
+            a = policy[cs]
             expected = np.zeros(n_s)
-            np.add.at(expected, core["next_states"][s, a],
-                      core["next_probs"][s, a])
+            np.add.at(expected, core["next_states"][cs, a],
+                      core["next_probs"][cs, a])
             got = np.zeros(n_s)
-            spent = 0.0
-            for u, (vt, cdf, outs, cost) in enumerate(row):
-                p_y = np.diff(np.concatenate([[0.0], cdf]))
-                for y, (_, c_next) in enumerate(outs):
-                    got[chain_state(vt, c_next)] += p_u[u] * p_y[y]
-                spent += p_u[u] * cost
+            p_uy = p_u[:, None] * rows[obs[s]]               # (U, Y)
+            np.add.at(got, chain_state(nxt[s])[0], p_uy)
             np.testing.assert_allclose(got, expected, atol=1e-12)
-            assert spent == pytest.approx(
-                core["cost"][s, a] if "cost" in core else 0.0, abs=1e-12)
+            assert p_u @ cost[s] == pytest.approx(
+                core["cost"][cs, a] if "cost" in core else 0.0, abs=1e-12)
+            expected_loss[cs] += ((1.0 if feedback else points_n[g, n])
+                                  * np.sum(p_uy * loss[s]))
+        np.testing.assert_allclose(expected_loss, -reward, rtol=0,
+                                   atol=1e-12)
 
 
 def _interval_draws(breaks):
@@ -379,25 +404,25 @@ def test_draw_codes_pick_as_the_step_table(kind, data):
     midpoints and last draws."""
     spec, d, _, _, bundle = _hand_bundle(kind, np.random.default_rng(63),
                                          data)
-    table, start = _step_table(bundle, spec, d)
+    nxt, loss, cost, obs, rows, start = _step_table(bundle, spec, d)
     entries, breaks, first = _flat_table(bundle, spec, d)
     cdf_u = np.cumsum(spec.source.p)
-    n_c = len(table[0])
-    n_k = len(entries) // (len(table) * n_c)
+    cdf = np.cumsum(rows, axis=1).tolist()
+    n_k = len(entries) // nxt.shape[0]
     assert first == start * n_k
     pairs = [(ru, ry) for ru in _interval_draws(cdf_u.tolist())
              for ry in _interval_draws(breaks.tolist())]
     ru, ry = np.array(pairs).T
     codes = _draw_codes(cdf_u, breaks, ru, ry)
     clamped = 0
-    for v, states in enumerate(table):
-        for c, row in enumerate(states):
-            for (ru, ry), code in zip(pairs, codes):
-                vt, cdf, outs, cost = row[_pick(cdf_u.tolist(), ru)]
-                clamped += ry >= cdf[-1] or ru >= cdf_u[-1]
-                loss, c_next = outs[_pick(cdf, ry)]
-                assert entries[(v * n_c + c) * n_k + code] \
-                    == ((vt * n_c + c_next) * n_k, loss, cost)
+    for s in range(nxt.shape[0]):
+        for (ru, ry), code in zip(pairs, codes):
+            u = _pick(cdf_u.tolist(), ru)
+            row = cdf[obs[s, u]]
+            clamped += ry >= row[-1] or ru >= cdf_u[-1]
+            y = _pick(row, ry)
+            assert entries[s * n_k + code] \
+                == (nxt[s, u, y] * n_k, loss[s, u, y], cost[s, u])
     assert (clamped > 0) == (data is not None)
 
 
@@ -405,21 +430,24 @@ def _whole_stream_report(bundle, spec, d, horizon, replications, seed):
     """The simulator's report with each replication's two streams drawn
     whole: the first and the second horizon + burn-in draws of the
     generator seeded (seed, rep)."""
-    table, start = _step_table(bundle, spec, d)
+    nxt, loss, cost, obs, rows, start = _step_table(bundle, spec, d)
+    nxt, loss, cost, obs = (a.tolist() for a in (nxt, loss, cost, obs))
+    cdf = np.cumsum(rows, axis=1).tolist()
     cdf_u = np.cumsum(spec.source.p).tolist()
     loss_means, cost_means = [], []
     for rep in range(replications):
         rng = np.random.default_rng([seed, rep])
         ru = rng.random(horizon + BURN_IN).tolist()
         ry = rng.random(horizon + BURN_IN).tolist()
-        v, c = 0, start
+        s = start
         tot = cost_tot = 0.0
         for t in range(horizon + BURN_IN):
-            v, cdf, outs, cost = table[v][c][_pick(cdf_u, ru[t])]
-            loss, c = outs[_pick(cdf, ry[t])]
+            u = _pick(cdf_u, ru[t])
+            y = _pick(cdf[obs[s][u]], ry[t])
             if t >= BURN_IN:
-                tot += loss
-                cost_tot += cost
+                tot += loss[s][u][y]
+                cost_tot += cost[s][u]
+            s = nxt[s][u][y]
         loss_means.append(tot / horizon)
         cost_means.append(cost_tot / horizon)
     return SimReport(
